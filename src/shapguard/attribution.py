@@ -26,11 +26,10 @@ NEAR_ZERO_DELTA = 1e-9
 # Completeness gap allowed relative to max(1, |g(x)|).
 COMPLETENESS_RTOL = 1e-5
 
-ORIGINS = ("clean", "fgsm", "pgd", "deepfool")
-
 
 class EmptySelectionError(ValueError):
-    """The fingerprint class filter selected no rows."""
+    """No fingerprint rows: the class filter selected none, or a record or
+    file has none."""
 
 
 @dataclass(frozen=True)
@@ -62,22 +61,45 @@ class BackgroundSet:
         return f"{self.source} (k={self.size}, seed={self.seed})"
 
 
-@dataclass
-class AttributionFingerprint:
-    """Per-sample SHAP vector phi plus the expected baseline output phi0."""
+@dataclass(frozen=True)
+class Fingerprints:
+    """Fingerprints of n rows in columns: phi (n, M), the shared baseline
+    phi0, the explained logits g(x) (n,), int sample ids (n,) and origin."""
 
     phi: np.ndarray
     phi0: float
-    model_output: float          # the explained logit g(x)
-    sample_id: int | str
+    model_output: np.ndarray
+    sample_ids: np.ndarray
     origin: str = "clean"
 
-    @property
-    def completeness_gap(self) -> float:
-        return abs(self.phi0 + float(self.phi.sum()) - self.model_output)
+    def __post_init__(self) -> None:
+        phi = np.asarray(self.phi, dtype=np.float64)
+        model_output = np.asarray(self.model_output, dtype=np.float64)
+        sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
+        if phi.ndim != 2 or phi.shape[0] == 0:
+            raise EmptySelectionError("no fingerprints")
+        if model_output.shape != (phi.shape[0],) or sample_ids.shape != model_output.shape:
+            raise ValueError("model_output and sample_ids need one entry per phi row")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi0", float(self.phi0))
+        object.__setattr__(self, "model_output", model_output)
+        object.__setattr__(self, "sample_ids", sample_ids)
 
-    def is_complete(self, rtol: float = COMPLETENESS_RTOL) -> bool:
-        return self.completeness_gap <= rtol * max(1.0, abs(self.model_output))
+    @property
+    def n(self) -> int:
+        return self.phi.shape[0]
+
+    @property
+    def completeness_gaps(self) -> np.ndarray:
+        return np.abs(self.phi0 + self.phi.sum(axis=1) - self.model_output)
+
+    @property
+    def max_completeness_gap(self) -> float:
+        return float(self.completeness_gaps.max())
+
+    def count_violations(self, rtol: float = COMPLETENESS_RTOL) -> int:
+        allowed = rtol * np.maximum(1.0, np.abs(self.model_output))
+        return int(np.count_nonzero(self.completeness_gaps > allowed))
 
 
 def sample_background(
@@ -104,30 +126,21 @@ def expected_output(model: neural.MlpModel, background: BackgroundSet) -> float:
     return float(np.mean(neural.logit(model, background.B)))
 
 
-def _reference_contributions(
+def shap_fingerprint(
     model: neural.MlpModel,
     x: np.ndarray,
-    B: np.ndarray,
-    trace_b: neural.ForwardTrace | None = None,
-) -> np.ndarray:
-    """Rescale-rule contributions of x against each reference row of B.
+    background: BackgroundSet,
+    trace_b: neural.ForwardTrace,
+) -> tuple[np.ndarray, float]:
+    """Mean rescale-rule contributions of x over the background set, plus
+    the explained logit g(x) read from x's own forward trace.
 
-    Returns a (K, M) matrix whose row k sums to g(x) - g(b_k) up to
-    floating point. trace_b may be passed to reuse a precomputed forward
-    pass over B.
+    trace_b is the forward trace of background.B. Against each reference
+    b_k the contributions sum to g(x) - g(b_k), so completeness
+    phi0 + sum(phi) = g(x) holds by linearity of the mean.
     """
-    if model.output_size != 1:
-        raise ValueError("attribution requires a single-output model")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.input_size:
-        raise ValueError("x must be a single input vector matching the model")
-    if B.ndim != 2 or B.shape[1] != model.input_size:
-        raise ValueError("baseline matrix shape does not match the model input")
-
+    B = background.B
     _, trace_x = neural.forward(model, x[None, :])
-    if trace_b is None:
-        _, trace_b = neural.forward(model, B)
-
     n_layers = len(model.weights)
     mult = np.ones((B.shape[0], 1))
     for i in reversed(range(n_layers)):
@@ -144,42 +157,8 @@ def _reference_contributions(
         )
         ratio = np.where(small, (zx > 0).astype(np.float64), ratio)
         mult = mult * ratio
-    return mult * (x[None, :] - B)
-
-
-def deeplift_single(
-    model: neural.MlpModel, x: np.ndarray, baseline: np.ndarray
-) -> np.ndarray:
-    """Contribution vector of x against one reference; sums to g(x) - g(b)."""
-    baseline = np.asarray(baseline, dtype=np.float64)
-    if baseline.ndim != 1:
-        raise ValueError("baseline must be a single vector")
-    return _reference_contributions(model, x, baseline[None, :])[0]
-
-
-def shap_fingerprint(
-    model: neural.MlpModel,
-    x: np.ndarray,
-    background: BackgroundSet,
-    sample_id: int | str = 0,
-    origin: str = "clean",
-    _trace_b: neural.ForwardTrace | None = None,
-    _phi0: float | None = None,
-) -> AttributionFingerprint:
-    """Mean rescale-rule contributions over the background set.
-
-    Completeness phi0 + sum(phi) = g(x) holds by linearity of the mean.
-    """
-    contrib = _reference_contributions(model, x, background.B, trace_b=_trace_b)
-    phi = contrib.mean(axis=0)
-    phi0 = expected_output(model, background) if _phi0 is None else _phi0
-    return AttributionFingerprint(
-        phi=phi,
-        phi0=phi0,
-        model_output=float(neural.logit(model, x)),
-        sample_id=sample_id,
-        origin=origin,
-    )
+    phi = (mult * (x[None, :] - B)).mean(axis=0)
+    return phi, float(trace_x.pre[-1][0, 0])
 
 
 def fingerprint_batch(
@@ -190,8 +169,8 @@ def fingerprint_batch(
     class_filter: str | None = None,
     sample_ids: np.ndarray | list | None = None,
     origin: str = "clean",
-) -> list[AttributionFingerprint]:
-    """One fingerprint per selected row, input order preserved.
+) -> Fingerprints:
+    """Fingerprints of the selected rows, input order preserved.
 
     class_filter 'malicious' keeps rows with label 1, 'benign' keeps label
     0, None keeps everything. sample_ids defaults to row indices.
@@ -199,6 +178,10 @@ def fingerprint_batch(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be a matrix")
+    if model.output_size != 1:
+        raise ValueError("attribution requires a single-output model")
+    if X.shape[1] != model.input_size or background.m != model.input_size:
+        raise ValueError("X and the background must match the model input")
     n = X.shape[0]
     if sample_ids is None:
         sample_ids = np.arange(n)
@@ -218,69 +201,67 @@ def fingerprint_batch(
         raise EmptySelectionError(f"class_filter {class_filter!r} selected no rows")
 
     _, trace_b = neural.forward(model, background.B)
-    phi0 = expected_output(model, background)
-    return [
-        shap_fingerprint(
-            model, X[i], background,
-            sample_id=sample_ids[i], origin=origin,
-            _trace_b=trace_b, _phi0=phi0,
-        )
-        for i in rows
-    ]
+    phi = np.empty((rows.size, X.shape[1]))
+    logits = np.empty(rows.size)
+    for k, i in enumerate(rows):
+        phi[k], logits[k] = shap_fingerprint(model, X[i], background, trace_b)
+    return Fingerprints(
+        phi=phi,
+        phi0=expected_output(model, background),
+        model_output=logits,
+        sample_ids=np.asarray(sample_ids)[rows],
+        origin=origin,
+    )
 
 
-def fingerprints_to_matrix(fps: list[AttributionFingerprint]) -> np.ndarray:
-    if not fps:
-        raise EmptySelectionError("no fingerprints")
-    return np.array([fp.phi for fp in fps], dtype=np.float64)
+def save_fingerprints(fps: Fingerprints, path: str | Path) -> None:
+    """CSV columns: sample_id, phi0, phi_1..phi_M, model_output, origin.
 
-
-def count_completeness_violations(
-    fps: list[AttributionFingerprint], rtol: float = COMPLETENESS_RTOL
-) -> int:
-    return sum(not fp.is_complete(rtol) for fp in fps)
-
-
-def save_fingerprints(fps: list[AttributionFingerprint], path: str | Path) -> None:
-    """CSV columns: sample_id, phi0, phi_1..phi_M, model_output, origin."""
-    if not fps:
-        raise EmptySelectionError("no fingerprints to save")
-    m = fps[0].phi.shape[0]
+    phi0 is repeated on every row.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    phi0 = repr(fps.phi0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["sample_id", "phi0", *(f"phi_{j + 1}" for j in range(m)),
+            ["sample_id", "phi0", *(f"phi_{j + 1}" for j in range(fps.phi.shape[1])),
              "model_output", "origin"]
         )
-        for fp in fps:
+        for sample_id, phi, output in zip(
+            fps.sample_ids.tolist(), fps.phi.tolist(), fps.model_output.tolist()
+        ):
             writer.writerow(
-                [fp.sample_id, repr(float(fp.phi0)),
-                 *(repr(float(v)) for v in fp.phi),
-                 repr(float(fp.model_output)), fp.origin]
+                [sample_id, phi0, *map(repr, phi), repr(output), fps.origin]
             )
 
 
-def load_fingerprints(path: str | Path) -> list[AttributionFingerprint]:
+def load_fingerprints(path: str | Path) -> Fingerprints:
+    """Read a file written by :func:`save_fingerprints`; its phi0 and origin
+    columns must be constant."""
     path = Path(path)
-    fps: list[AttributionFingerprint] = []
+    phi, outputs, sample_ids, phi0s, origins = [], [], [], set(), set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        m = len(header) - 4
+        m = len(next(reader)) - 4
         for raw in reader:
             if not raw:
                 continue
-            fps.append(
-                AttributionFingerprint(
-                    phi=np.array([float(v) for v in raw[2 : 2 + m]]),
-                    phi0=float(raw[1]),
-                    model_output=float(raw[2 + m]),
-                    sample_id=int(raw[0]) if raw[0].isdigit() else raw[0],
-                    origin=raw[3 + m],
-                )
-            )
-    if not fps:
+            sample_ids.append(int(raw[0]))
+            phi0s.add(float(raw[1]))
+            phi.append(np.array([float(v) for v in raw[2 : 2 + m]]))
+            outputs.append(float(raw[2 + m]))
+            origins.add(raw[3 + m])
+    if not phi:
         raise EmptySelectionError(f"{path}: no fingerprints")
-    return fps
+    if len(phi0s) != 1:
+        raise ValueError(f"{path}: the phi0 column is not constant")
+    if len(origins) != 1:
+        raise ValueError(f"{path}: the origin column is not constant")
+    return Fingerprints(
+        phi=np.array(phi),
+        phi0=phi0s.pop(),
+        model_output=np.array(outputs),
+        sample_ids=np.array(sample_ids),
+        origin=origins.pop(),
+    )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attribution, neural
+from . import neural
 
 CALIBRATION_METHODS = ("percentile", "sigma")
 SIGMA_MULTIPLIERS = (2.0, 3.0)
@@ -91,16 +91,6 @@ class DetectorModel:
         return self.tau is not None
 
 
-@dataclass
-class DetectionResult:
-    """detect_pipeline output: the decision plus every intermediate."""
-
-    decision: str                # "clean" | "adversarial"
-    score: float                 # reconstruction error s
-    tau: float
-    fingerprint: attribution.AttributionFingerprint
-
-
 def autoencoder_spec(
     m: int,
     hidden_sizes: tuple[int, ...] = (32, 16),
@@ -138,20 +128,14 @@ def train_autoencoder(
     return neural.train(model, Z, Z, cfg)
 
 
-def reconstruction_error(ae: neural.MlpModel, z: np.ndarray) -> float:
-    """s = ||z - A(z)||_2^2 for one fingerprint vector."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] != ae.input_size:
-        raise ValueError("z must be a vector matching the autoencoder input")
-    out, _ = neural.forward(ae, z)
-    return float(((z - out) ** 2).sum())
-
-
-def reconstruction_errors(ae: neural.MlpModel, Z: np.ndarray) -> np.ndarray:
-    """Per-row reconstruction errors for a fingerprint matrix."""
+def reconstruction_errors(
+    ae: neural.MlpModel, Z: np.ndarray
+) -> np.ndarray | float:
+    """s = ||z - A(z)||_2^2 per fingerprint row of Z; a float for one vector."""
     Z = np.asarray(Z, dtype=np.float64)
     out, _ = neural.forward(ae, Z)
-    return ((Z - out) ** 2).sum(axis=1)
+    squared = (Z - out) ** 2
+    return float(squared.sum()) if Z.ndim == 1 else squared.sum(axis=1)
 
 
 def calibrate_threshold(
@@ -193,31 +177,18 @@ def calibrate(
     )
 
 
-def detect(det: DetectorModel, z: np.ndarray) -> tuple[str, float]:
-    """Decision for one fingerprint: adversarial iff s > tau (s <= tau is
-    clean, boundary included)."""
+def detect(
+    det: DetectorModel, Z: np.ndarray
+) -> tuple[str, float] | tuple[np.ndarray, np.ndarray]:
+    """Decisions and scores: adversarial iff s > tau (s <= tau is clean,
+    boundary included). One vector gives (decision, score); a matrix gives
+    an array of decisions and an array of scores."""
     if not det.is_calibrated:
         raise NotCalibratedError("detector has no calibrated threshold")
-    s = reconstruction_error(det.autoencoder, z)
-    return ("adversarial" if s > det.tau else "clean"), s
-
-
-def detect_pipeline(
-    nids: neural.MlpModel,
-    det: DetectorModel,
-    background: attribution.BackgroundSet,
-    x: np.ndarray,
-    sample_id: int | str = 0,
-) -> DetectionResult:
-    """Fingerprint -> reconstruction error -> threshold decision, with all
-    intermediates returned for audit."""
-    if not det.is_calibrated:
-        raise NotCalibratedError("detector has no calibrated threshold")
-    fp = attribution.shap_fingerprint(nids, x, background, sample_id=sample_id)
-    decision, score = detect(det, fp.phi)
-    return DetectionResult(
-        decision=decision, score=score, tau=float(det.tau), fingerprint=fp
-    )
+    s = reconstruction_errors(det.autoencoder, Z)
+    if isinstance(s, float):
+        return ("adversarial" if s > det.tau else "clean"), s
+    return np.where(s > det.tau, "adversarial", "clean"), s
 
 
 def save_detector(det: DetectorModel, path: str | Path) -> None:

@@ -8,11 +8,9 @@ average precision is the step sum AP = sum_n (R_n - R_{n-1}) * P_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .attribution import AttributionFingerprint
 
 
 @dataclass(frozen=True)
@@ -232,14 +230,9 @@ def robustness_metrics(
     )
 
 
-def importance(
-    fingerprints: Iterable[AttributionFingerprint] | np.ndarray,
-) -> np.ndarray:
-    """Per-feature mean |SHAP| over a fingerprint set."""
-    if isinstance(fingerprints, np.ndarray):
-        mat = fingerprints
-    else:
-        mat = np.array([fp.phi for fp in fingerprints], dtype=np.float64)
+def importance(Z: np.ndarray) -> np.ndarray:
+    """Per-feature mean |SHAP| over a fingerprint matrix."""
+    mat = np.asarray(Z, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise ValueError("need a non-empty fingerprint matrix")
     return np.abs(mat).mean(axis=0)

@@ -276,16 +276,6 @@ def grad_params(
     return dWs, dbs
 
 
-def grad_input(
-    model: MlpModel, x: np.ndarray, target: float | np.ndarray, loss: str
-) -> np.ndarray:
-    """Exact gradient of one sample's scalar loss with respect to the input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("grad_input expects a single input vector")
-    return grad_input_batch(model, x[None, :], np.atleast_1d(target), loss)[0]
-
-
 def grad_input_batch(
     model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str = "bce"
 ) -> np.ndarray:

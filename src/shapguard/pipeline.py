@@ -16,6 +16,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -483,72 +484,42 @@ def cmd_attack(ws: Workspace, kind: str) -> StageResult:
     )
 
 
-def _fingerprint_clean(
-    ws: Workspace, model: neural.MlpModel, background: attribution.BackgroundSet
-) -> list[Path]:
-    paths = []
+def _fingerprint_sources(
+    ws: Workspace,
+    model: neural.MlpModel,
+    background: attribution.BackgroundSet,
+    sources: list[str],
+) -> Iterator[tuple[str, attribution.Fingerprints]]:
+    """Yield (artifact name, fingerprints) for each clean split or attack."""
     filters = {
         "clean_train": ws.cfg["detector"]["class_filter"],
         "clean_val": ws.cfg["detector"]["class_filter"],
         "clean_test": ws.cfg["evaluation"]["clean_panel"],
     }
-    for source in CLEAN_SOURCES:
-        split_name = source.removeprefix("clean_")
-        ds = data.load_dataset(ws.require(f"data/{split_name}.csv", "fingerprint"))
-        class_filter = filters[source]
-        fps = attribution.fingerprint_batch(
-            model,
-            ds.X,
-            background,
-            labels=ds.y,
-            class_filter=None if class_filter == "all" else class_filter,
-            origin="clean",
-        )
-        violations = attribution.count_completeness_violations(fps)
-        if violations:
-            raise InvariantError(
-                f"fingerprint {source}: {violations} completeness violation(s)"
+    for item in sources:
+        if item == "clean":
+            for source in CLEAN_SOURCES:
+                split_name = source.removeprefix("clean_")
+                ds = data.load_dataset(ws.require(f"data/{split_name}.csv", "fingerprint"))
+                yield source, attribution.fingerprint_batch(
+                    model, ds.X, background, labels=ds.y, class_filter=filters[source]
+                )
+        else:
+            batch = attacks.load_adv_batch(ws.require(f"attacks/{item}.csv", "fingerprint"))
+            yield item, attribution.fingerprint_batch(
+                model, batch.X_adv, background, sample_ids=batch.sample_index, origin=item
             )
-        target = ws.path(f"fingerprints/{source}.csv")
-        attribution.save_fingerprints(fps, target)
-        paths.append(target)
-    return paths
-
-
-def _fingerprint_attack(
-    ws: Workspace,
-    model: neural.MlpModel,
-    background: attribution.BackgroundSet,
-    kind: str,
-) -> Path:
-    batch = attacks.load_adv_batch(ws.require(f"attacks/{kind}.csv", "fingerprint"))
-    fps = attribution.fingerprint_batch(
-        model,
-        batch.X_adv,
-        background,
-        sample_ids=batch.sample_index,
-        origin=kind,
-    )
-    violations = attribution.count_completeness_violations(fps)
-    if violations:
-        raise InvariantError(
-            f"fingerprint {kind}: {violations} completeness violation(s)"
-        )
-    target = ws.path(f"fingerprints/{kind}.csv")
-    attribution.save_fingerprints(fps, target)
-    return target
 
 
 def cmd_fingerprint(ws: Workspace, source: str = "all") -> StageResult:
     """Compute attribution fingerprints for clean splits and/or attacks.
 
     source is 'clean', an attack kind, or 'all'. Completeness violations
-    are counted and must be zero.
+    abort the stage; the largest completeness gap goes into the summary.
     """
     started = time.perf_counter()
     model = neural.load(ws.require("models/nids.json", "fingerprint"))
     background = _load_background(ws, "fingerprint")
-    paths: list[Path] = []
     sources: list[str]
     if source == "all":
         sources = ["clean", *ATTACK_KINDS]
@@ -556,20 +527,24 @@ def cmd_fingerprint(ws: Workspace, source: str = "all") -> StageResult:
         sources = [source]
     else:
         raise ConfigError(f"unknown fingerprint source {source!r}")
-    counts = {}
-    for item in sources:
-        if item == "clean":
-            new_paths = _fingerprint_clean(ws, model, background)
-        else:
-            new_paths = [_fingerprint_attack(ws, model, background, item)]
-        paths.extend(new_paths)
-        for p in new_paths:
-            with open(p, encoding="utf-8") as fh:
-                counts[p.stem] = sum(1 for _ in fh) - 1
+    paths: list[Path] = []
+    rows: dict[str, int] = {}
+    max_gap = 0.0
+    for name, fps in _fingerprint_sources(ws, model, background, sources):
+        violations = fps.count_violations()
+        if violations:
+            raise InvariantError(
+                f"fingerprint {name}: {violations} completeness violation(s)"
+            )
+        target = ws.path(f"fingerprints/{name}.csv")
+        attribution.save_fingerprints(fps, target)
+        paths.append(target)
+        rows[name] = fps.n
+        max_gap = max(max_gap, fps.max_completeness_gap)
     summary = {
-        "rows": counts,
+        "rows": rows,
         "background": background.describe(),
-        "completeness_violations": 0,  # violations abort the stage above
+        "max_completeness_gap": max_gap,
     }
     return ws.finish("fingerprint", started, paths, summary)
 
@@ -578,14 +553,12 @@ def cmd_train_detector(ws: Workspace) -> StageResult:
     """Train the autoencoder on clean train fingerprints and calibrate tau."""
     started = time.perf_counter()
     cfg = ws.cfg["detector"]
-    train_fps = attribution.load_fingerprints(
+    Z_train = attribution.load_fingerprints(
         ws.require("fingerprints/clean_train.csv", "train-detector")
-    )
-    val_fps = attribution.load_fingerprints(
+    ).phi
+    Z_val = attribution.load_fingerprints(
         ws.require("fingerprints/clean_val.csv", "train-detector")
-    )
-    Z_train = attribution.fingerprints_to_matrix(train_fps)
-    Z_val = attribution.fingerprints_to_matrix(val_fps)
+    ).phi
     try:
         ae, history = detector.train_autoencoder(
             Z_train,
@@ -650,10 +623,9 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
     """Emit the full report bundle; raises InvariantError on check failures."""
     started = time.perf_counter()
     det = detector.load_detector(ws.require("detector/detector.json", "evaluate"))
-    clean_fps = attribution.load_fingerprints(
+    Z_clean = attribution.load_fingerprints(
         ws.require("fingerprints/clean_test.csv", "evaluate")
-    )
-    Z_clean = attribution.fingerprints_to_matrix(clean_fps)
+    ).phi
     errors_clean = detector.reconstruction_errors(det.autoencoder, Z_clean)
     bins = int(ws.cfg["evaluation"]["histogram_bins"])
 
@@ -664,10 +636,9 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
     summary: dict = {"tau": det.tau, "clean_rows": int(errors_clean.size)}
 
     for kind in ATTACK_KINDS:
-        adv_fps = attribution.load_fingerprints(
+        Z_adv = attribution.load_fingerprints(
             ws.require(f"fingerprints/{kind}.csv", "evaluate")
-        )
-        Z_adv = attribution.fingerprints_to_matrix(adv_fps)
+        ).phi
         errors_adv = detector.reconstruction_errors(det.autoencoder, Z_adv)
         importance_by_condition[kind] = evaluation.importance(Z_adv)
 
@@ -750,28 +721,38 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
 
 
 def cmd_detect(ws: Workspace, input_path: str | Path) -> StageResult:
-    """Run the full detection pipeline on every row of a dataset CSV.
+    """Fingerprint every row of a dataset CSV, score the fingerprints with
+    the autoencoder and compare the scores with tau.
 
-    The input must be in scaled feature space (like the persisted splits);
-    labels in the file are ignored. Decisions and scores are written to
+    The input must be in scaled feature space (like the persisted splits),
+    with the feature columns of data/scaler.json in the same order; labels
+    in the file are ignored. Decisions and scores are written to
     reports/detections.json.
     """
     started = time.perf_counter()
     input_path = Path(input_path)
-    if not input_path.exists():
-        raise StageError(f"detect: file not found: {input_path}")
     nids = neural.load(ws.require("models/nids.json", "detect"))
     det = detector.load_detector(ws.require("detector/detector.json", "detect"))
+    _, schema = data.load_scaler(ws.require("data/scaler.json", "detect"))
     background = _load_background(ws, "detect")
-    ds = data.load_dataset(input_path)
-    rows = []
-    flagged = 0
-    for i in range(ds.n):
-        result = detector.detect_pipeline(nids, det, background, ds.X[i], sample_id=i)
-        flagged += result.decision == "adversarial"
-        rows.append(
-            {"sample_id": i, "decision": result.decision, "score": result.score}
+    try:
+        ds = data.load_dataset(input_path)
+    except FileNotFoundError:
+        raise StageError(f"detect: file not found: {input_path}") from None
+    except ValueError as exc:
+        raise StageError(f"detect: {exc}") from exc
+    if ds.schema.names != schema.names:
+        raise StageError(
+            f"detect: {input_path}: feature columns {list(ds.schema.names)} do not "
+            f"match the trained schema {list(schema.names)} in data/scaler.json"
         )
+    fps = attribution.fingerprint_batch(nids, ds.X, background)
+    decisions, scores = detector.detect(det, fps.phi)
+    flagged = int(np.count_nonzero(decisions == "adversarial"))
+    rows = [
+        {"sample_id": i, "decision": decision, "score": score}
+        for i, (decision, score) in enumerate(zip(decisions.tolist(), scores.tolist()))
+    ]
     target = ws.write_json(
         "reports/detections.json",
         {"input": str(input_path), "tau": det.tau, "n": ds.n,

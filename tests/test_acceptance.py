@@ -144,11 +144,10 @@ def test_criterion_04_attribution_completeness_fuzz():
         model.biases = [rng.normal(0, 0.3, b.shape) for b in model.biases]
         m = sizes[0]
         bg = attribution.BackgroundSet(B=rng.uniform(0, 1, (int(rng.integers(2, 8)), m)))
-        for _ in range(8):
-            x = rng.uniform(0, 1, m)
-            fp = attribution.shap_fingerprint(model, x, bg)
-            gap = abs(fp.phi0 + fp.phi.sum() - fp.model_output)
-            assert gap <= 1e-5 * max(1.0, abs(fp.model_output))
+        fps = attribution.fingerprint_batch(model, rng.uniform(0, 1, (8, m)), bg)
+        for phi, output in zip(fps.phi, fps.model_output):
+            gap = abs(fps.phi0 + phi.sum() - output)
+            assert gap <= 1e-5 * max(1.0, abs(output))
             checked += 1
     assert checked >= 1000
 
@@ -162,8 +161,8 @@ def test_criterion_04_attribution_completeness_fuzz():
         )
         x = rng.uniform(0, 1, m)
         B = rng.uniform(0, 1, (int(rng.integers(1, 30)), m))
-        fp = attribution.shap_fingerprint(model, x, attribution.BackgroundSet(B=B))
-        assert np.max(np.abs(fp.phi - w * (x - B.mean(axis=0)))) <= 1e-10
+        fps = attribution.fingerprint_batch(model, x[None, :], attribution.BackgroundSet(B=B))
+        assert np.max(np.abs(fps.phi[0] - w * (x - B.mean(axis=0)))) <= 1e-10
     _report("criterion 4 (completeness fuzz)", f"[{checked} samples]")
 
 
@@ -231,7 +230,7 @@ def test_criterion_05_gradients_match_finite_differences():
         for a, b in zip([*dWs, *dbs], _fd_params(model, X, t, loss)):
             denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
             worst = max(worst, np.max(np.abs(a - b)) / denom)
-        gi = neural.grad_input(model, X[0], t[0], loss)
+        gi = neural.grad_input_batch(model, X[:1], t[:1], loss)[0]
         fd = _fd_input(model, X[0], t[0], loss)
         denom = max(np.max(np.abs(gi)), np.max(np.abs(fd)), 1e-8)
         worst = max(worst, np.max(np.abs(gi - fd)) / denom)
@@ -337,8 +336,7 @@ def test_criterion_07_desk_scale_end_to_end(desk_run):
 def test_criterion_08_calibration_semantics(desk_run):
     out = desk_run["out"]
     det = detector.load_detector(out / "detector/detector.json")
-    val_fps = attribution.load_fingerprints(out / "fingerprints/clean_val.csv")
-    Z = attribution.fingerprints_to_matrix(val_fps)
+    Z = attribution.load_fingerprints(out / "fingerprints/clean_val.csv").phi
     errors = detector.reconstruction_errors(det.autoencoder, Z)
     frac = float(np.mean(errors <= det.tau))
     assert abs(frac - 0.99) <= 1.0 / errors.size
@@ -348,6 +346,22 @@ def test_criterion_08_calibration_semantics(desk_run):
     assert tau == float(constant.mean())
     _report("criterion 8 (calibration semantics)",
             f"[coverage {frac:.4f} on n={errors.size}]")
+
+
+def test_detect_scores_equal_evaluate_scores(desk_run):
+    """detect and evaluate score one fingerprint through the same batch path,
+    so a malicious test row gets bitwise the same reconstruction error from
+    both."""
+    out = desk_run["out"]
+    ws = pipeline.Workspace(desk_run["cfg"]["out_dir"], desk_run["cfg"])
+    pipeline.cmd_detect(ws, out / "data/test.csv")
+    rows = json.loads((out / "reports/detections.json").read_text())["rows"]
+    det = detector.load_detector(out / "detector/detector.json")
+    clean = attribution.load_fingerprints(out / "fingerprints/clean_test.csv")
+    expected = detector.reconstruction_errors(det.autoencoder, clean.phi)
+    got = np.array([rows[i]["score"] for i in clean.sample_ids])
+    assert clean.n == 1000
+    assert np.count_nonzero(got != expected) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from shapguard import attribution, neural
-from shapguard.attribution import (
-    AttributionFingerprint,
-    BackgroundSet,
-    EmptySelectionError,
-)
+from shapguard.attribution import BackgroundSet, EmptySelectionError, Fingerprints
 
 
 def _linear_logit(w, b):
@@ -20,6 +16,32 @@ def _random_relu_net(seed, m=6):
     model = neural.init(neural.MlpSpec((m, 10, 5, 1), seed=int(rng.integers(1e6))))
     model.biases = [rng.normal(0, 0.3, b.shape) for b in model.biases]
     return model, rng
+
+
+def _fingerprint(model, x, bg):
+    """(phi, phi0, g(x)) of one row through the batch path."""
+    fps = attribution.fingerprint_batch(model, x[None, :], bg)
+    return fps.phi[0], fps.phi0, fps.model_output[0]
+
+
+def _rescale_oracle(model, x, b):
+    """DeepLIFT rescale contributions of x against one reference b, computed
+    unit by unit: forward both inputs, then chain the per-unit ratios
+    (relu(z_x) - relu(z_b)) / (z_x - z_b) back from the logit."""
+    zs = []
+    hx, hb = x, b
+    for W, c in zip(model.weights[:-1], model.biases[:-1]):
+        zx, zb = W @ hx + c, W @ hb + c
+        zs.append((zx, zb))
+        hx, hb = np.maximum(zx, 0.0), np.maximum(zb, 0.0)
+    mult = model.weights[-1][0].copy()
+    for W, (zx, zb) in zip(reversed(model.weights[:-1]), reversed(zs)):
+        ratio = np.array([
+            (max(u, 0.0) - max(v, 0.0)) / (u - v) if abs(u - v) > 1e-9 else float(u > 0)
+            for u, v in zip(zx, zb)
+        ])
+        mult = (mult * ratio) @ W
+    return mult * (x - b)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +74,7 @@ def test_phi0_invariant_to_duplicated_rows():
 
 
 # ---------------------------------------------------------------------------
-# deeplift_single
+# DeepLIFT against a single reference
 
 
 def test_deeplift_linear_model_is_weight_times_delta():
@@ -60,14 +82,14 @@ def test_deeplift_linear_model_is_weight_times_delta():
     model = _linear_logit(w, 0.3)
     x = np.array([0.9, 0.1, 0.5])
     b = np.array([0.2, 0.6, 0.5])
-    phi = attribution.deeplift_single(model, x, b)
+    phi, _, _ = _fingerprint(model, x, BackgroundSet(B=b[None, :]))
     assert np.allclose(phi, w * (x - b), atol=1e-15)
 
 
 def test_deeplift_zero_delta_gives_zero_vector():
     model, rng = _random_relu_net(3)
     x = rng.uniform(0, 1, 6)
-    phi = attribution.deeplift_single(model, x, x.copy())
+    phi, _, _ = _fingerprint(model, x, BackgroundSet(B=x[None, :]))
     assert np.all(phi == 0.0)
 
 
@@ -76,7 +98,7 @@ def test_deeplift_summation_to_delta_on_random_nets():
         model, rng = _random_relu_net(seed + 10)
         x = rng.uniform(0, 1, 6)
         b = rng.uniform(0, 1, 6)
-        phi = attribution.deeplift_single(model, x, b)
+        phi, _, _ = _fingerprint(model, x, BackgroundSet(B=b[None, :]))
         delta = float(neural.logit(model, x)) - float(neural.logit(model, b))
         assert abs(phi.sum() - delta) <= 1e-8
 
@@ -89,9 +111,9 @@ def test_fingerprint_singleton_background_equals_deeplift():
     model, rng = _random_relu_net(40)
     x = rng.uniform(0, 1, 6)
     b = rng.uniform(0, 1, 6)
-    fp = attribution.shap_fingerprint(model, x, BackgroundSet(B=b[None, :]))
-    assert np.allclose(fp.phi, attribution.deeplift_single(model, x, b), atol=0)
-    assert fp.phi0 == pytest.approx(float(neural.logit(model, b)), abs=0)
+    phi, phi0, _ = _fingerprint(model, x, BackgroundSet(B=b[None, :]))
+    assert np.allclose(phi, _rescale_oracle(model, x, b), atol=0)
+    assert phi0 == pytest.approx(float(neural.logit(model, b)), abs=0)
 
 
 def test_fingerprint_linear_model_closed_form():
@@ -100,8 +122,8 @@ def test_fingerprint_linear_model_closed_form():
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, 4)
     B = rng.uniform(0, 1, (20, 4))
-    fp = attribution.shap_fingerprint(model, x, BackgroundSet(B=B))
-    assert np.max(np.abs(fp.phi - w * (x - B.mean(axis=0)))) <= 1e-10
+    phi, _, _ = _fingerprint(model, x, BackgroundSet(B=B))
+    assert np.max(np.abs(phi - w * (x - B.mean(axis=0)))) <= 1e-10
 
 
 def test_fingerprint_completeness_on_random_nets():
@@ -109,10 +131,10 @@ def test_fingerprint_completeness_on_random_nets():
         model, rng = _random_relu_net(seed + 100)
         x = rng.uniform(0, 1, 6)
         B = rng.uniform(0, 1, (15, 6))
-        fp = attribution.shap_fingerprint(model, x, BackgroundSet(B=B))
-        assert fp.is_complete(rtol=1e-5)
-        gap = abs(fp.phi0 + fp.phi.sum() - fp.model_output)
-        assert gap <= 1e-5 * max(1.0, abs(fp.model_output))
+        fps = attribution.fingerprint_batch(model, x[None, :], BackgroundSet(B=B))
+        assert fps.count_violations(rtol=1e-5) == 0
+        gap = abs(fps.phi0 + fps.phi[0].sum() - fps.model_output[0])
+        assert gap <= 1e-5 * max(1.0, abs(fps.model_output[0]))
 
 
 def test_fingerprint_background_permutation_invariance():
@@ -120,8 +142,8 @@ def test_fingerprint_background_permutation_invariance():
     x = rng.uniform(0, 1, 6)
     B = rng.uniform(0, 1, (12, 6))
     perm = rng.permutation(12)
-    a = attribution.shap_fingerprint(model, x, BackgroundSet(B=B))
-    b = attribution.shap_fingerprint(model, x, BackgroundSet(B=B[perm]))
+    a = attribution.fingerprint_batch(model, x[None, :], BackgroundSet(B=B))
+    b = attribution.fingerprint_batch(model, x[None, :], BackgroundSet(B=B[perm]))
     assert np.max(np.abs(a.phi - b.phi)) <= 1e-12
     assert abs(a.phi0 - b.phi0) <= 1e-12
 
@@ -136,7 +158,8 @@ def test_batch_malicious_filter_keeps_rows_in_order():
     labels = np.array([1, 0, 1, 1, 0])
     bg = BackgroundSet(B=rng.uniform(0, 1, (8, 6)))
     fps = attribution.fingerprint_batch(model, X, bg, labels=labels, class_filter="malicious")
-    assert [fp.sample_id for fp in fps] == [0, 2, 3]
+    assert fps.sample_ids.tolist() == [0, 2, 3]
+    assert np.array_equal(fps.phi, attribution.fingerprint_batch(model, X[[0, 2, 3]], bg).phi)
 
 
 def test_batch_without_filter_covers_all_rows():
@@ -144,7 +167,8 @@ def test_batch_without_filter_covers_all_rows():
     X = rng.uniform(0, 1, (7, 6))
     bg = BackgroundSet(B=rng.uniform(0, 1, (8, 6)))
     fps = attribution.fingerprint_batch(model, X, bg)
-    assert len(fps) == 7
+    assert fps.n == 7
+    assert fps.sample_ids.tolist() == list(range(7))
 
 
 def test_batch_row_equals_single_fingerprint():
@@ -152,10 +176,12 @@ def test_batch_row_equals_single_fingerprint():
     X = rng.uniform(0, 1, (4, 6))
     bg = BackgroundSet(B=rng.uniform(0, 1, (10, 6)))
     fps = attribution.fingerprint_batch(model, X, bg)
+    _, trace_b = neural.forward(model, bg.B)
     for k in range(4):
-        single = attribution.shap_fingerprint(model, X[k], bg)
-        assert np.array_equal(fps[k].phi, single.phi)
-        assert fps[k].phi0 == single.phi0
+        phi, logit = attribution.shap_fingerprint(model, X[k], bg, trace_b)
+        assert np.array_equal(fps.phi[k], phi)
+        assert fps.model_output[k] == logit == neural.logit(model, X[k])
+    assert fps.phi0 == attribution.expected_output(model, bg)
 
 
 def test_batch_empty_selection_raises():
@@ -198,16 +224,40 @@ def test_fingerprints_csv_roundtrip(tmp_path):
     path = tmp_path / "fps.csv"
     attribution.save_fingerprints(fps, path)
     back = attribution.load_fingerprints(path)
-    assert len(back) == len(fps)
-    for a, b in zip(fps, back):
-        assert np.array_equal(a.phi, b.phi)
-        assert a.phi0 == b.phi0
-        assert a.model_output == b.model_output
-        assert a.origin == b.origin == "fgsm"
-        assert a.sample_id == b.sample_id
+    assert back.n == fps.n
+    assert np.array_equal(fps.phi, back.phi)
+    assert fps.phi0 == back.phi0
+    assert np.array_equal(fps.model_output, back.model_output)
+    assert fps.origin == back.origin == "fgsm"
+    assert np.array_equal(fps.sample_ids, back.sample_ids)
+    attribution.save_fingerprints(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_load_fingerprints_rejects_varying_phi0(tmp_path):
+    fps = Fingerprints(phi=np.ones((2, 3)), phi0=0.5, model_output=[3.5, 3.5], sample_ids=[4, 9])
+    path = tmp_path / "fps.csv"
+    attribution.save_fingerprints(fps, path)
+    lines = path.read_text().splitlines()
+    assert lines[1].split(",")[1] == lines[2].split(",")[1] == "0.5"
+    lines[2] = lines[2].replace(",0.5,", ",0.25,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="phi0"):
+        attribution.load_fingerprints(path)
 
 
 def test_completeness_violation_counter():
-    good = AttributionFingerprint(phi=np.array([1.0, 2.0]), phi0=0.5, model_output=3.5, sample_id=0)
-    bad = AttributionFingerprint(phi=np.array([1.0, 2.0]), phi0=0.5, model_output=9.0, sample_id=1)
-    assert attribution.count_completeness_violations([good, bad]) == 1
+    fps = Fingerprints(
+        phi=np.array([[1.0, 2.0], [1.0, 2.0]]), phi0=0.5,
+        model_output=np.array([3.5, 9.0]), sample_ids=np.array([0, 1]),
+    )
+    assert fps.count_violations() == 1
+    assert fps.completeness_gaps.tolist() == [0.0, 5.5]
+    assert fps.max_completeness_gap == 5.5
+
+
+def test_fingerprints_record_rejects_empty_and_ragged_columns():
+    with pytest.raises(EmptySelectionError):
+        Fingerprints(phi=np.empty((0, 3)), phi0=0.0, model_output=[], sample_ids=[])
+    with pytest.raises(ValueError, match="one entry per phi row"):
+        Fingerprints(phi=np.ones((2, 3)), phi0=0.0, model_output=[1.0], sample_ids=[0, 1])

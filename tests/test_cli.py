@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shapguard import cli, pipeline
@@ -132,6 +134,22 @@ def test_metrics_reports_have_robustness_identity(tiny_run):
         assert 0.0 <= report["accuracy"] <= 1.0
 
 
+def test_fingerprint_summary_reports_measured_completeness_gap(tiny_run):
+    summary = json.loads((tiny_run / "manifest.json").read_text())["stages"]["fingerprint"]["summary"]
+    gaps, rows = [], {}
+    for path in sorted((tiny_run / "fingerprints").glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            body = list(csv.reader(fh))[1:]
+        phi = np.array([[float(v) for v in row[2:-2]] for row in body])
+        phi0 = np.array([float(row[1]) for row in body])
+        output = np.array([float(row[-2]) for row in body])
+        gaps.append(np.abs(phi0 + phi.sum(axis=1) - output).max())
+        rows[path.stem] = len(body)
+    assert summary["rows"] == rows
+    assert summary["max_completeness_gap"] == max(gaps)
+    assert "completeness_violations" not in summary
+
+
 # ---------------------------------------------------------------------------
 # determinism and stage isolation
 
@@ -236,6 +254,41 @@ def test_detect_command_missing_input(tiny_run, tmp_path):
     cfg_path = _write_config(tmp_path, cfg)
     code = cli.main(["detect", "--config", cfg_path, "--input", str(tmp_path / "no.csv")])
     assert code == cli.EXIT_STAGE
+
+
+def _detect_on_rewritten_test_csv(tiny_run, tmp_path, rewrite):
+    """Run detect on data/test.csv after ``rewrite`` maps its rows (header
+    first, label last) to new rows."""
+    with open(tiny_run / "data/test.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    path = tmp_path / "input.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rewrite(rows))
+    cfg = json.loads((tiny_run / "resolved_config.json").read_text())
+    cfg_path = _write_config(tmp_path, cfg)
+    return cli.main(["detect", "--config", cfg_path, "--input", str(path)])
+
+
+def test_detect_rejects_header_only_csv(tiny_run, tmp_path, capsys):
+    code = _detect_on_rewritten_test_csv(tiny_run, tmp_path, lambda rows: rows[:1])
+    assert code == cli.EXIT_STAGE
+    assert "no data rows" in capsys.readouterr().err
+
+
+def test_detect_rejects_a_missing_feature_column(tiny_run, tmp_path, capsys):
+    code = _detect_on_rewritten_test_csv(
+        tiny_run, tmp_path, lambda rows: [row[1:] for row in rows]
+    )
+    assert code == cli.EXIT_STAGE
+    assert "trained schema" in capsys.readouterr().err
+
+
+def test_detect_rejects_reordered_feature_columns(tiny_run, tmp_path, capsys):
+    code = _detect_on_rewritten_test_csv(
+        tiny_run, tmp_path, lambda rows: [[*row[-2::-1], row[-1]] for row in rows]
+    )
+    assert code == cli.EXIT_STAGE
+    assert "trained schema" in capsys.readouterr().err
 
 
 def test_single_stage_cli_commands(tmp_path):

@@ -32,7 +32,7 @@ def test_autoencoder_spec_is_symmetric_with_linear_output():
 def test_autoencoder_learns_constant_data():
     ae, hist, z_star = _trained_constant_ae()
     assert hist[-1] <= 1e-4
-    assert detector.reconstruction_error(ae, z_star) <= 1e-4
+    assert detector.reconstruction_errors(ae, z_star) <= 1e-4
 
 
 def test_autoencoder_rejects_latent_not_smaller_than_input():
@@ -65,16 +65,16 @@ def test_reconstruction_error_arithmetic():
     spec = neural.MlpSpec((4, 4), output_activation="linear", seed=0)
     ae = neural.MlpModel(spec=spec, weights=[np.eye(4)], biases=[np.zeros(4)])
     z = np.array([0.1, 0.2, 0.3, 0.4])
-    assert detector.reconstruction_error(ae, z) == 0.0
+    assert detector.reconstruction_errors(ae, z) == 0.0
     shifted = neural.MlpModel(spec=spec, weights=[np.eye(4)], biases=[np.full(4, 0.1)])
-    assert detector.reconstruction_error(shifted, z) == pytest.approx(0.04, abs=1e-15)
+    assert detector.reconstruction_errors(shifted, z) == pytest.approx(0.04, abs=1e-15)
 
 
 def test_reconstruction_error_sign_invariance():
     spec = neural.MlpSpec((2, 2), output_activation="linear", seed=0)
     ae = neural.MlpModel(spec=spec, weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
-    assert detector.reconstruction_error(ae, np.array([0.3, -0.3])) == pytest.approx(
-        detector.reconstruction_error(ae, np.array([-0.3, 0.3])), abs=0
+    assert detector.reconstruction_errors(ae, np.array([0.3, -0.3])) == pytest.approx(
+        detector.reconstruction_errors(ae, np.array([-0.3, 0.3])), abs=0
     )
 
 
@@ -82,7 +82,8 @@ def test_reconstruction_errors_batch_matches_single():
     ae, _, _ = _trained_constant_ae()
     Z = np.random.default_rng(5).uniform(0, 1, (10, 8))
     batch = detector.reconstruction_errors(ae, Z)
-    singles = [detector.reconstruction_error(ae, z) for z in Z]
+    singles = [detector.reconstruction_errors(ae, z) for z in Z]
+    assert batch.shape == (10,) and all(isinstance(s, float) for s in singles)
     assert np.allclose(batch, singles, atol=1e-12)
 
 
@@ -198,16 +199,27 @@ def test_decision_monotonicity():
     assert flags == sorted(flags)
 
 
+def test_detect_matrix_matches_vector_decisions():
+    det = _calibrated_detector(tau=0.5)
+    Z = np.random.default_rng(4).uniform(-1, 1, (20, 3))
+    decisions, scores = detector.detect(det, Z)
+    assert decisions.shape == scores.shape == (20,)
+    assert decisions.tolist() == ["adversarial" if s > det.tau else "clean" for s in scores]
+    for z, decision, score in zip(Z, decisions, scores):
+        single = detector.detect(det, z)
+        assert single[0] == decision
+        assert single[1] == pytest.approx(score, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
-# detect_pipeline
+# fingerprint -> detect
 
 
-def test_detect_pipeline_composes_and_is_deterministic():
+def test_fingerprint_then_detect_composes_and_is_deterministic():
     rng = np.random.default_rng(6)
     nids = neural.init(neural.MlpSpec((6, 8, 1), seed=1))
     bg = attribution.BackgroundSet(B=rng.uniform(0, 1, (12, 6)), seed=0, source="unit")
-    fps = attribution.fingerprint_batch(nids, rng.uniform(0, 1, (40, 6)), bg)
-    Z = attribution.fingerprints_to_matrix(fps)
+    Z = attribution.fingerprint_batch(nids, rng.uniform(0, 1, (40, 6)), bg).phi
     ae, _ = detector.train_autoencoder(
         Z, neural.TrainConfig(epochs=30, learning_rate=0.01, loss="mse", seed=2),
         latent=2, hidden_sizes=(8,), init_seed=3,
@@ -216,14 +228,15 @@ def test_detect_pipeline_composes_and_is_deterministic():
     det = detector.calibrate(
         DetectorModel(autoencoder=ae), errors, CalibrationMethod("percentile", 99.0)
     )
-    x = rng.uniform(0, 1, 6)
-    r1 = detector.detect_pipeline(nids, det, bg, x)
-    r2 = detector.detect_pipeline(nids, det, bg, x)
-    assert r1.decision == r2.decision
-    assert r1.score == r2.score
-    # intermediates must be consistent with the composed steps
-    assert r1.score == detector.reconstruction_error(ae, r1.fingerprint.phi)
-    assert r1.decision == ("adversarial" if r1.score > det.tau else "clean")
+    X = rng.uniform(0, 1, (5, 6))
+    fps = attribution.fingerprint_batch(nids, X, bg)
+    d1, s1 = detector.detect(det, fps.phi)
+    d2, s2 = detector.detect(det, attribution.fingerprint_batch(nids, X, bg).phi)
+    assert np.array_equal(d1, d2)
+    assert np.array_equal(s1, s2)
+    # the scores must be consistent with the composed steps
+    assert np.array_equal(s1, detector.reconstruction_errors(ae, fps.phi))
+    assert d1.tolist() == ["adversarial" if s > det.tau else "clean" for s in s1]
 
 
 def test_detector_json_roundtrip(tmp_path):

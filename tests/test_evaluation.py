@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from shapguard import evaluation
-from shapguard.attribution import AttributionFingerprint
 from shapguard.evaluation import ConfusionCounts
 
 
@@ -183,16 +182,10 @@ def test_robustness_empty_rejected():
 # importance and ranks
 
 
-def _fp(phi):
-    return AttributionFingerprint(
-        phi=np.asarray(phi, float), phi0=0.0, model_output=float(np.sum(phi)), sample_id=0
-    )
-
-
 def test_importance_absolute_value_and_mean():
-    assert evaluation.importance([_fp([0.5, -0.5])]).tolist() == [0.5, 0.5]
-    assert evaluation.importance([_fp([1, 0]), _fp([0, 1])]).tolist() == [0.5, 0.5]
-    assert evaluation.importance([_fp([0, 0]), _fp([0, 0])]).tolist() == [0.0, 0.0]
+    assert evaluation.importance(np.array([[0.5, -0.5]])).tolist() == [0.5, 0.5]
+    assert evaluation.importance(np.array([[1, 0], [0, 1]])).tolist() == [0.5, 0.5]
+    assert evaluation.importance(np.array([[0, 0], [0, 0]])).tolist() == [0.0, 0.0]
 
 
 def test_rank_features_sorting_and_ties():

@@ -220,7 +220,7 @@ def test_grad_input_logistic_analytic_form():
     model = _linear_model([w], [0.0], output="sigmoid")
     x = np.array([0.5, 0.5])
     p, _ = neural.predict(model, x)
-    grad = neural.grad_input(model, x, 1, "bce")
+    grad = neural.grad_input_batch(model, x[None, :], np.array([1]), "bce")[0]
     assert np.allclose(grad, (p - 1.0) * w, atol=1e-14)
 
 
@@ -229,7 +229,7 @@ def test_grad_input_finite_difference_oracle():
         model, X, rng = _random_net_away_from_kinks(trial + 50, (4, 6, 3, 1), 1)
         x = X[0]
         y = int(rng.integers(0, 2))
-        grad = neural.grad_input(model, x, y, "bce")
+        grad = neural.grad_input_batch(model, x[None, :], np.array([y]), "bce")[0]
         fd = _fd_loss_grad_input(model, x, y, "bce")
         assert _rel_err(grad, fd) <= 1e-4
 
@@ -241,7 +241,7 @@ def test_grad_input_dead_relu_path_is_zero():
         weights=[np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0]])],
         biases=[np.array([-10.0, -10.0]), np.zeros(1)],
     )
-    grad = neural.grad_input(model, np.array([0.5, 0.5]), 1, "bce")
+    grad = neural.grad_input_batch(model, np.array([[0.5, 0.5]]), np.array([1]), "bce")[0]
     assert np.all(grad == 0.0)
 
 
