@@ -1,20 +1,19 @@
 """White-box evasion attacks against the flow classifier: FGSM, PGD, DeepFool.
 
 All attacks operate in scaled feature space and clamp results into the
-[0, 1] box. FGSM/PGD use an l-inf budget epsilon; DeepFool seeks the minimal
-l2 step to the logit decision boundary g(x) = 0.
+[0, 1] box. FGSM/PGD use an l-inf budget epsilon (FGSM runs as one PGD step
+of size epsilon); DeepFool seeks the minimal l2 step to the logit decision
+boundary g(x) = 0.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import neural
+from . import data, neural
 from .data import FlowDataset
 
 ATTACK_KINDS = ("fgsm", "pgd", "deepfool")
@@ -98,34 +97,17 @@ class AdvBatch:
         return float(np.mean(self.success)) if self.n else 0.0
 
 
-def fgsm(
-    model: neural.MlpModel,
-    x: np.ndarray,
-    y_true: int | np.ndarray,
-    epsilon: float,
-) -> np.ndarray:
-    """x' = clamp(x + epsilon * sign(grad_x bce_loss), 0, 1).
-
-    Accepts a single vector or a batch matrix with per-row labels.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        grad = neural.grad_input_batch(model, x[None, :], np.atleast_1d(y_true))[0]
-    else:
-        grad = neural.grad_input_batch(model, x, np.asarray(y_true))
-    return np.clip(x + epsilon * np.sign(grad), 0.0, 1.0)
-
-
 def pgd(
     model: neural.MlpModel,
     x: np.ndarray,
     y_true: int | np.ndarray,
     cfg: AttackConfig,
 ) -> np.ndarray:
-    """Iterated FGSM, projecting each step into the eps-ball and the box.
+    """Iterated signed-gradient steps, projecting each step into the
+    eps-ball and the box.
 
-    With steps=1, alpha=epsilon and no random start this reduces exactly
-    (bitwise) to fgsm.
+    With steps=1, alpha=epsilon and no random start this is FGSM:
+    clamp(x + epsilon * sign(grad_x bce_loss), 0, 1).
     """
     if cfg.kind != "pgd":
         raise ValueError("config kind must be 'pgd'")
@@ -216,7 +198,8 @@ def attack_batch(
     _, orig_labels = neural.predict(model, X)
 
     if cfg.kind == "fgsm":
-        X_adv = fgsm(model, X, y, cfg.epsilon)
+        one_step = replace(cfg, kind="pgd", alpha=cfg.epsilon, steps=1, random_start=False)
+        X_adv = pgd(model, X, y, one_step)
     elif cfg.kind == "pgd":
         X_adv = pgd(model, X, y, cfg)
     else:
@@ -243,53 +226,35 @@ def attack_batch(
 def save_adv_batch(
     batch: AdvBatch, feature_names: tuple[str, ...], path: str | Path
 ) -> None:
-    """Write clean/adversarial rows as CSV plus a JSON config sidecar."""
+    """Write clean/adversarial rows as a table plus a JSON config sidecar."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sample_index", "success", "linf", "l2",
-             *(f"clean_{n}" for n in feature_names),
-             *(f"adv_{n}" for n in feature_names)]
+    header = [
+        "sample_index", "success", "linf", "l2",
+        *(f"clean_{n}" for n in feature_names), *(f"adv_{n}" for n in feature_names),
+    ]
+    rows = (
+        [i, success, linf, l2, *clean.tolist(), *adv.tolist()]
+        for i, success, linf, l2, clean, adv in zip(
+            batch.sample_index.astype(np.int64).tolist(),
+            batch.success.astype(np.int64).tolist(),
+            batch.linf.tolist(), batch.l2.tolist(), batch.X_clean, batch.X_adv,
         )
-        for i in range(batch.n):
-            writer.writerow(
-                [int(batch.sample_index[i]), int(batch.success[i]),
-                 repr(float(batch.linf[i])), repr(float(batch.l2[i])),
-                 *(repr(float(v)) for v in batch.X_clean[i]),
-                 *(repr(float(v)) for v in batch.X_adv[i])]
-            )
-    sidecar = path.with_suffix(".config.json")
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(batch.config.to_dict(), fh, indent=2)
-        fh.write("\n")
+    )
+    data.write_table(path, header, rows)
+    data.write_json(path.with_suffix(".config.json"), batch.config.to_dict())
 
 
 def load_adv_batch(path: str | Path) -> AdvBatch:
     path = Path(path)
-    with open(path.with_suffix(".config.json"), encoding="utf-8") as fh:
-        cfg = AttackConfig.from_dict(json.load(fh))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        m = (len(header) - 4) // 2
-        idx, success, linf, l2, clean, adv = [], [], [], [], [], []
-        for raw in reader:
-            if not raw:
-                continue
-            idx.append(int(raw[0]))
-            success.append(bool(int(raw[1])))
-            linf.append(float(raw[2]))
-            l2.append(float(raw[3]))
-            clean.append([float(v) for v in raw[4 : 4 + m]])
-            adv.append([float(v) for v in raw[4 + m :]])
+    cfg = AttackConfig.from_dict(data.read_json(path.with_suffix(".config.json")))
+    header, values, _ = data.read_table(path)
+    m = (len(header) - 4) // 2
     return AdvBatch(
-        X_clean=np.array(clean),
-        X_adv=np.array(adv),
-        success=np.array(success, dtype=bool),
-        linf=np.array(linf),
-        l2=np.array(l2),
+        X_clean=values[:, 4 : 4 + m].copy(),
+        X_adv=values[:, 4 + m :].copy(),
+        success=values[:, 1].astype(bool),
+        linf=values[:, 2].copy(),
+        l2=values[:, 3].copy(),
         config=cfg,
-        sample_index=np.array(idx, dtype=np.int64),
+        sample_index=values[:, 0].astype(np.int64),
     )

@@ -10,14 +10,13 @@ completeness: phi0 + sum_j phi_j = g(x) with phi0 the mean background logit.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import neural
+from . import data, neural
 
 # Below this pre-activation delta the rescale ratio falls back to the relu
 # derivative (1 if z_x > 0 else 0) to avoid 0/0.
@@ -44,7 +43,7 @@ class BackgroundSet:
         B = np.array(self.B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] < 1:
             raise ValueError("background must be a non-empty 2-d matrix")
-        if B.min() < -1e-12 or B.max() > 1.0 + 1e-12:
+        if B.min() < -data.BOX_TOL or B.max() > 1.0 + data.BOX_TOL:
             raise ValueError("background entries must lie in [0, 1]")
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
@@ -215,53 +214,38 @@ def fingerprint_batch(
 
 
 def save_fingerprints(fps: Fingerprints, path: str | Path) -> None:
-    """CSV columns: sample_id, phi0, phi_1..phi_M, model_output, origin.
+    """Table columns: sample_id, phi0, phi_1..phi_M, model_output, origin.
 
     phi0 is repeated on every row.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    phi0 = repr(fps.phi0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sample_id", "phi0", *(f"phi_{j + 1}" for j in range(fps.phi.shape[1])),
-             "model_output", "origin"]
-        )
+    header = [
+        "sample_id", "phi0", *(f"phi_{j + 1}" for j in range(fps.phi.shape[1])),
+        "model_output", "origin",
+    ]
+    rows = (
+        [sample_id, fps.phi0, *phi.tolist(), output, fps.origin]
         for sample_id, phi, output in zip(
-            fps.sample_ids.tolist(), fps.phi.tolist(), fps.model_output.tolist()
-        ):
-            writer.writerow(
-                [sample_id, phi0, *map(repr, phi), repr(output), fps.origin]
-            )
+            fps.sample_ids.tolist(), fps.phi, fps.model_output.tolist()
+        )
+    )
+    data.write_table(path, header, rows)
 
 
 def load_fingerprints(path: str | Path) -> Fingerprints:
     """Read a file written by :func:`save_fingerprints`; its phi0 and origin
     columns must be constant."""
-    path = Path(path)
-    phi, outputs, sample_ids, phi0s, origins = [], [], [], set(), set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        m = len(next(reader)) - 4
-        for raw in reader:
-            if not raw:
-                continue
-            sample_ids.append(int(raw[0]))
-            phi0s.add(float(raw[1]))
-            phi.append(np.array([float(v) for v in raw[2 : 2 + m]]))
-            outputs.append(float(raw[2 + m]))
-            origins.add(raw[3 + m])
-    if not phi:
+    header, values, text = data.read_table(path, text=("origin",))
+    if not len(values):
         raise EmptySelectionError(f"{path}: no fingerprints")
-    if len(phi0s) != 1:
+    m = len(header) - 4
+    if np.unique(values[:, 1]).size != 1:
         raise ValueError(f"{path}: the phi0 column is not constant")
-    if len(origins) != 1:
+    if len(set(text["origin"])) != 1:
         raise ValueError(f"{path}: the origin column is not constant")
     return Fingerprints(
-        phi=np.array(phi),
-        phi0=phi0s.pop(),
-        model_output=np.array(outputs),
-        sample_ids=np.array(sample_ids),
-        origin=origins.pop(),
+        phi=values[:, 2 : 2 + m].copy(),
+        phi0=values[0, 1],
+        model_output=values[:, 2 + m].copy(),
+        sample_ids=values[:, 0].astype(np.int64),
+        origin=text["origin"][0],
     )

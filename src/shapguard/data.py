@@ -1,4 +1,5 @@
-"""Flow-feature dataset handling: ingestion, scaling, splitting, synthesis.
+"""Flow-feature dataset handling: ingestion, scaling, splitting, synthesis,
+and the artifact codec every pipeline stage reads and writes files with.
 
 Feature matrices are float64 throughout. After min-max preprocessing every
 value lies in the [0, 1] box; the attack budgets and attribution baselines
@@ -8,12 +9,14 @@ downstream rely on that box being fixed.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,6 +70,9 @@ DEFAULT_BENIGN_LABELS = frozenset({"BenignTraffic"})
 
 LABEL_COLUMN = "label"
 
+# Slack allowed outside the [0, 1] box before a scaled value is rejected.
+BOX_TOL = 1e-12
+
 
 class SchemaError(ValueError):
     """A CSV header or matrix dimension does not match the expected schema."""
@@ -78,6 +84,10 @@ class ParseError(ValueError):
 
 class EmptyDatasetError(ValueError):
     """No usable rows were found or selected."""
+
+
+class ArtifactError(ValueError):
+    """An artifact file is empty, truncated or malformed."""
 
 
 @dataclass(frozen=True)
@@ -391,54 +401,123 @@ def synth_generate(
 
 
 def save_dataset(ds: FlowDataset, path: str | Path) -> None:
-    """Write a dataset as CSV with exact float round-trip (repr formatting)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*ds.schema.names, LABEL_COLUMN])
-        for row, label in zip(ds.X, ds.y):
-            writer.writerow([*(repr(float(v)) for v in row), int(label)])
+    """Write a dataset as a table: the feature columns, then the int label."""
+    rows = (row.tolist() + [label] for row, label in zip(ds.X, ds.y.tolist()))
+    write_table(path, [*ds.schema.names, LABEL_COLUMN], rows)
 
 
 def load_dataset(path: str | Path) -> FlowDataset:
-    """Read back a CSV written by :func:`save_dataset`."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-1] != LABEL_COLUMN:
-            raise SchemaError(f"{path}: not a saved dataset (missing label column)")
-        schema = FeatureSchema(tuple(header[:-1]))
-        rows, labels = [], []
-        for raw in reader:
-            if not raw:
-                continue
-            rows.append([float(v) for v in raw[:-1]])
-            labels.append(int(raw[-1]))
-    if not rows:
+    """Read back a table written by :func:`save_dataset`."""
+    header, values, _ = read_table(path)
+    if header[-1] != LABEL_COLUMN:
+        raise SchemaError(f"{path}: not a saved dataset (missing label column)")
+    if not len(values):
         raise EmptyDatasetError(f"{path}: no data rows")
-    return FlowDataset(schema=schema, X=np.array(rows), y=np.array(labels))
+    return FlowDataset(
+        schema=FeatureSchema(tuple(header[:-1])), X=values[:, :-1], y=values[:, -1]
+    )
 
 
 def save_scaler(s: ScalerParams, schema: FeatureSchema, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": list(schema.names),
-        "min": s.min.tolist(),
-        "max": s.max.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(
+        path, {"schema": list(schema.names), "min": s.min.tolist(), "max": s.max.tolist()}
+    )
 
 
 def load_scaler(path: str | Path) -> tuple[ScalerParams, FeatureSchema]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     schema = FeatureSchema(tuple(payload["schema"]))
     params = ScalerParams(min=np.array(payload["min"]), max=np.array(payload["max"]))
     if params.m != schema.m:
         raise SchemaError(f"{path}: scaler/schema dimension mismatch")
     return params, schema
+
+
+# ---------------------------------------------------------------------------
+# artifact codec: every CSV and JSON file the pipeline writes goes through
+# these four functions
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> Path:
+    """Write a CSV artifact: the header, then one line per row.
+
+    The default csv dialect writes a float (Python or numpy float64) as
+    ``repr(float(v))``, which :func:`read_table` parses back bit-exactly,
+    and None as an empty cell. Pass bools as ints.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def read_table(
+    path: str | Path, text: Sequence[str] = ()
+) -> tuple[list[str], np.ndarray, dict[str, list[str]]]:
+    """Read a CSV artifact written by :func:`write_table`.
+
+    Returns the header, a float64 matrix with one row per non-blank line and
+    one column per header cell, and the cells of the columns named in
+    ``text`` as lists of str (their matrix columns hold NaN).
+
+    Raises:
+        ArtifactError: the file is empty, a text column is missing, a row's
+            width differs from the header's or a cell is not a number.
+    """
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader([fh.readline()]), None)
+        if not header:
+            raise ArtifactError(f"{path}: file is empty")
+        missing = [name for name in text if name not in header]
+        if missing:
+            raise ArtifactError(f"{path}: missing column(s): {', '.join(missing)}")
+        cells: dict[str, list[str]] = {name: [] for name in text}
+        converters = {header.index(name): _collect_into(cells[name]) for name in text}
+        values = np.empty((0, len(header)))
+        # np.loadtxt streams the lines; it is handed the first non-blank one
+        # because it warns on input without any.
+        first = next((line for line in fh if line.strip()), None)
+        if first is not None:
+            try:
+                values = np.loadtxt(
+                    itertools.chain([first], fh), dtype=np.float64, delimiter=",",
+                    quotechar='"', comments=None, converters=converters, ndmin=2,
+                )
+            except ValueError as exc:
+                raise ArtifactError(f"{path}: malformed table: {exc}") from None
+    if values.shape[1] != len(header):
+        raise ArtifactError(
+            f"{path}: rows have {values.shape[1]} cells but the header has {len(header)}"
+        )
+    return header, values, cells
+
+
+def _collect_into(cells: list[str]):
+    def convert(cell: str) -> float:
+        cells.append(cell)
+        return math.nan
+    return convert
+
+
+def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
+    """Write a JSON artifact (indented, or compact with indent=None) plus a
+    trailing newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=indent)
+        fh.write("\n")
+    return path
+
+
+def read_json(path: str | Path):
+    """Read a JSON artifact; ArtifactError names a file that does not parse."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ArtifactError(f"{path}: not valid JSON: {exc}") from None

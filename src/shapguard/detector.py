@@ -9,13 +9,12 @@ adversarial.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import neural
+from . import data, neural
 
 CALIBRATION_METHODS = ("percentile", "sigma")
 SIGMA_MULTIPLIERS = (2.0, 3.0)
@@ -194,22 +193,17 @@ def detect(
 def save_detector(det: DetectorModel, path: str | Path) -> None:
     if not det.is_calibrated:
         raise NotCalibratedError("refusing to save an uncalibrated detector")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "autoencoder": neural.to_dict(det.autoencoder),
         "tau": det.tau,
         "calibration": det.calibration.to_dict() if det.calibration else None,
         "background_ref": det.background_ref,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    data.write_json(path, payload, indent=None)
 
 
 def load_detector(path: str | Path) -> DetectorModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = data.read_json(path)
     calibration = (
         CalibrationRecord.from_dict(payload["calibration"])
         if payload.get("calibration")

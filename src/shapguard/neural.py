@@ -9,11 +9,12 @@ deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import data
 
 HIDDEN_ACTIVATIONS = ("relu",)
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
@@ -410,13 +411,8 @@ def from_dict(payload: dict) -> MlpModel:
 
 def save(model: MlpModel, path: str | Path) -> None:
     """JSON serialization; load(save(m)) reproduces outputs bit-exactly."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(model), fh)
-        fh.write("\n")
+    data.write_json(path, to_dict(model), indent=None)
 
 
 def load(path: str | Path) -> MlpModel:
-    with open(path, encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+    return from_dict(data.read_json(path))

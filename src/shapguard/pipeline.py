@@ -9,14 +9,12 @@ its sha256 digest plus stage timings.
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
-import json
 import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -27,6 +25,8 @@ logger = logging.getLogger(__name__)
 ATTACK_KINDS = attacks.ATTACK_KINDS
 CLEAN_SOURCES = ("clean_train", "clean_val", "clean_test")
 MANIFEST_NAME = "manifest.json"
+# Not under fingerprints/: every CSV there is a fingerprint table.
+BACKGROUND = "models/background.csv"
 METRIC_COLUMNS = (
     "accuracy", "precision", "recall", "f1", "roc_auc", "average_precision",
     "specificity", "npv", "fpr", "fnr", "tp", "tn", "fp", "fn",
@@ -213,34 +213,22 @@ class Workspace:
     def path(self, rel: str) -> Path:
         return self.root / rel
 
-    def write_json(self, rel: str, payload: dict) -> Path:
-        target = self.path(rel)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return target
-
-    def write_csv(self, rel: str, header: list[str], rows: list[list]) -> Path:
-        target = self.path(rel)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        return target
-
-    def require(self, rel: str, stage: str) -> Path:
+    def load(self, rel: str, stage: str, loader: Callable[[Path], Any]) -> Any:
+        """Read artifact ``rel`` with ``loader``; a missing, empty or
+        malformed artifact is a StageError naming the file."""
         target = self.path(rel)
         if not target.exists():
             raise StageError(
                 f"{stage}: missing artifact {rel!r}; run the producing stage first"
             )
-        return target
+        try:
+            return loader(target)
+        except ValueError as exc:
+            raise StageError(f"{stage}: {exc}") from exc
 
     def write_resolved_config(self) -> Path:
         """Persist the resolved config snapshot and record it in the manifest."""
-        target = self.write_json("resolved_config.json", self.cfg)
+        target = data.write_json(self.path("resolved_config.json"), self.cfg)
         self.record(
             StageResult(
                 name="config",
@@ -253,8 +241,7 @@ class Workspace:
     def record(self, result: StageResult) -> None:
         manifest_path = self.path(MANIFEST_NAME)
         if manifest_path.exists():
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
+            manifest = data.read_json(manifest_path)
         else:
             manifest = {
                 "tool": "shapguard",
@@ -268,9 +255,7 @@ class Workspace:
             "artifacts": result.artifacts,
             "summary": result.summary,
         }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        data.write_json(manifest_path, manifest)
 
     def finish(
         self, name: str, started: float, paths: list[Path], summary: dict
@@ -332,15 +317,10 @@ def _attack_config(cfg: dict, kind: str) -> attacks.AttackConfig:
     )
 
 
-def _load_background(ws: Workspace, stage: str) -> attribution.BackgroundSet:
-    train = data.load_dataset(ws.require("data/train.csv", stage))
-    bg_cfg = ws.cfg["background"]
-    return attribution.sample_background(
-        train.X,
-        size=int(bg_cfg["size"]),
-        seed=int(bg_cfg["seed"]),
-        source="clean-train",
-    )
+def _load_background(path: Path) -> attribution.BackgroundSet:
+    """Read the background rows the fingerprint stage sampled and saved."""
+    _, values, _ = data.read_table(path)
+    return attribution.BackgroundSet(B=values, source=BACKGROUND)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +387,8 @@ def cmd_train_nids(ws: Workspace) -> StageResult:
     """Train the reference classifier; persist model, history, report."""
     started = time.perf_counter()
     cfg = ws.cfg["classifier"]
-    train = data.load_dataset(ws.require("data/train.csv", "train-nids"))
-    test = data.load_dataset(ws.require("data/test.csv", "train-nids"))
+    train = ws.load("data/train.csv", "train-nids", data.load_dataset)
+    test = ws.load("data/test.csv", "train-nids", data.load_dataset)
     spec = neural.MlpSpec(
         layer_sizes=(train.m, *(int(h) for h in cfg["hidden_sizes"]), 1),
         hidden_activation="relu",
@@ -430,13 +410,11 @@ def cmd_train_nids(ws: Workspace) -> StageResult:
 
     model_path = ws.path("models/nids.json")
     neural.save(model, model_path)
-    history_path = ws.write_csv(
-        "models/nids_history.csv",
-        ["epoch", "loss"],
-        [[i + 1, repr(loss)] for i, loss in enumerate(history)],
+    history_path = data.write_table(
+        ws.path("models/nids_history.csv"), ["epoch", "loss"], enumerate(history, start=1)
     )
-    report_path = ws.write_json(
-        "models/nids_report.json",
+    report_path = data.write_json(
+        ws.path("models/nids_report.json"),
         {
             "train_accuracy": train_acc,
             "test_accuracy": test_acc,
@@ -453,8 +431,8 @@ def cmd_attack(ws: Workspace, kind: str) -> StageResult:
     started = time.perf_counter()
     if kind not in ATTACK_KINDS:
         raise ConfigError(f"unknown attack kind {kind!r}")
-    model = neural.load(ws.require("models/nids.json", f"attack-{kind}"))
-    test = data.load_dataset(ws.require("data/test.csv", f"attack-{kind}"))
+    model = ws.load("models/nids.json", f"attack-{kind}", neural.load)
+    test = ws.load("data/test.csv", f"attack-{kind}", data.load_dataset)
     cfg = _attack_config(ws.cfg, kind)
     try:
         batch = attacks.attack_batch(
@@ -465,8 +443,8 @@ def cmd_attack(ws: Workspace, kind: str) -> StageResult:
 
     csv_path = ws.path(f"attacks/{kind}.csv")
     attacks.save_adv_batch(batch, test.schema.names, csv_path)
-    summary_path = ws.write_json(
-        f"attacks/{kind}_summary.json",
+    summary_path = data.write_json(
+        ws.path(f"attacks/{kind}_summary.json"),
         {
             "kind": kind,
             "rows": batch.n,
@@ -489,8 +467,10 @@ def _fingerprint_sources(
     model: neural.MlpModel,
     background: attribution.BackgroundSet,
     sources: list[str],
+    train: data.FlowDataset,
 ) -> Iterator[tuple[str, attribution.Fingerprints]]:
-    """Yield (artifact name, fingerprints) for each clean split or attack."""
+    """Yield (artifact name, fingerprints) for each clean split or attack;
+    ``train`` is the already loaded train split."""
     filters = {
         "clean_train": ws.cfg["detector"]["class_filter"],
         "clean_val": ws.cfg["detector"]["class_filter"],
@@ -500,12 +480,14 @@ def _fingerprint_sources(
         if item == "clean":
             for source in CLEAN_SOURCES:
                 split_name = source.removeprefix("clean_")
-                ds = data.load_dataset(ws.require(f"data/{split_name}.csv", "fingerprint"))
+                ds = train if split_name == "train" else ws.load(
+                    f"data/{split_name}.csv", "fingerprint", data.load_dataset
+                )
                 yield source, attribution.fingerprint_batch(
                     model, ds.X, background, labels=ds.y, class_filter=filters[source]
                 )
         else:
-            batch = attacks.load_adv_batch(ws.require(f"attacks/{item}.csv", "fingerprint"))
+            batch = ws.load(f"attacks/{item}.csv", "fingerprint", attacks.load_adv_batch)
             yield item, attribution.fingerprint_batch(
                 model, batch.X_adv, background, sample_ids=batch.sample_index, origin=item
             )
@@ -518,8 +500,12 @@ def cmd_fingerprint(ws: Workspace, source: str = "all") -> StageResult:
     abort the stage; the largest completeness gap goes into the summary.
     """
     started = time.perf_counter()
-    model = neural.load(ws.require("models/nids.json", "fingerprint"))
-    background = _load_background(ws, "fingerprint")
+    model = ws.load("models/nids.json", "fingerprint", neural.load)
+    train = ws.load("data/train.csv", "fingerprint", data.load_dataset)
+    bg_cfg = ws.cfg["background"]
+    background = attribution.sample_background(
+        train.X, size=int(bg_cfg["size"]), seed=int(bg_cfg["seed"]), source="clean-train"
+    )
     sources: list[str]
     if source == "all":
         sources = ["clean", *ATTACK_KINDS]
@@ -530,7 +516,7 @@ def cmd_fingerprint(ws: Workspace, source: str = "all") -> StageResult:
     paths: list[Path] = []
     rows: dict[str, int] = {}
     max_gap = 0.0
-    for name, fps in _fingerprint_sources(ws, model, background, sources):
+    for name, fps in _fingerprint_sources(ws, model, background, sources, train):
         violations = fps.count_violations()
         if violations:
             raise InvariantError(
@@ -541,6 +527,7 @@ def cmd_fingerprint(ws: Workspace, source: str = "all") -> StageResult:
         paths.append(target)
         rows[name] = fps.n
         max_gap = max(max_gap, fps.max_completeness_gap)
+    paths.append(data.write_table(ws.path(BACKGROUND), train.schema.names, background.B.tolist()))
     summary = {
         "rows": rows,
         "background": background.describe(),
@@ -553,12 +540,9 @@ def cmd_train_detector(ws: Workspace) -> StageResult:
     """Train the autoencoder on clean train fingerprints and calibrate tau."""
     started = time.perf_counter()
     cfg = ws.cfg["detector"]
-    Z_train = attribution.load_fingerprints(
-        ws.require("fingerprints/clean_train.csv", "train-detector")
-    ).phi
-    Z_val = attribution.load_fingerprints(
-        ws.require("fingerprints/clean_val.csv", "train-detector")
-    ).phi
+    load = attribution.load_fingerprints
+    Z_train = ws.load("fingerprints/clean_train.csv", "train-detector", load).phi
+    Z_val = ws.load("fingerprints/clean_val.csv", "train-detector", load).phi
     try:
         ae, history = detector.train_autoencoder(
             Z_train,
@@ -584,10 +568,8 @@ def cmd_train_detector(ws: Workspace) -> StageResult:
 
     det_path = ws.path("detector/detector.json")
     detector.save_detector(det, det_path)
-    history_path = ws.write_csv(
-        "detector/ae_history.csv",
-        ["epoch", "loss"],
-        [[i + 1, repr(loss)] for i, loss in enumerate(history)],
+    history_path = data.write_table(
+        ws.path("detector/ae_history.csv"), ["epoch", "loss"], enumerate(history, start=1)
     )
     logger.info("detector tau=%.6g on %d validation errors", det.tau, errors_val.size)
     summary = {"tau": det.tau, "val_errors": int(errors_val.size)}
@@ -622,9 +604,9 @@ def _detector_checks(
 def cmd_evaluate(ws: Workspace) -> StageResult:
     """Emit the full report bundle; raises InvariantError on check failures."""
     started = time.perf_counter()
-    det = detector.load_detector(ws.require("detector/detector.json", "evaluate"))
-    Z_clean = attribution.load_fingerprints(
-        ws.require("fingerprints/clean_test.csv", "evaluate")
+    det = ws.load("detector/detector.json", "evaluate", detector.load_detector)
+    Z_clean = ws.load(
+        "fingerprints/clean_test.csv", "evaluate", attribution.load_fingerprints
     ).phi
     errors_clean = detector.reconstruction_errors(det.autoencoder, Z_clean)
     bins = int(ws.cfg["evaluation"]["histogram_bins"])
@@ -636,9 +618,7 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
     summary: dict = {"tau": det.tau, "clean_rows": int(errors_clean.size)}
 
     for kind in ATTACK_KINDS:
-        Z_adv = attribution.load_fingerprints(
-            ws.require(f"fingerprints/{kind}.csv", "evaluate")
-        ).phi
+        Z_adv = ws.load(f"fingerprints/{kind}.csv", "evaluate", attribution.load_fingerprints).phi
         errors_adv = detector.reconstruction_errors(det.autoencoder, Z_adv)
         importance_by_condition[kind] = evaluation.importance(Z_adv)
 
@@ -655,33 +635,23 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
         )
         failures.extend(f"{kind}: {msg}" for msg in _detector_checks(report, robustness))
 
+        combined = {**report.to_dict(), **robustness.to_dict()}
         paths.append(
-            ws.write_json(
-                f"reports/metrics_{kind}.json",
-                {"attack": kind, **report.to_dict(), **robustness.to_dict()},
-            )
+            data.write_json(ws.path(f"reports/metrics_{kind}.json"), {"attack": kind, **combined})
         )
         dist = evaluation.error_distribution_report(
             errors_clean, errors_adv, det.tau, bins=bins
         )
-        paths.append(ws.write_json(f"reports/error_distribution_{kind}.json", dist))
+        paths.append(data.write_json(ws.path(f"reports/error_distribution_{kind}.json"), dist))
         edges = dist["bin_edges"]
         paths.append(
-            ws.write_csv(
-                f"reports/error_distribution_{kind}.csv",
+            data.write_table(
+                ws.path(f"reports/error_distribution_{kind}.csv"),
                 ["bin_left", "bin_right", "clean_count", "adv_count"],
-                [
-                    [repr(edges[i]), repr(edges[i + 1]),
-                     dist["clean_counts"][i], dist["adv_counts"][i]]
-                    for i in range(len(dist["clean_counts"]))
-                ],
+                zip(edges, edges[1:], dist["clean_counts"], dist["adv_counts"]),
             )
         )
-        combined = {**report.to_dict(), **robustness.to_dict()}
-        metrics_rows.append([kind, *(
-            repr(v) if isinstance(v, float) else ("" if v is None else v)
-            for v in (combined[name] for name in METRIC_COLUMNS)
-        )])
+        metrics_rows.append([kind, *(combined[name] for name in METRIC_COLUMNS)])
         summary[kind] = {
             "accuracy": report.accuracy,
             "roc_auc": report.roc_auc,
@@ -689,7 +659,7 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
         }
 
     paths.append(
-        ws.write_csv("reports/metrics.csv", ["attack", *METRIC_COLUMNS], metrics_rows)
+        data.write_table(ws.path("reports/metrics.csv"), ["attack", *METRIC_COLUMNS], metrics_rows)
     )
 
     scaler_path = ws.path("data/scaler.json")
@@ -703,17 +673,15 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
         if sorted(ranks.tolist()) != list(range(1, len(table.feature_names) + 1)):
             failures.append(f"rank table: {cond} ranks are not a permutation")
     rows = table.rows()
-    paths.append(ws.write_json("reports/rank_table.json", {"rows": rows}))
+    paths.append(data.write_json(ws.path("reports/rank_table.json"), {"rows": rows}))
     paths.append(
-        ws.write_csv(
-            "reports/rank_table.csv",
-            list(rows[0].keys()),
-            [[row[k] if not isinstance(row[k], float) else repr(row[k])
-              for k in rows[0]] for row in rows],
+        data.write_table(
+            ws.path("reports/rank_table.csv"), list(rows[0]), (row.values() for row in rows)
         )
     )
-
-    paths.append(ws.write_json("reports/summary.json", {**summary, "checks_failed": failures}))
+    paths.append(
+        data.write_json(ws.path("reports/summary.json"), {**summary, "checks_failed": failures})
+    )
     result = ws.finish("evaluate", started, paths, summary)
     if failures:
         raise InvariantError("evaluate: " + "; ".join(failures))
@@ -724,17 +692,18 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> StageResult:
     """Fingerprint every row of a dataset CSV, score the fingerprints with
     the autoencoder and compare the scores with tau.
 
-    The input must be in scaled feature space (like the persisted splits),
-    with the feature columns of data/scaler.json in the same order; labels
-    in the file are ignored. Decisions and scores are written to
-    reports/detections.json.
+    The input must be in scaled feature space (like the persisted splits):
+    the feature columns of data/scaler.json in the same order, every value
+    finite and inside the [0, 1] box; labels in the file are ignored. The
+    background is the one the fingerprint stage saved. Decisions and scores
+    are written to reports/detections.json.
     """
     started = time.perf_counter()
     input_path = Path(input_path)
-    nids = neural.load(ws.require("models/nids.json", "detect"))
-    det = detector.load_detector(ws.require("detector/detector.json", "detect"))
-    _, schema = data.load_scaler(ws.require("data/scaler.json", "detect"))
-    background = _load_background(ws, "detect")
+    nids = ws.load("models/nids.json", "detect", neural.load)
+    det = ws.load("detector/detector.json", "detect", detector.load_detector)
+    _, schema = ws.load("data/scaler.json", "detect", data.load_scaler)
+    background = ws.load(BACKGROUND, "detect", _load_background)
     try:
         ds = data.load_dataset(input_path)
     except FileNotFoundError:
@@ -746,6 +715,13 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> StageResult:
             f"detect: {input_path}: feature columns {list(ds.schema.names)} do not "
             f"match the trained schema {list(schema.names)} in data/scaler.json"
         )
+    outside = ~np.isfinite(ds.X) | (ds.X < -data.BOX_TOL) | (ds.X > 1.0 + data.BOX_TOL)
+    if outside.any():
+        row, col = np.argwhere(outside)[0]
+        raise StageError(
+            f"detect: {input_path}: data row {row + 1}, column {schema.names[col]!r}: "
+            f"{float(ds.X[row, col])!r} is not a finite value in [0, 1]"
+        )
     fps = attribution.fingerprint_batch(nids, ds.X, background)
     decisions, scores = detector.detect(det, fps.phi)
     flagged = int(np.count_nonzero(decisions == "adversarial"))
@@ -753,8 +729,8 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> StageResult:
         {"sample_id": i, "decision": decision, "score": score}
         for i, (decision, score) in enumerate(zip(decisions.tolist(), scores.tolist()))
     ]
-    target = ws.write_json(
-        "reports/detections.json",
+    target = data.write_json(
+        ws.path("reports/detections.json"),
         {"input": str(input_path), "tau": det.tau, "n": ds.n,
          "adversarial": flagged, "rows": rows},
     )

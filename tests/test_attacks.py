@@ -44,27 +44,25 @@ def test_attack_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# fgsm
+# fgsm: one pgd step of size epsilon
+
+
+def _one_step(epsilon):
+    return AttackConfig(kind="pgd", epsilon=epsilon, alpha=epsilon, steps=1, random_start=False)
 
 
 def test_fgsm_analytic_logistic_example():
     # w=[2,-2], b=0, x=[.5,.5], y=1: grad = (sigma-1)*w, signs [-1,+1]
     model = _linear_sigmoid([2.0, -2.0], 0.0)
-    x_adv = attacks.fgsm(model, np.array([0.5, 0.5]), 1, 0.1)
+    x_adv = attacks.pgd(model, np.array([0.5, 0.5]), 1, _one_step(0.1))
     assert np.allclose(x_adv, [0.4, 0.6], atol=1e-15)
-
-
-def test_fgsm_zero_epsilon_is_identity():
-    model = _linear_sigmoid([1.0, 1.0], 0.0)
-    x = np.array([0.3, 0.7])
-    assert np.array_equal(attacks.fgsm(model, x, 1, 0.0), x)
 
 
 def test_fgsm_clamps_at_box_corner():
     # gradient pushes below 0 / above 1; clamped coordinates stay put
     model = _linear_sigmoid([2.0, -2.0], 0.0)
     x = np.array([0.0, 1.0])
-    x_adv = attacks.fgsm(model, x, 1, 0.1)
+    x_adv = attacks.pgd(model, x, 1, _one_step(0.1))
     assert np.array_equal(x_adv, x)
 
 
@@ -75,12 +73,11 @@ def test_fgsm_clamps_at_box_corner():
 def test_pgd_single_step_equals_fgsm_bitwise():
     model, ds = _trained_toy()
     X, y = ds.X[:50], ds.y[:50]
-    cfg = AttackConfig(kind="pgd", epsilon=0.1, alpha=0.1, steps=1, random_start=False)
-    assert np.array_equal(attacks.pgd(model, X, y, cfg), attacks.fgsm(model, X, y, 0.1))
+    cfg = _one_step(0.1)
+    fgsm = np.clip(X + 0.1 * np.sign(neural.grad_input_batch(model, X, y)), 0.0, 1.0)
+    assert np.array_equal(attacks.pgd(model, X, y, cfg), fgsm)
     # and per-sample
-    assert np.array_equal(
-        attacks.pgd(model, X[0], int(y[0]), cfg), attacks.fgsm(model, X[0], int(y[0]), 0.1)
-    )
+    assert np.array_equal(attacks.pgd(model, X[0], int(y[0]), cfg), fgsm[0])
 
 
 def test_pgd_every_iterate_stays_in_ball_and_box():
@@ -166,7 +163,7 @@ def test_deepfool_beats_fgsm_on_trained_net():
         flips += int(lab != y[i])
         l2.append(np.linalg.norm(x_adv - X[i]))
     assert flips / X.shape[0] >= 0.95
-    fgsm_l2 = np.linalg.norm(attacks.fgsm(model, X, y, 0.1) - X, axis=1)
+    fgsm_l2 = np.linalg.norm(attacks.pgd(model, X, y, _one_step(0.1)) - X, axis=1)
     assert np.mean(l2) < np.mean(fgsm_l2)
 
 

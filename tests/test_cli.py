@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_run_all_produces_expected_bundle(tiny_run):
         "attacks/fgsm.csv", "attacks/pgd.csv", "attacks/deepfool.csv",
         "fingerprints/clean_train.csv", "fingerprints/clean_val.csv",
         "fingerprints/clean_test.csv", "fingerprints/fgsm.csv",
-        "fingerprints/pgd.csv", "fingerprints/deepfool.csv",
+        "fingerprints/pgd.csv", "fingerprints/deepfool.csv", "models/background.csv",
         "detector/detector.json",
         "reports/metrics.csv", "reports/metrics_fgsm.json",
         "reports/rank_table.csv", "reports/rank_table.json",
@@ -289,6 +290,72 @@ def test_detect_rejects_reordered_feature_columns(tiny_run, tmp_path, capsys):
     )
     assert code == cli.EXIT_STAGE
     assert "trained schema" in capsys.readouterr().err
+
+
+def _set_cell(row, col, value):
+    """A rewrite for _detect_on_rewritten_test_csv: one data cell replaced."""
+    def rewrite(rows):
+        rows = [list(r) for r in rows]
+        rows[row][col] = value
+        return rows
+    return rewrite
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_detect_rejects_non_finite_cells(tiny_run, tmp_path, capsys, value):
+    code = _detect_on_rewritten_test_csv(tiny_run, tmp_path, _set_cell(3, 1, value))
+    assert code == cli.EXIT_STAGE
+    assert "data row 3, column 'f1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["5.0", "-3.0", "1.000001"])
+def test_detect_rejects_cells_outside_the_box(tiny_run, tmp_path, capsys, value):
+    code = _detect_on_rewritten_test_csv(tiny_run, tmp_path, _set_cell(2, 0, value))
+    assert code == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "data row 2, column 'f0'" in err and "[0, 1]" in err
+
+
+def _copy_of_run(tiny_run, tmp_path):
+    """A private copy of the tiny run plus an unresolved config for it, so
+    a --seed override re-derives every seed."""
+    out = tmp_path / "run"
+    shutil.copytree(tiny_run, out)
+    return out, _write_config(tmp_path, _tiny_config(out))
+
+
+def test_detect_scores_do_not_depend_on_the_seed_flag(tiny_run, tmp_path):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    argv = ["detect", "--config", cfg_path, "--input", str(out / "data/test.csv")]
+    assert cli.main(argv) == 0
+    trained = json.loads((out / "reports/detections.json").read_text())
+    assert cli.main([*argv, "--seed", "8"]) == 0
+    reseeded = json.loads((out / "reports/detections.json").read_text())
+    assert reseeded["rows"] == trained["rows"]
+
+
+@pytest.mark.parametrize(
+    "artifact, argv",
+    [
+        ("fingerprints/clean_train.csv", ["train-detector"]),
+        ("attacks/pgd.csv", ["fingerprint", "--source", "pgd"]),
+        ("models/background.csv", ["detect", "--input", "data/test.csv"]),
+    ],
+)
+def test_empty_artifact_is_a_stage_failure_naming_it(tiny_run, tmp_path, capsys, artifact, argv):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    (out / artifact).write_bytes(b"")
+    argv = [str(out / a) if a.endswith(".csv") else a for a in argv]
+    assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
+    assert f"{artifact}: file is empty" in capsys.readouterr().err
+
+
+def test_truncated_fingerprint_file_is_a_stage_failure(tiny_run, tmp_path, capsys):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    path = out / "fingerprints/clean_val.csv"
+    path.write_bytes(path.read_bytes()[:-40])
+    assert cli.main(["train-detector", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert "clean_val.csv" in capsys.readouterr().err
 
 
 def test_single_stage_cli_commands(tmp_path):

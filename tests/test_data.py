@@ -280,6 +280,45 @@ def test_dataset_csv_roundtrip_is_exact(tmp_path):
     assert back.schema.names == ds.schema.names
 
 
+def test_table_roundtrip_with_a_text_column(tmp_path):
+    path = data.write_table(
+        tmp_path / "sub" / "t.csv", ["id", "name", "x"],
+        [[1, "a,b", 0.1], [2, 'say "hi"', -0.0]],
+    )
+    header, values, text = data.read_table(path, text=("name",))
+    assert header == ["id", "name", "x"]
+    assert values[:, [0, 2]].tolist() == [[1.0, 0.1], [2.0, -0.0]]
+    assert np.isnan(values[:, 1]).all()
+    assert text == {"name": ["a,b", 'say "hi"']}
+
+
+def test_read_table_rejects_empty_and_ragged_files(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("")
+    with pytest.raises(data.ArtifactError, match="t.csv: file is empty"):
+        data.read_table(path)
+    path.write_text("a,b\n")
+    assert data.read_table(path)[1].shape == (0, 2)
+    for body in ("1,2\n3\n", "1,2,3\n", "1\n"):
+        path.write_text("a,b\n" + body)
+        with pytest.raises(data.ArtifactError, match="t.csv"):
+            data.read_table(path)
+    path.write_text("a,b\n1,x\n")
+    with pytest.raises(data.ArtifactError, match="t.csv"):
+        data.read_table(path)
+    with pytest.raises(data.ArtifactError, match="missing column"):
+        data.read_table(path, text=("c",))
+
+
+def test_json_artifact_rejects_truncated_file(tmp_path):
+    path = data.write_json(tmp_path / "p.json", {"a": [1.5, None]})
+    assert path.read_text() == '{\n  "a": [\n    1.5,\n    null\n  ]\n}\n'
+    assert data.read_json(path) == {"a": [1.5, None]}
+    path.write_text(path.read_text()[:-5])
+    with pytest.raises(data.ArtifactError, match="p.json"):
+        data.read_json(path)
+
+
 def test_scaler_json_roundtrip(tmp_path):
     schema = FeatureSchema.synthetic(3)
     s = ScalerParams(min=np.array([0.0, 1.5, -2.0]), max=np.array([1.0, 1.5, 4.0]))
