@@ -25,6 +25,10 @@ NEAR_ZERO_DELTA = 1e-9
 # Completeness gap allowed relative to max(1, |g(x)|).
 COMPLETENESS_RTOL = 1e-5
 
+# Rows per shap_fingerprint call in fingerprint_batch; at m=39, 100
+# references and a (64, 32) net, 4 measured fastest (1, 2, 8-32 slower).
+BLOCK_ROWS = 4
+
 
 class EmptySelectionError(ValueError):
     """No fingerprint rows: the class filter selected none, or a record or
@@ -127,37 +131,38 @@ def expected_output(model: neural.MlpModel, background: BackgroundSet) -> float:
 
 def shap_fingerprint(
     model: neural.MlpModel,
-    x: np.ndarray,
+    X_block: np.ndarray,
     background: BackgroundSet,
     trace_b: neural.ForwardTrace,
-) -> tuple[np.ndarray, float]:
-    """Mean rescale-rule contributions of x over the background set, plus
-    the explained logit g(x) read from x's own forward trace.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean rescale-rule contributions (r, M) of each row of X_block over
+    the background set, plus the explained logits g(x) (r,) read from the
+    rows' own forward traces.
 
     trace_b is the forward trace of background.B. Against each reference
-    b_k the contributions sum to g(x) - g(b_k), so completeness
-    phi0 + sum(phi) = g(x) holds by linearity of the mean.
+    b_k a row's contributions sum to g(x) - g(b_k), so completeness
+    phi0 + sum(phi) = g(x) holds by linearity of the mean. The rows go
+    through one stacked forward pass and the chain runs over (rows,
+    references, units) with the same float ops per row, so each row's
+    result is bitwise that of the row alone, whatever rows share its block.
     """
     B = background.B
-    _, trace_x = neural.forward(model, x[None, :])
-    n_layers = len(model.weights)
-    mult = np.ones((B.shape[0], 1))
-    for i in reversed(range(n_layers)):
-        # mult is d(logit)/d(pre-activation of layer i), per reference
+    r, K = X_block.shape[0], B.shape[0]
+    _, trace_x = neural.forward(model, X_block[:, None, :])
+    mult = np.ones((r * K, 1))
+    for i in reversed(range(len(model.weights))):
+        # mult is d(logit)/d(pre-activation of layer i), per row and reference
         mult = mult @ model.weights[i]
         if i == 0:
             break
-        zx = trace_x.pre[i - 1]            # (1, units)
-        zb = trace_b.pre[i - 1]            # (K, units)
-        delta = zx - zb
-        small = np.abs(delta) <= NEAR_ZERO_DELTA
-        ratio = (np.maximum(zx, 0.0) - np.maximum(zb, 0.0)) / np.where(
-            small, 1.0, delta
-        )
-        ratio = np.where(small, (zx > 0).astype(np.float64), ratio)
-        mult = mult * ratio
-    phi = (mult * (x[None, :] - B)).mean(axis=0)
-    return phi, float(trace_x.pre[-1][0, 0])
+        zx = trace_x.pre[i - 1]            # (r, 1, units)
+        delta = zx - trace_b.pre[i - 1]    # (r, K, units)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (trace_x.post[i - 1] - trace_b.post[i - 1]) / delta
+        np.copyto(ratio, zx > 0, where=np.abs(delta) <= NEAR_ZERO_DELTA)
+        mult = (mult.reshape(ratio.shape) * ratio).reshape(r * K, -1)
+    phi = ((X_block[:, None, :] - B) * mult.reshape(r, K, -1)).sum(axis=1) / K
+    return phi, trace_x.pre[-1][:, 0, 0]
 
 
 def fingerprint_batch(
@@ -202,8 +207,11 @@ def fingerprint_batch(
     _, trace_b = neural.forward(model, background.B)
     phi = np.empty((rows.size, X.shape[1]))
     logits = np.empty(rows.size)
-    for k, i in enumerate(rows):
-        phi[k], logits[k] = shap_fingerprint(model, X[i], background, trace_b)
+    for start in range(0, rows.size, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        phi[block], logits[block] = shap_fingerprint(
+            model, X[rows[block]], background, trace_b
+        )
     return Fingerprints(
         phi=phi,
         phi0=expected_output(model, background),

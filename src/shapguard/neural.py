@@ -137,11 +137,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_batch(X: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_batch(X: np.ndarray, stack: bool = False) -> tuple[np.ndarray, bool]:
+    """X as rows plus whether it was one vector; stack also admits (n, 1, m)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         return X[None, :], True
-    if X.ndim == 2:
+    if X.ndim == 2 or (stack and X.ndim == 3 and X.shape[1] == 1):
         return X, False
     raise ValueError(f"expected a vector or matrix, got shape {X.shape}")
 
@@ -158,11 +159,17 @@ def init(spec: MlpSpec) -> MlpModel:
 
 
 def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """h_i = act_i(W_i h_{i-1} + b_i); returns output and the full trace."""
-    batch, was_vector = _as_batch(X)
-    if batch.shape[1] != model.input_size:
+    """h_i = act_i(W_i h_{i-1} + b_i); returns output and the full trace.
+
+    X is a vector, a matrix of rows, or an (n, 1, m) stack of one-row
+    matrices. numpy's matmul runs a stack as n one-row products, so each
+    row's trace is bitwise that of a one-row call; the trace keeps the
+    stack's (n, 1, units) shape.
+    """
+    batch, was_vector = _as_batch(X, stack=True)
+    if batch.shape[-1] != model.input_size:
         raise ValueError(
-            f"input has {batch.shape[1]} features, model expects {model.input_size}"
+            f"input has {batch.shape[-1]} features, model expects {model.input_size}"
         )
     h = batch
     pre_list: list[np.ndarray] = []
@@ -374,9 +381,10 @@ def predict(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray | float, np.ndar
         raise ValueError("predict requires a sigmoid-output model")
     if model.output_size != 1:
         raise ValueError("predict requires a single-output model")
-    out, _ = forward(model, X)
-    if out.ndim == 1:  # single sample
-        p = float(out[0])
+    batch, was_vector = _as_batch(X)
+    out, _ = forward(model, batch)
+    if was_vector:
+        p = float(out[0, 0])
         return p, int(p > 0.5)
     probs = out[:, 0]
     return probs, (probs > 0.5).astype(np.int64)

@@ -250,9 +250,12 @@ class Workspace:
                 "stages": {},
             }
         manifest["resolved_config"] = self.cfg
+        # A stage run again on part of its outputs (fingerprint --source fgsm)
+        # keeps the digests of the files it did not rewrite.
+        earlier = manifest["stages"].get(result.name, {}).get("artifacts", {})
         manifest["stages"][result.name] = {
             "seconds": round(result.seconds, 3),
-            "artifacts": result.artifacts,
+            "artifacts": {**earlier, **result.artifacts},
             "summary": result.summary,
         }
         data.write_json(manifest_path, manifest)

@@ -11,9 +11,9 @@ def _linear_logit(w, b):
     return neural.MlpModel(spec=spec, weights=[w], biases=[np.atleast_1d(float(b))])
 
 
-def _random_relu_net(seed, m=6):
+def _random_relu_net(seed, m=6, hidden=(10, 5)):
     rng = np.random.default_rng(seed)
-    model = neural.init(neural.MlpSpec((m, 10, 5, 1), seed=int(rng.integers(1e6))))
+    model = neural.init(neural.MlpSpec((m, *hidden, 1), seed=int(rng.integers(1e6))))
     model.biases = [rng.normal(0, 0.3, b.shape) for b in model.biases]
     return model, rng
 
@@ -178,10 +178,82 @@ def test_batch_row_equals_single_fingerprint():
     fps = attribution.fingerprint_batch(model, X, bg)
     _, trace_b = neural.forward(model, bg.B)
     for k in range(4):
-        phi, logit = attribution.shap_fingerprint(model, X[k], bg, trace_b)
-        assert np.array_equal(fps.phi[k], phi)
-        assert fps.model_output[k] == logit == neural.logit(model, X[k])
+        phi, logit = attribution.shap_fingerprint(model, X[k : k + 1], bg, trace_b)
+        assert phi.shape == (1, 6) and logit.shape == (1,)
+        assert np.array_equal(fps.phi[k], phi[0])
+        assert fps.model_output[k] == logit[0] == neural.logit(model, X[k])
+    phi, logit = attribution.shap_fingerprint(model, X, bg, trace_b)
+    assert np.array_equal(fps.phi, phi)
+    assert np.array_equal(fps.model_output, logit)
     assert fps.phi0 == attribution.expected_output(model, bg)
+
+
+def _per_row_fingerprint(model, x, background, trace_b):
+    """The one-row rescale kernel that preceded the block kernel, kept
+    verbatim as the bitwise oracle for fingerprint_batch."""
+    B = background.B
+    _, trace_x = neural.forward(model, x[None, :])
+    n_layers = len(model.weights)
+    mult = np.ones((B.shape[0], 1))
+    for i in reversed(range(n_layers)):
+        mult = mult @ model.weights[i]
+        if i == 0:
+            break
+        zx = trace_x.pre[i - 1]
+        zb = trace_b.pre[i - 1]
+        delta = zx - zb
+        small = np.abs(delta) <= attribution.NEAR_ZERO_DELTA
+        ratio = (np.maximum(zx, 0.0) - np.maximum(zb, 0.0)) / np.where(
+            small, 1.0, delta
+        )
+        ratio = np.where(small, (zx > 0).astype(np.float64), ratio)
+        mult = mult * ratio
+    phi = (mult * (x[None, :] - B)).mean(axis=0)
+    return phi, float(trace_x.pre[-1][0, 0])
+
+
+def _rows_touching_the_background(rng, n, B):
+    """n rows in the box: row 0 equals a reference and row 1 lies 1e-12
+    from another, so both the zero and the near-zero delta fall back."""
+    X = rng.uniform(0, 1, (n, B.shape[1]))
+    X[0] = B[2]
+    if n > 1:
+        X[1] = B[5] + 1e-12
+    return X
+
+
+@pytest.mark.parametrize("hidden", [(9,), (10, 5), ()], ids=["1-hidden", "2-hidden", "linear"])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+def test_batch_is_bitwise_the_per_row_kernel(hidden, n):
+    model, rng = _random_relu_net(80 + n, m=7, hidden=hidden)
+    bg = BackgroundSet(B=rng.uniform(0, 1, (12, 7)))
+    X = _rows_touching_the_background(rng, n, bg.B)
+    fps = attribution.fingerprint_batch(model, X, bg)
+    _, trace_b = neural.forward(model, bg.B)
+    for k in range(n):
+        phi, logit = _per_row_fingerprint(model, X[k], bg, trace_b)
+        assert np.array_equal(fps.phi[k], phi), k
+        assert fps.model_output[k] == logit, k
+    if hidden and n > 1:
+        # the 1e-12 row really takes the fallback on some non-zero delta
+        _, trace_x = neural.forward(model, X[1])
+        delta = np.abs(trace_x.pre[0][0] - trace_b.pre[0][5])
+        assert np.any((delta > 0) & (delta <= attribution.NEAR_ZERO_DELTA))
+
+
+@pytest.mark.parametrize("hidden", [(9,), (10, 5), ()], ids=["1-hidden", "2-hidden", "linear"])
+def test_row_fingerprint_does_not_depend_on_its_block(hidden):
+    model, rng = _random_relu_net(90, m=7, hidden=hidden)
+    bg = BackgroundSet(B=rng.uniform(0, 1, (12, 7)))
+    X = _rows_touching_the_background(rng, 9, bg.B)
+    fps = attribution.fingerprint_batch(model, X, bg)
+    reversed_fps = attribution.fingerprint_batch(model, X[::-1], bg)
+    assert np.array_equal(reversed_fps.phi[::-1], fps.phi)
+    assert np.array_equal(reversed_fps.model_output[::-1], fps.model_output)
+    for k in range(9):
+        alone = attribution.fingerprint_batch(model, X[k : k + 1], bg)
+        assert np.array_equal(alone.phi[0], fps.phi[k]), k
+        assert alone.model_output[0] == fps.model_output[k], k
 
 
 def test_batch_empty_selection_raises():

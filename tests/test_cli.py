@@ -324,6 +324,20 @@ def _copy_of_run(tiny_run, tmp_path):
     return out, _write_config(tmp_path, _tiny_config(out))
 
 
+def test_stage_rerun_on_one_source_keeps_the_other_digests(tiny_run, tmp_path):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    assert cli.main(["fingerprint", "--config", cfg_path, "--source", "clean"]) == 0
+    assert cli.main(["fingerprint", "--config", cfg_path, "--source", "fgsm"]) == 0
+    stage = json.loads((out / "manifest.json").read_text())["stages"]["fingerprint"]
+    listed = set(stage["artifacts"])
+    assert listed == {
+        str(p.relative_to(out)) for p in (out / "fingerprints").glob("*.csv")
+    } | {"models/background.csv"}
+    for rel, digest in stage["artifacts"].items():
+        assert digest == f"sha256:{_digest(out / rel)}", rel
+    assert stage["summary"]["rows"].keys() == {"fgsm"}
+
+
 def test_detect_scores_do_not_depend_on_the_seed_flag(tiny_run, tmp_path):
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
     argv = ["detect", "--config", cfg_path, "--input", str(out / "data/test.csv")]

@@ -151,6 +151,47 @@ def test_forward_shape_mismatch():
         neural.forward(model, np.zeros(3))
 
 
+@pytest.mark.parametrize("output", ["sigmoid", "linear"])
+def test_forward_one_row_stack_is_bitwise_one_row_calls(output):
+    model = neural.init(MlpSpec((6, 8, 3, 1), output_activation=output, seed=5))
+    model.biases = [np.full(b.shape, 0.1) for b in model.biases]
+    X = np.random.default_rng(3).uniform(0, 1, (9, 6))
+    out, trace = neural.forward(model, X[:, None, :])
+    assert out.shape == (9, 1, 1)
+    for k in range(9):
+        out_k, trace_k = neural.forward(model, X[k : k + 1])
+        assert np.array_equal(out[k], out_k)
+        for stacked, alone in zip(trace.pre + trace.post, trace_k.pre + trace_k.post):
+            assert np.array_equal(stacked[k], alone), k
+
+
+def test_forward_stack_rejects_wrong_shapes():
+    model = neural.init(MlpSpec((6, 4, 1), seed=0))
+    with pytest.raises(ValueError, match="5 features"):
+        neural.forward(model, np.zeros((3, 1, 5)))
+    with pytest.raises(ValueError):
+        neural.forward(model, np.zeros((3, 2, 6)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, X, y: neural.logit(model, X),
+        lambda model, X, y: neural.predict(model, X),
+        lambda model, X, y: neural.train(model, X, y, TrainConfig(epochs=1)),
+        lambda model, X, y: neural.grad_params(model, X, y, "bce"),
+        lambda model, X, y: neural.grad_input_batch(model, X, y),
+        lambda model, X, y: neural.grad_logit_input(model, X),
+    ],
+    ids=["logit", "predict", "train", "grad_params", "grad_input_batch", "grad_logit_input"],
+)
+def test_only_forward_takes_a_stack(call):
+    model = neural.init(MlpSpec((6, 4, 1), seed=0))
+    X = np.random.default_rng(0).uniform(0, 1, (3, 1, 6))
+    with pytest.raises(ValueError, match="vector or matrix"):
+        call(model, X, np.array([0.0, 1.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # loss
 
