@@ -24,10 +24,6 @@ _BOUNDARY_TOL = 1e-11
 _DEGENERATE_GRAD = 1e-12
 
 
-class DegenerateGradientError(RuntimeError):
-    """DeepFool hit a vanishing logit gradient for a sample."""
-
-
 class EmptyBatchError(ValueError):
     """The attack row filter selected nothing."""
 
@@ -87,6 +83,9 @@ class AdvBatch:
     l2: np.ndarray
     config: AttackConfig
     sample_index: np.ndarray     # row indices into the attacked dataset
+    # DeepFool rows left at their clean value because the logit gradient
+    # vanished; reported in the stage manifest, not saved with the batch.
+    degenerate_rows: int = 0
 
     @property
     def n(self) -> int:
@@ -99,23 +98,19 @@ class AdvBatch:
 
 def pgd(
     model: neural.MlpModel,
-    x: np.ndarray,
-    y_true: int | np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
     cfg: AttackConfig,
 ) -> np.ndarray:
-    """Iterated signed-gradient steps, projecting each step into the
-    eps-ball and the box.
+    """Iterated signed-gradient steps on a matrix of rows, projecting each
+    step into the eps-ball and the box.
 
     With steps=1, alpha=epsilon and no random start this is FGSM:
     clamp(x + epsilon * sign(grad_x bce_loss), 0, 1).
     """
     if cfg.kind != "pgd":
         raise ValueError("config kind must be 'pgd'")
-    x0 = np.asarray(x, dtype=np.float64)
-    single = x0.ndim == 1
-    X0 = x0[None, :] if single else x0
-    y = np.atleast_1d(y_true)
-
+    X0 = np.asarray(X, dtype=np.float64)
     Xt = X0
     if cfg.random_start:
         rng = np.random.default_rng(cfg.seed)
@@ -125,54 +120,63 @@ def pgd(
         Xt = Xt + cfg.alpha * np.sign(grad)
         Xt = np.clip(Xt, X0 - cfg.epsilon, X0 + cfg.epsilon)
         Xt = np.clip(Xt, 0.0, 1.0)
-    return Xt[0] if single else Xt
+    return Xt
 
 
 def deepfool(
     model: neural.MlpModel,
-    x: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
     cfg: AttackConfig,
-    y_true: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Minimal-l2 iterative push toward the logit boundary g(x) = 0.
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Minimal-l2 iterative push of each row toward the logit boundary g = 0.
 
-    Repeats x <- x - (g / ||grad g||^2) grad g until the predicted label
-    flips (or the boundary is reached within tolerance), then applies the
-    overshoot to the accumulated perturbation and clamps into the box.
-    Returns (x_adv, iterations_used). If y_true is given and the model
-    already misclassifies x, returns x unchanged with 0 iterations.
+    Repeats x <- x - (g / ||grad g||^2) grad g on every row that has not
+    yet crossed (sign flip, or |g| within tolerance of 0), at most
+    cfg.max_iter times, then applies the overshoot to the accumulated
+    perturbation and clamps into the box. Rows the model already
+    misclassifies, and degenerate rows whose logit gradient vanishes, are
+    returned unchanged. Every product runs on an (a, 1, m) stack, so a
+    row's result is bitwise that of attacking it alone. Returns (X_adv,
+    total iterations over all rows, degenerate-row mask).
     """
     if cfg.kind != "deepfool":
         raise ValueError("config kind must be 'deepfool'")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("deepfool operates on a single sample")
-    _, label0 = neural.predict(model, x)
-    if y_true is not None and label0 != int(y_true):
-        return x.copy(), 0
+    if model.spec.output_activation != "sigmoid":
+        raise ValueError("deepfool requires a sigmoid-output model")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a matrix of rows, got shape {X.shape}")
+    prob, trace = neural.forward(model, X[:, None, :])
+    g0 = trace.pre[-1][:, 0, 0]
+    # label is 1 iff probability > 0.5, as in neural.predict
+    misclassified = (prob[:, 0, 0] > 0.5).astype(np.int64) != np.asarray(y)
+    tol = _BOUNDARY_TOL * np.maximum(1.0, np.abs(g0))
+    degenerate = np.zeros(X.shape[0], dtype=bool)
 
-    g0 = float(neural.logit(model, x))
-    tol = _BOUNDARY_TOL * max(1.0, abs(g0))
-
-    def crossed(g: float) -> bool:
-        return (g > 0) != (g0 > 0) or abs(g) <= tol
-
-    xt = x.copy()
+    Xt = X.copy()
+    g = g0.copy()
+    active = np.flatnonzero(~misclassified)
     iters = 0
-    while iters < cfg.max_iter:
-        g = g0 if iters == 0 else float(neural.logit(model, xt))
-        if crossed(g):
+    for step in range(cfg.max_iter):
+        if step:
+            g[active] = neural.forward(model, Xt[active][:, None, :])[1].pre[-1][:, 0, 0]
+        crossed = ((g[active] > 0) != (g0[active] > 0)) | (np.abs(g[active]) <= tol[active])
+        active = active[~crossed]
+        if active.size == 0:
             break
-        grad = neural.grad_logit_input(model, xt)
-        sq_norm = float(grad @ grad)
-        if sq_norm < _DEGENERATE_GRAD**2:
-            raise DegenerateGradientError(
-                f"vanishing logit gradient (||grad||^2 = {sq_norm:.3e})"
-            )
-        xt = xt - (g / sq_norm) * grad
-        iters += 1
-    x_adv = np.clip(x + (1.0 + cfg.overshoot) * (xt - x), 0.0, 1.0)
-    return x_adv, iters
+        grad = neural.grad_logit_input(model, Xt[active][:, None, :])
+        # (a, 1, m) @ (a, m, 1) is bitwise each row's grad @ grad
+        sq_norm = (grad @ grad.transpose(0, 2, 1))[:, 0, 0]
+        flat = sq_norm < _DEGENERATE_GRAD**2
+        degenerate[active[flat]] = True
+        active, grad, sq_norm = active[~flat], grad[~flat, 0], sq_norm[~flat]
+        Xt[active] -= (g[active] / sq_norm)[:, None] * grad
+        iters += active.size
+    X_adv = np.clip(X + (1.0 + cfg.overshoot) * (Xt - X), 0.0, 1.0)
+    unchanged = misclassified | degenerate
+    X_adv[unchanged] = X[unchanged]
+    return X_adv, iters, degenerate
 
 
 def attack_batch(
@@ -197,18 +201,15 @@ def attack_batch(
     y = ds.y[rows]
     _, orig_labels = neural.predict(model, X)
 
+    degenerate_rows = 0
     if cfg.kind == "fgsm":
         one_step = replace(cfg, kind="pgd", alpha=cfg.epsilon, steps=1, random_start=False)
         X_adv = pgd(model, X, y, one_step)
     elif cfg.kind == "pgd":
         X_adv = pgd(model, X, y, cfg)
     else:
-        X_adv = np.empty_like(X)
-        for i in range(X.shape[0]):
-            try:
-                X_adv[i], _ = deepfool(model, X[i], cfg, y_true=int(y[i]))
-            except DegenerateGradientError:
-                X_adv[i] = X[i]
+        X_adv, _, degenerate = deepfool(model, X, y, cfg)
+        degenerate_rows = int(degenerate.sum())
 
     _, adv_labels = neural.predict(model, X_adv)
     diff = X_adv - X
@@ -220,6 +221,7 @@ def attack_batch(
         l2=np.sqrt((diff**2).sum(axis=1)),
         config=cfg,
         sample_index=rows,
+        degenerate_rows=degenerate_rows,
     )
 
 

@@ -132,7 +132,7 @@ def reconstruction_errors(
 ) -> np.ndarray | float:
     """s = ||z - A(z)||_2^2 per fingerprint row of Z; a float for one vector."""
     Z = np.asarray(Z, dtype=np.float64)
-    out, _ = neural.forward(ae, Z)
+    out, _ = neural.forward(ae, np.atleast_2d(Z))
     squared = (Z - out) ** 2
     return float(squared.sum()) if Z.ndim == 1 else squared.sum(axis=1)
 

@@ -98,7 +98,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 256
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     beta1: float = 0.9
     beta2: float = 0.999
     eps_opt: float = 1e-8
@@ -113,8 +112,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.optimizer != "adam":
-            raise ValueError(f"unsupported optimizer {self.optimizer!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"unsupported loss {self.loss!r}")
 
@@ -137,14 +134,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_batch(X: np.ndarray, stack: bool = False) -> tuple[np.ndarray, bool]:
-    """X as rows plus whether it was one vector; stack also admits (n, 1, m)."""
+def _as_batch(X: np.ndarray, stack: bool = False) -> np.ndarray:
+    """X as a float64 matrix of rows; stack also admits (n, 1, m)."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        return X[None, :], True
     if X.ndim == 2 or (stack and X.ndim == 3 and X.shape[1] == 1):
-        return X, False
-    raise ValueError(f"expected a vector or matrix, got shape {X.shape}")
+        return X
+    raise ValueError(f"expected a matrix of rows, got shape {X.shape}")
 
 
 def init(spec: MlpSpec) -> MlpModel:
@@ -161,12 +156,12 @@ def init(spec: MlpSpec) -> MlpModel:
 def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """h_i = act_i(W_i h_{i-1} + b_i); returns output and the full trace.
 
-    X is a vector, a matrix of rows, or an (n, 1, m) stack of one-row
-    matrices. numpy's matmul runs a stack as n one-row products, so each
-    row's trace is bitwise that of a one-row call; the trace keeps the
-    stack's (n, 1, units) shape.
+    X is a matrix of rows or an (n, 1, m) stack of one-row matrices.
+    numpy's matmul runs a stack as n one-row products, so each row's trace
+    is bitwise that of a one-row call; the trace keeps the stack's
+    (n, 1, units) shape.
     """
-    batch, was_vector = _as_batch(X, stack=True)
+    batch = _as_batch(X, stack=True)
     if batch.shape[-1] != model.input_size:
         raise ValueError(
             f"input has {batch.shape[-1]} features, model expects {model.input_size}"
@@ -185,24 +180,18 @@ def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
             h = z
         pre_list.append(z)
         post_list.append(h)
-    trace = ForwardTrace(inputs=batch, pre=pre_list, post=post_list)
-    out = post_list[-1][0] if was_vector else post_list[-1]
-    return out, trace
+    return h, ForwardTrace(inputs=batch, pre=pre_list, post=post_list)
 
 
-def logit(model: MlpModel, X: np.ndarray) -> float | np.ndarray:
-    """Final pre-activation with the last axis squeezed for 1-unit outputs.
+def logit(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Final pre-activation per row, the last axis squeezed for 1-unit outputs.
 
     For a sigmoid classifier this is the pre-sigmoid score g(x) whose sign
     gives the decision boundary at g = 0.
     """
-    batch, was_vector = _as_batch(X)
-    _, trace = forward(model, batch)
+    _, trace = forward(model, _as_batch(X))
     z = trace.pre[-1]
-    if model.output_size == 1:
-        z = z[:, 0]
-        return float(z[0]) if was_vector else z
-    return z[0] if was_vector else z
+    return z[:, 0] if model.output_size == 1 else z
 
 
 def loss_value(outputs: np.ndarray, targets: np.ndarray, loss: str) -> float:
@@ -255,56 +244,60 @@ def _output_delta(
 
 def _backward(
     model: MlpModel, trace: ForwardTrace, delta: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Backpropagate dL/d(pre_last) = delta; returns (dWs, dbs, dX)."""
-    n_layers = len(model.weights)
-    dWs: list[np.ndarray] = [np.empty(0)] * n_layers
-    dbs: list[np.ndarray] = [np.empty(0)] * n_layers
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Backpropagate dL/d(pre_last) = delta; returns dL/d(pre_i) for every
+    layer i and dL/d(input). A stack trace gives stacked gradients."""
+    d_pres = [delta]
     d_pre = delta
-    d_h = d_pre
-    for i in reversed(range(n_layers)):
-        h_prev = trace.post[i - 1] if i > 0 else trace.inputs
-        dWs[i] = d_pre.T @ h_prev
-        dbs[i] = d_pre.sum(axis=0)
+    for i in reversed(range(len(model.weights))):
         d_h = d_pre @ model.weights[i]
         if i > 0:
             d_pre = d_h * (trace.pre[i - 1] > 0)
-    return dWs, dbs, d_h
+            d_pres.insert(0, d_pre)
+    return d_pres, d_h
+
+
+def _param_grads(
+    model: MlpModel, trace: ForwardTrace, delta: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """dL/dW_i = d_pre_i^T h_(i-1) and dL/db_i = d_pre_i summed over rows."""
+    d_pres, _ = _backward(model, trace, delta)
+    h_prev = [trace.inputs, *trace.post[:-1]]
+    return [d.T @ h for d, h in zip(d_pres, h_prev)], [d.sum(axis=0) for d in d_pres]
 
 
 def grad_params(
     model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact gradients of the mean loss with respect to weights and biases."""
-    batch, _ = _as_batch(X)
+    batch = _as_batch(X)
     t = _normalize_targets(model, batch.shape[0], targets)
     _, trace = forward(model, batch)
     delta = _output_delta(model, trace, t, loss) / batch.shape[0]
-    dWs, dbs, _ = _backward(model, trace, delta)
-    return dWs, dbs
+    return _param_grads(model, trace, delta)
 
 
 def grad_input_batch(
     model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str = "bce"
 ) -> np.ndarray:
     """Per-row input gradients of each row's own (unaveraged) loss."""
-    batch, _ = _as_batch(X)
+    batch = _as_batch(X)
     t = _normalize_targets(model, batch.shape[0], targets)
     _, trace = forward(model, batch)
     delta = _output_delta(model, trace, t, loss)
-    _, _, dX = _backward(model, trace, delta)
+    _, dX = _backward(model, trace, delta)
     return dX
 
 
-def grad_logit_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Gradient of the scalar logit g(x) with respect to the input vector."""
+def grad_logit_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Gradient of the scalar logit g(x) with respect to the input, for each
+    row of a matrix or of an (n, 1, m) stack; the result has X's shape. On a
+    stack each row's gradient is bitwise that of a one-row call."""
     if model.output_size != 1:
         raise ValueError("logit gradient requires a single-output model")
-    batch, was_vector = _as_batch(x)
-    _, trace = forward(model, batch)
-    delta = np.ones((batch.shape[0], 1))
-    _, _, dX = _backward(model, trace, delta)
-    return dX[0] if was_vector else dX
+    _, trace = forward(model, X)
+    _, dX = _backward(model, trace, np.ones(trace.pre[-1].shape))
+    return dX
 
 
 class Adam:
@@ -344,7 +337,7 @@ def train(
     Deterministic under cfg.seed (shuffling is the only randomness). Raises
     TrainingDivergedError naming the epoch if any batch loss is non-finite.
     """
-    batch_X, _ = _as_batch(X)
+    batch_X = _as_batch(X)
     n = batch_X.shape[0]
     if n < 1:
         raise ValueError("training set is empty")
@@ -368,24 +361,20 @@ def train(
                     f"non-finite loss at epoch {epoch + 1}"
                 )
             delta = _output_delta(work, trace, tb, cfg.loss) / xb.shape[0]
-            dWs, dbs, _ = _backward(work, trace, delta)
+            dWs, dbs = _param_grads(work, trace, delta)
             opt.step(params, [*dWs, *dbs])
             total += batch_loss * xb.shape[0]
         history.append(total / n)
     return work, history
 
 
-def predict(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray | float, np.ndarray | int]:
-    """Probabilities plus hard labels; label is 1 iff probability > 0.5."""
+def predict(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row probabilities plus hard labels; label is 1 iff probability > 0.5."""
     if model.spec.output_activation != "sigmoid":
         raise ValueError("predict requires a sigmoid-output model")
     if model.output_size != 1:
         raise ValueError("predict requires a single-output model")
-    batch, was_vector = _as_batch(X)
-    out, _ = forward(model, batch)
-    if was_vector:
-        p = float(out[0, 0])
-        return p, int(p > 0.5)
+    out, _ = forward(model, _as_batch(X))
     probs = out[:, 0]
     return probs, (probs > 0.5).astype(np.int64)
 

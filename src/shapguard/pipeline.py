@@ -320,6 +320,16 @@ def _attack_config(cfg: dict, kind: str) -> attacks.AttackConfig:
     )
 
 
+def _recorded_background(manifest_path: Path) -> str:
+    """The background description the fingerprint stage put in the manifest."""
+    try:
+        return data.read_json(manifest_path)["stages"]["fingerprint"]["summary"]["background"]
+    except KeyError:
+        raise data.ArtifactError(
+            f"{manifest_path}: no background recorded by the fingerprint stage"
+        ) from None
+
+
 def _load_background(path: Path) -> attribution.BackgroundSet:
     """Read the background rows the fingerprint stage sampled and saved."""
     _, values, _ = data.read_table(path)
@@ -457,6 +467,8 @@ def cmd_attack(ws: Workspace, kind: str) -> StageResult:
         },
     )
     summary = {"rows": batch.n, "success_rate": batch.success_rate}
+    if kind == "deepfool":
+        summary["degenerate_rows"] = batch.degenerate_rows
     return ws.finish(
         f"attack-{kind}",
         started,
@@ -546,6 +558,7 @@ def cmd_train_detector(ws: Workspace) -> StageResult:
     load = attribution.load_fingerprints
     Z_train = ws.load("fingerprints/clean_train.csv", "train-detector", load).phi
     Z_val = ws.load("fingerprints/clean_val.csv", "train-detector", load).phi
+    background_ref = ws.load(MANIFEST_NAME, "train-detector", _recorded_background)
     try:
         ae, history = detector.train_autoencoder(
             Z_train,
@@ -563,8 +576,7 @@ def cmd_train_detector(ws: Workspace) -> StageResult:
             detector.DetectorModel(autoencoder=ae),
             errors_val,
             method,
-            background_ref=f"clean-train (k={ws.cfg['background']['size']}, "
-            f"seed={ws.cfg['background']['seed']})",
+            background_ref=background_ref,
         )
     except (neural.TrainingDivergedError, detector.CalibrationError, ValueError) as exc:
         raise StageError(f"train-detector: {exc}") from exc
@@ -608,6 +620,7 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
     """Emit the full report bundle; raises InvariantError on check failures."""
     started = time.perf_counter()
     det = ws.load("detector/detector.json", "evaluate", detector.load_detector)
+    _, schema = ws.load("data/scaler.json", "evaluate", data.load_scaler)
     Z_clean = ws.load(
         "fingerprints/clean_test.csv", "evaluate", attribution.load_fingerprints
     ).phi
@@ -665,13 +678,7 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
         data.write_table(ws.path("reports/metrics.csv"), ["attack", *METRIC_COLUMNS], metrics_rows)
     )
 
-    scaler_path = ws.path("data/scaler.json")
-    if scaler_path.exists():
-        _, schema = data.load_scaler(scaler_path)
-        feature_names = schema.names
-    else:
-        feature_names = tuple(f"phi_{j + 1}" for j in range(Z_clean.shape[1]))
-    table = evaluation.build_rank_table(feature_names, importance_by_condition)
+    table = evaluation.build_rank_table(schema.names, importance_by_condition)
     for cond, ranks in table.ranks.items():
         if sorted(ranks.tolist()) != list(range(1, len(table.feature_names) + 1)):
             failures.append(f"rank table: {cond} ranks are not a permutation")

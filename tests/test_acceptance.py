@@ -176,8 +176,9 @@ def _fd_input(model, x, target, loss, h=1e-5):
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        lp = neural.loss_value(neural.forward(model, xp)[0], np.atleast_1d(target), loss)
-        lm = neural.loss_value(neural.forward(model, xm)[0], np.atleast_1d(target), loss)
+        out_p, out_m = (neural.forward(model, v[None, :])[0][0] for v in (xp, xm))
+        lp = neural.loss_value(out_p, np.atleast_1d(target), loss)
+        lm = neural.loss_value(out_m, np.atleast_1d(target), loss)
         grad[j] = (lp - lm) / (2 * h)
     return grad
 
@@ -284,11 +285,13 @@ def test_criterion_06_attack_invariants_fuzz():
             continue
         spec = neural.MlpSpec((m, 1), output_activation="sigmoid", seed=0)
         lin = neural.MlpModel(spec=spec, weights=[w[None, :]], biases=[b])
-        x_adv, iters = attacks.deepfool(
-            lin, x, attacks.AttackConfig(kind="deepfool", max_iter=50, overshoot=0.0)
+        X = x[None, :]
+        x_adv, iters, _ = attacks.deepfool(
+            lin, X, neural.predict(lin, X)[1],
+            attacks.AttackConfig(kind="deepfool", max_iter=50, overshoot=0.0),
         )
         assert iters <= 1
-        assert abs(neural.logit(lin, x_adv)) <= 1e-9
+        assert abs(neural.logit(lin, x_adv)[0]) <= 1e-9
         checked += 1
     _report("criterion 6 (attack invariants fuzz)",
             "[10,000 samples; pgd(1)=fgsm bitwise; deepfool linear 1-step]")

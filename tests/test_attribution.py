@@ -53,7 +53,7 @@ def test_phi0_singleton_background():
     b = np.array([[0.3, 0.4]])
     bg = BackgroundSet(B=b)
     assert attribution.expected_output(model, bg) == pytest.approx(
-        float(neural.logit(model, b[0])), abs=0
+        float(neural.logit(model, b)[0]), abs=0
     )
 
 
@@ -99,7 +99,7 @@ def test_deeplift_summation_to_delta_on_random_nets():
         x = rng.uniform(0, 1, 6)
         b = rng.uniform(0, 1, 6)
         phi, _, _ = _fingerprint(model, x, BackgroundSet(B=b[None, :]))
-        delta = float(neural.logit(model, x)) - float(neural.logit(model, b))
+        delta = float(neural.logit(model, x[None, :])[0] - neural.logit(model, b[None, :])[0])
         assert abs(phi.sum() - delta) <= 1e-8
 
 
@@ -113,7 +113,7 @@ def test_fingerprint_singleton_background_equals_deeplift():
     b = rng.uniform(0, 1, 6)
     phi, phi0, _ = _fingerprint(model, x, BackgroundSet(B=b[None, :]))
     assert np.allclose(phi, _rescale_oracle(model, x, b), atol=0)
-    assert phi0 == pytest.approx(float(neural.logit(model, b)), abs=0)
+    assert phi0 == pytest.approx(float(neural.logit(model, b[None, :])[0]), abs=0)
 
 
 def test_fingerprint_linear_model_closed_form():
@@ -181,7 +181,7 @@ def test_batch_row_equals_single_fingerprint():
         phi, logit = attribution.shap_fingerprint(model, X[k : k + 1], bg, trace_b)
         assert phi.shape == (1, 6) and logit.shape == (1,)
         assert np.array_equal(fps.phi[k], phi[0])
-        assert fps.model_output[k] == logit[0] == neural.logit(model, X[k])
+        assert fps.model_output[k] == logit[0] == neural.logit(model, X[k : k + 1])[0]
     phi, logit = attribution.shap_fingerprint(model, X, bg, trace_b)
     assert np.array_equal(fps.phi, phi)
     assert np.array_equal(fps.model_output, logit)
@@ -236,7 +236,7 @@ def test_batch_is_bitwise_the_per_row_kernel(hidden, n):
         assert fps.model_output[k] == logit, k
     if hidden and n > 1:
         # the 1e-12 row really takes the fallback on some non-zero delta
-        _, trace_x = neural.forward(model, X[1])
+        _, trace_x = neural.forward(model, X[1:2])
         delta = np.abs(trace_x.pre[0][0] - trace_b.pre[0][5])
         assert np.any((delta > 0) & (delta <= attribution.NEAR_ZERO_DELTA))
 

@@ -372,6 +372,43 @@ def test_truncated_fingerprint_file_is_a_stage_failure(tiny_run, tmp_path, capsy
     assert "clean_val.csv" in capsys.readouterr().err
 
 
+def test_deepfool_stage_counts_degenerate_rows_in_the_manifest_only(tiny_run):
+    stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
+    assert stages["attack-deepfool"]["summary"]["degenerate_rows"] == 0
+    artifact = json.loads((tiny_run / "attacks/deepfool_summary.json").read_text())
+    assert "degenerate_rows" not in artifact
+
+
+@pytest.mark.parametrize("damage", ["missing", "corrupt"])
+def test_evaluate_without_a_readable_scaler_is_a_stage_failure(tiny_run, tmp_path, capsys, damage):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    scaler = out / "data/scaler.json"
+    if damage == "missing":
+        scaler.unlink()
+    else:
+        scaler.write_text("{", encoding="utf-8")
+    assert cli.main(["evaluate", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert "scaler.json" in capsys.readouterr().err
+
+
+def test_train_detector_records_the_background_the_fingerprints_used(tiny_run, tmp_path):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    assert cli.main(["train-detector", "--config", cfg_path, "--seed", "8"]) == 0
+    detector = json.loads((out / "detector/detector.json").read_text())
+    assert detector["background_ref"] == "clean-train (k=30, seed=13)"
+
+
+def test_train_detector_without_a_recorded_background_is_a_stage_failure(
+    tiny_run, tmp_path, capsys
+):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["stages"]["fingerprint"]
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert cli.main(["train-detector", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert "no background recorded" in capsys.readouterr().err
+
+
 def test_single_stage_cli_commands(tmp_path):
     cfg_path = _write_config(tmp_path, _tiny_config(tmp_path / "run"))
     assert cli.main(["ingest", "--config", cfg_path]) == 0

@@ -28,10 +28,10 @@ def _fd_loss_grad_input(model, x, target, loss, h=1e-5):
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        op, _ = neural.forward(model, xp)
-        om, _ = neural.forward(model, xm)
-        lp = neural.loss_value(op, np.atleast_1d(target), loss)
-        lm = neural.loss_value(om, np.atleast_1d(target), loss)
+        op, _ = neural.forward(model, xp[None, :])
+        om, _ = neural.forward(model, xm[None, :])
+        lp = neural.loss_value(op[0], np.atleast_1d(target), loss)
+        lm = neural.loss_value(om[0], np.atleast_1d(target), loss)
         grad[j] = (lp - lm) / (2 * h)
     return grad
 
@@ -114,14 +114,14 @@ def test_init_weight_bound():
 
 def test_forward_linear_hand_value():
     model = _linear_model([[2.0, -2.0]], [0.5], output="linear")
-    out, _ = neural.forward(model, np.array([1.0, 1.0]))
-    assert out[0] == pytest.approx(0.5, abs=0)
+    out, _ = neural.forward(model, np.array([[1.0, 1.0]]))
+    assert out[0, 0] == pytest.approx(0.5, abs=0)
 
 
 def test_forward_sigmoid_hand_value():
     model = _linear_model([[2.0, -2.0]], [0.5], output="sigmoid")
-    out, _ = neural.forward(model, np.array([1.0, 1.0]))
-    assert out[0] == pytest.approx(0.6224593312018546, abs=1e-12)
+    out, _ = neural.forward(model, np.array([[1.0, 1.0]]))
+    assert out[0, 0] == pytest.approx(0.6224593312018546, abs=1e-12)
 
 
 def test_forward_relu_gating():
@@ -131,7 +131,7 @@ def test_forward_relu_gating():
         weights=[np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])],
         biases=[np.zeros(2), np.zeros(1)],
     )
-    _, trace = neural.forward(model, np.array([3.0]))
+    _, trace = neural.forward(model, np.array([[3.0]]))
     assert trace.post[0].tolist() == [[3.0, 0.0]]
 
 
@@ -147,8 +147,10 @@ def test_forward_batch_order_equivariance():
 
 def test_forward_shape_mismatch():
     model = neural.init(MlpSpec((4, 1), seed=0))
-    with pytest.raises(ValueError):
-        neural.forward(model, np.zeros(3))
+    with pytest.raises(ValueError, match="3 features"):
+        neural.forward(model, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="matrix of rows"):
+        neural.forward(model, np.zeros(4))
 
 
 @pytest.mark.parametrize("output", ["sigmoid", "linear"])
@@ -181,15 +183,26 @@ def test_forward_stack_rejects_wrong_shapes():
         lambda model, X, y: neural.train(model, X, y, TrainConfig(epochs=1)),
         lambda model, X, y: neural.grad_params(model, X, y, "bce"),
         lambda model, X, y: neural.grad_input_batch(model, X, y),
-        lambda model, X, y: neural.grad_logit_input(model, X),
     ],
-    ids=["logit", "predict", "train", "grad_params", "grad_input_batch", "grad_logit_input"],
+    ids=["logit", "predict", "train", "grad_params", "grad_input_batch"],
 )
 def test_only_forward_takes_a_stack(call):
     model = neural.init(MlpSpec((6, 4, 1), seed=0))
     X = np.random.default_rng(0).uniform(0, 1, (3, 1, 6))
-    with pytest.raises(ValueError, match="vector or matrix"):
+    with pytest.raises(ValueError, match="matrix of rows"):
         call(model, X, np.array([0.0, 1.0, 1.0]))
+
+
+def test_grad_logit_input_on_a_stack_is_bitwise_one_row_calls():
+    model = neural.init(MlpSpec((6, 8, 3, 1), seed=5))
+    model.biases = [np.full(b.shape, 0.1) for b in model.biases]
+    X = np.random.default_rng(3).uniform(0, 1, (9, 6))
+    stacked = neural.grad_logit_input(model, X[:, None, :])
+    assert stacked.shape == (9, 1, 6)
+    for k in range(9):
+        assert np.array_equal(stacked[k], neural.grad_logit_input(model, X[k : k + 1])), k
+    with pytest.raises(ValueError, match="matrix of rows"):
+        neural.grad_logit_input(model, X[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +273,7 @@ def test_grad_input_logistic_analytic_form():
     w = np.array([2.0, -2.0])
     model = _linear_model([w], [0.0], output="sigmoid")
     x = np.array([0.5, 0.5])
-    p, _ = neural.predict(model, x)
+    p = neural.predict(model, x[None, :])[0][0]
     grad = neural.grad_input_batch(model, x[None, :], np.array([1]), "bce")[0]
     assert np.allclose(grad, (p - 1.0) * w, atol=1e-14)
 
@@ -360,10 +373,9 @@ def test_adam_zero_learning_rate_is_identity():
 def test_predict_cutoff_and_tie_rule():
     model = _linear_model([[1.0]], [0.0], output="sigmoid")
     # logit 0 -> p = 0.5 -> label 0 (strict inequality)
-    p, label = neural.predict(model, np.array([0.0]))
-    assert p == 0.5 and label == 0
-    p, label = neural.predict(model, np.array([1.0]))
-    assert p > 0.5 and label == 1
+    p, label = neural.predict(model, np.array([[0.0], [1.0]]))
+    assert p[0] == 0.5 and label[0] == 0
+    assert p[1] > 0.5 and label[1] == 1
 
 
 def test_predict_batch_shape():
@@ -375,7 +387,7 @@ def test_predict_batch_shape():
 def test_predict_rejects_linear_output():
     model = _linear_model([[1.0]], [0.0], output="linear")
     with pytest.raises(ValueError):
-        neural.predict(model, np.array([0.0]))
+        neural.predict(model, np.array([[0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +409,7 @@ def test_save_load_reproduces_outputs_bit_exactly(tmp_path):
 
 def test_logit_matches_inverse_sigmoid():
     model = neural.init(MlpSpec((3, 4, 1), seed=6))
-    x = np.array([0.2, 0.5, 0.9])
-    g = neural.logit(model, x)
+    x = np.array([[0.2, 0.5, 0.9]])
+    g = neural.logit(model, x)[0]
     out, _ = neural.forward(model, x)
-    assert 1.0 / (1.0 + math.exp(-g)) == pytest.approx(out[0], abs=1e-12)
+    assert 1.0 / (1.0 + math.exp(-g)) == pytest.approx(out[0, 0], abs=1e-12)
