@@ -74,13 +74,13 @@ class AttackConfig:
 
 @dataclass
 class AdvBatch:
-    """Adversarial rows paired with their clean originals and bookkeeping."""
+    """Adversarial rows plus bookkeeping; the clean originals are the
+    attacked dataset's rows at sample_index."""
 
-    X_clean: np.ndarray
     X_adv: np.ndarray
     success: np.ndarray          # True iff the model label changed
-    linf: np.ndarray
-    l2: np.ndarray
+    linf: np.ndarray             # ||x' - x||_inf against the clean row
+    l2: np.ndarray               # ||x' - x||_2 against the clean row
     config: AttackConfig
     sample_index: np.ndarray     # row indices into the attacked dataset
     # DeepFool rows left at their clean value because the logit gradient
@@ -89,7 +89,7 @@ class AdvBatch:
 
     @property
     def n(self) -> int:
-        return self.X_clean.shape[0]
+        return self.X_adv.shape[0]
 
     @property
     def success_rate(self) -> float:
@@ -214,7 +214,6 @@ def attack_batch(
     _, adv_labels = neural.predict(model, X_adv)
     diff = X_adv - X
     return AdvBatch(
-        X_clean=X,
         X_adv=X_adv,
         success=adv_labels != orig_labels,
         linf=np.abs(diff).max(axis=1),
@@ -228,18 +227,19 @@ def attack_batch(
 def save_adv_batch(
     batch: AdvBatch, feature_names: tuple[str, ...], path: str | Path
 ) -> None:
-    """Write clean/adversarial rows as a table plus a JSON config sidecar."""
+    """Write the adversarial rows as a table plus a JSON config sidecar.
+
+    Columns: sample_index, success, linf, l2, adv_<feature>... The clean
+    rows are not stored: they are the attacked split at sample_index.
+    """
     path = Path(path)
-    header = [
-        "sample_index", "success", "linf", "l2",
-        *(f"clean_{n}" for n in feature_names), *(f"adv_{n}" for n in feature_names),
-    ]
+    header = ["sample_index", "success", "linf", "l2", *(f"adv_{n}" for n in feature_names)]
     rows = (
-        [i, success, linf, l2, *clean.tolist(), *adv.tolist()]
-        for i, success, linf, l2, clean, adv in zip(
+        [i, success, linf, l2, *adv.tolist()]
+        for i, success, linf, l2, adv in zip(
             batch.sample_index.astype(np.int64).tolist(),
             batch.success.astype(np.int64).tolist(),
-            batch.linf.tolist(), batch.l2.tolist(), batch.X_clean, batch.X_adv,
+            batch.linf.tolist(), batch.l2.tolist(), batch.X_adv,
         )
     )
     data.write_table(path, header, rows)
@@ -247,13 +247,17 @@ def save_adv_batch(
 
 
 def load_adv_batch(path: str | Path) -> AdvBatch:
+    """Read a file written by :func:`save_adv_batch` and its config sidecar."""
     path = Path(path)
-    cfg = AttackConfig.from_dict(data.read_json(path.with_suffix(".config.json")))
-    header, values, _ = data.read_table(path)
-    m = (len(header) - 4) // 2
+    sidecar = path.with_suffix(".config.json")
+    payload = data.read_json(sidecar)
+    try:
+        cfg = AttackConfig.from_dict(payload)
+    except (TypeError, ValueError) as exc:
+        raise data.ArtifactError(f"{sidecar}: not an attack config: {exc}") from None
+    _, values, _ = data.read_table(path)
     return AdvBatch(
-        X_clean=values[:, 4 : 4 + m].copy(),
-        X_adv=values[:, 4 + m :].copy(),
+        X_adv=values[:, 4:].copy(),
         success=values[:, 1].astype(bool),
         linf=values[:, 2].copy(),
         l2=values[:, 3].copy(),

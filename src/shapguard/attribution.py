@@ -31,8 +31,7 @@ BLOCK_ROWS = 4
 
 
 class EmptySelectionError(ValueError):
-    """No fingerprint rows: the class filter selected none, or a record or
-    file has none."""
+    """No fingerprint rows: a record or file has none."""
 
 
 @dataclass(frozen=True)
@@ -169,15 +168,13 @@ def fingerprint_batch(
     model: neural.MlpModel,
     X: np.ndarray,
     background: BackgroundSet,
-    labels: np.ndarray | None = None,
-    class_filter: str | None = None,
     sample_ids: np.ndarray | list | None = None,
     origin: str = "clean",
 ) -> Fingerprints:
-    """Fingerprints of the selected rows, input order preserved.
+    """Fingerprints of every row of X, input order preserved.
 
-    class_filter 'malicious' keeps rows with label 1, 'benign' keeps label
-    0, None keeps everything. sample_ids defaults to row indices.
+    A row's fingerprint does not depend on the other rows passed with it,
+    so callers select rows by slicing X. sample_ids defaults to row indices.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -192,31 +189,20 @@ def fingerprint_batch(
     if len(sample_ids) != n:
         raise ValueError("sample_ids length must match X")
 
-    if class_filter in (None, "all"):
-        rows = np.arange(n)
-    elif class_filter in ("malicious", "benign"):
-        if labels is None:
-            raise ValueError("class_filter requires labels")
-        wanted = 1 if class_filter == "malicious" else 0
-        rows = np.flatnonzero(np.asarray(labels) == wanted)
-    else:
-        raise ValueError(f"unknown class_filter {class_filter!r}")
-    if rows.size == 0:
-        raise EmptySelectionError(f"class_filter {class_filter!r} selected no rows")
-
     _, trace_b = neural.forward(model, background.B)
-    phi = np.empty((rows.size, X.shape[1]))
-    logits = np.empty(rows.size)
-    for start in range(0, rows.size, BLOCK_ROWS):
+    phi = np.empty(X.shape)
+    logits = np.empty(n)
+    for start in range(0, n, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
+        # a fresh, aligned copy per block, whatever the layout of X
         phi[block], logits[block] = shap_fingerprint(
-            model, X[rows[block]], background, trace_b
+            model, X[block].copy(), background, trace_b
         )
     return Fingerprints(
         phi=phi,
         phi0=expected_output(model, background),
         model_output=logits,
-        sample_ids=np.asarray(sample_ids)[rows],
+        sample_ids=sample_ids,
         origin=origin,
     )
 

@@ -98,12 +98,8 @@ class TrainConfig:
     epochs: int
     batch_size: int = 256
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_opt: float = 1e-8
     loss: str = "bce"
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -268,13 +264,14 @@ def _param_grads(
 
 def grad_params(
     model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact gradients of the mean loss with respect to weights and biases."""
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """The mean loss of a batch and its exact gradients with respect to the
+    weights and biases; one training step's worth of work."""
     batch = _as_batch(X)
     t = _normalize_targets(model, batch.shape[0], targets)
-    _, trace = forward(model, batch)
+    out, trace = forward(model, batch)
     delta = _output_delta(model, trace, t, loss) / batch.shape[0]
-    return _param_grads(model, trace, delta)
+    return (loss_value(out, t, loss), *_param_grads(model, trace, delta))
 
 
 def grad_input_batch(
@@ -301,14 +298,15 @@ def grad_logit_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Bias-corrected Adam; one instance per training run."""
+    """Bias-corrected Adam with the constants of Kingma & Ba (ICLR 2015);
+    one instance per training run."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
@@ -334,7 +332,8 @@ def train(
 ) -> tuple[MlpModel, list[float]]:
     """Mini-batch Adam training; returns a new model and per-epoch mean loss.
 
-    Deterministic under cfg.seed (shuffling is the only randomness). Raises
+    Each epoch visits the rows in a fresh random order; deterministic under
+    cfg.seed (the order is the only randomness). Raises
     TrainingDivergedError naming the epoch if any batch loss is non-finite.
     """
     batch_X = _as_batch(X)
@@ -345,25 +344,21 @@ def train(
 
     work = model.copy()
     params = [*work.weights, *work.biases]
-    opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_opt)
+    opt = Adam(cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, tb = batch_X[idx], t_all[idx]
-            out, trace = forward(work, xb)
-            batch_loss = loss_value(out, tb, cfg.loss)
+            batch_loss, dWs, dbs = grad_params(work, batch_X[idx], t_all[idx], cfg.loss)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}"
                 )
-            delta = _output_delta(work, trace, tb, cfg.loss) / xb.shape[0]
-            dWs, dbs = _param_grads(work, trace, delta)
             opt.step(params, [*dWs, *dbs])
-            total += batch_loss * xb.shape[0]
+            total += batch_loss * idx.size
         history.append(total / n)
     return work, history
 

@@ -27,11 +27,6 @@ CLEAN_SOURCES = ("clean_train", "clean_val", "clean_test")
 MANIFEST_NAME = "manifest.json"
 # Not under fingerprints/: every CSV there is a fingerprint table.
 BACKGROUND = "models/background.csv"
-METRIC_COLUMNS = (
-    "accuracy", "precision", "recall", "f1", "roc_auc", "average_precision",
-    "specificity", "npv", "fpr", "fnr", "tp", "tn", "fp", "fn",
-    "ca", "aa", "asr",
-)
 
 
 class ConfigError(ValueError):
@@ -78,11 +73,7 @@ DEFAULT_CONFIG: dict = {
             "epochs": 50,
             "batch_size": 256,
             "learning_rate": 1e-3,
-            "beta1": 0.9,
-            "beta2": 0.999,
-            "eps_opt": 1e-8,
             "seed": None,
-            "shuffle": True,
         },
     },
     "attacks": {
@@ -102,20 +93,14 @@ DEFAULT_CONFIG: dict = {
         "hidden_sizes": [32, 16],
         "latent": 8,
         "init_seed": None,
-        "class_filter": "malicious",
         "train": {
             "epochs": 100,
             "batch_size": 256,
             "learning_rate": 1e-3,
-            "beta1": 0.9,
-            "beta2": 0.999,
-            "eps_opt": 1e-8,
             "seed": None,
-            "shuffle": True,
         },
         "calibration": {"method": "percentile", "parameter": 99.0},
     },
-    "evaluation": {"clean_panel": "malicious", "histogram_bins": 50},
 }
 
 # Offsets added to the master seed for every seed left unset in the config,
@@ -175,10 +160,6 @@ def resolve_config(
         raise ConfigError("data.csv.path is required for the csv source")
     if cfg["attacks"]["filter"] not in attacks.FILTERS:
         raise ConfigError(f"unknown attacks.filter {cfg['attacks']['filter']!r}")
-    if cfg["detector"]["class_filter"] not in ("malicious", "benign", "all"):
-        raise ConfigError("detector.class_filter must be malicious|benign|all")
-    if cfg["evaluation"]["clean_panel"] not in ("malicious", "benign", "all"):
-        raise ConfigError("evaluation.clean_panel must be malicious|benign|all")
     return cfg
 
 
@@ -215,7 +196,9 @@ class Workspace:
 
     def load(self, rel: str, stage: str, loader: Callable[[Path], Any]) -> Any:
         """Read artifact ``rel`` with ``loader``; a missing, empty or
-        malformed artifact is a StageError naming the file."""
+        malformed artifact is a StageError naming the file. A KeyError or
+        TypeError from the loader means JSON that parses but lacks a field
+        or holds one of the wrong type."""
         target = self.path(rel)
         if not target.exists():
             raise StageError(
@@ -223,8 +206,16 @@ class Workspace:
             )
         try:
             return loader(target)
+        except FileNotFoundError as exc:  # a sidecar the loader opens
+            raise StageError(
+                f"{stage}: missing artifact {exc.filename!r}; run the producing stage first"
+            ) from exc
         except ValueError as exc:
             raise StageError(f"{stage}: {exc}") from exc
+        except KeyError as exc:
+            raise StageError(f"{stage}: {rel}: missing field {exc}") from exc
+        except TypeError as exc:
+            raise StageError(f"{stage}: {rel}: malformed field: {exc}") from exc
 
     def write_resolved_config(self) -> Path:
         """Persist the resolved config snapshot and record it in the manifest."""
@@ -291,12 +282,8 @@ def _train_config(train_cfg: dict, loss: str) -> neural.TrainConfig:
         epochs=int(train_cfg["epochs"]),
         batch_size=int(train_cfg["batch_size"]),
         learning_rate=float(train_cfg["learning_rate"]),
-        beta1=float(train_cfg["beta1"]),
-        beta2=float(train_cfg["beta2"]),
-        eps_opt=float(train_cfg["eps_opt"]),
         loss=loss,
         seed=int(train_cfg["seed"]),
-        shuffle=bool(train_cfg["shuffle"]),
     )
 
 
@@ -322,12 +309,7 @@ def _attack_config(cfg: dict, kind: str) -> attacks.AttackConfig:
 
 def _recorded_background(manifest_path: Path) -> str:
     """The background description the fingerprint stage put in the manifest."""
-    try:
-        return data.read_json(manifest_path)["stages"]["fingerprint"]["summary"]["background"]
-    except KeyError:
-        raise data.ArtifactError(
-            f"{manifest_path}: no background recorded by the fingerprint stage"
-        ) from None
+    return data.read_json(manifest_path)["stages"]["fingerprint"]["summary"]["background"]
 
 
 def _load_background(path: Path) -> attribution.BackgroundSet:
@@ -397,7 +379,11 @@ def cmd_ingest(ws: Workspace) -> StageResult:
 
 
 def cmd_train_nids(ws: Workspace) -> StageResult:
-    """Train the reference classifier; persist model, history, report."""
+    """Train the reference classifier; persist model and loss history.
+
+    The accuracies go into the stage summary; the final loss and the epoch
+    count are the last row and the length of the history.
+    """
     started = time.perf_counter()
     cfg = ws.cfg["classifier"]
     train = ws.load("data/train.csv", "train-nids", data.load_dataset)
@@ -426,17 +412,8 @@ def cmd_train_nids(ws: Workspace) -> StageResult:
     history_path = data.write_table(
         ws.path("models/nids_history.csv"), ["epoch", "loss"], enumerate(history, start=1)
     )
-    report_path = data.write_json(
-        ws.path("models/nids_report.json"),
-        {
-            "train_accuracy": train_acc,
-            "test_accuracy": test_acc,
-            "final_loss": history[-1],
-            "epochs": len(history),
-        },
-    )
     summary = {"train_accuracy": train_acc, "test_accuracy": test_acc}
-    return ws.finish("train-nids", started, [model_path, history_path, report_path], summary)
+    return ws.finish("train-nids", started, [model_path, history_path], summary)
 
 
 def cmd_attack(ws: Workspace, kind: str) -> StageResult:
@@ -456,24 +433,16 @@ def cmd_attack(ws: Workspace, kind: str) -> StageResult:
 
     csv_path = ws.path(f"attacks/{kind}.csv")
     attacks.save_adv_batch(batch, test.schema.names, csv_path)
-    summary_path = data.write_json(
-        ws.path(f"attacks/{kind}_summary.json"),
-        {
-            "kind": kind,
-            "rows": batch.n,
-            "success_rate": batch.success_rate,
-            "mean_linf": float(batch.linf.mean()),
-            "mean_l2": float(batch.l2.mean()),
-        },
-    )
-    summary = {"rows": batch.n, "success_rate": batch.success_rate}
+    summary = {
+        "rows": batch.n,
+        "success_rate": batch.success_rate,
+        "mean_linf": float(batch.linf.mean()),
+        "mean_l2": float(batch.l2.mean()),
+    }
     if kind == "deepfool":
         summary["degenerate_rows"] = batch.degenerate_rows
     return ws.finish(
-        f"attack-{kind}",
-        started,
-        [csv_path, csv_path.with_suffix(".config.json"), summary_path],
-        summary,
+        f"attack-{kind}", started, [csv_path, csv_path.with_suffix(".config.json")], summary
     )
 
 
@@ -485,12 +454,8 @@ def _fingerprint_sources(
     train: data.FlowDataset,
 ) -> Iterator[tuple[str, attribution.Fingerprints]]:
     """Yield (artifact name, fingerprints) for each clean split or attack;
-    ``train`` is the already loaded train split."""
-    filters = {
-        "clean_train": ws.cfg["detector"]["class_filter"],
-        "clean_val": ws.cfg["detector"]["class_filter"],
-        "clean_test": ws.cfg["evaluation"]["clean_panel"],
-    }
+    ``train`` is the already loaded train split. The clean fingerprints are
+    those of each split's malicious rows, the rows the attacks start from."""
     for item in sources:
         if item == "clean":
             for source in CLEAN_SOURCES:
@@ -498,8 +463,9 @@ def _fingerprint_sources(
                 ds = train if split_name == "train" else ws.load(
                     f"data/{split_name}.csv", "fingerprint", data.load_dataset
                 )
+                rows = np.flatnonzero(ds.y == 1)
                 yield source, attribution.fingerprint_batch(
-                    model, ds.X, background, labels=ds.y, class_filter=filters[source]
+                    model, ds.X[rows], background, sample_ids=rows
                 )
         else:
             batch = ws.load(f"attacks/{item}.csv", "fingerprint", attacks.load_adv_batch)
@@ -617,7 +583,8 @@ def _detector_checks(
 
 
 def cmd_evaluate(ws: Workspace) -> StageResult:
-    """Emit the full report bundle; raises InvariantError on check failures."""
+    """Emit the JSON report bundle; the failed checks go into the stage
+    summary, and any failure raises InvariantError."""
     started = time.perf_counter()
     det = ws.load("detector/detector.json", "evaluate", detector.load_detector)
     _, schema = ws.load("data/scaler.json", "evaluate", data.load_scaler)
@@ -625,11 +592,9 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
         "fingerprints/clean_test.csv", "evaluate", attribution.load_fingerprints
     ).phi
     errors_clean = detector.reconstruction_errors(det.autoencoder, Z_clean)
-    bins = int(ws.cfg["evaluation"]["histogram_bins"])
 
     paths: list[Path] = []
     failures: list[str] = []
-    metrics_rows = []
     importance_by_condition = {"clean": evaluation.importance(Z_clean)}
     summary: dict = {"tau": det.tau, "clean_rows": int(errors_clean.size)}
 
@@ -651,47 +616,26 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
         )
         failures.extend(f"{kind}: {msg}" for msg in _detector_checks(report, robustness))
 
-        combined = {**report.to_dict(), **robustness.to_dict()}
-        paths.append(
-            data.write_json(ws.path(f"reports/metrics_{kind}.json"), {"attack": kind, **combined})
-        )
-        dist = evaluation.error_distribution_report(
-            errors_clean, errors_adv, det.tau, bins=bins
-        )
-        paths.append(data.write_json(ws.path(f"reports/error_distribution_{kind}.json"), dist))
-        edges = dist["bin_edges"]
-        paths.append(
-            data.write_table(
-                ws.path(f"reports/error_distribution_{kind}.csv"),
-                ["bin_left", "bin_right", "clean_count", "adv_count"],
-                zip(edges, edges[1:], dist["clean_counts"], dist["adv_counts"]),
-            )
-        )
-        metrics_rows.append([kind, *(combined[name] for name in METRIC_COLUMNS)])
+        paths.append(data.write_json(
+            ws.path(f"reports/metrics_{kind}.json"),
+            {"attack": kind, **report.to_dict(), **robustness.to_dict()},
+        ))
+        paths.append(data.write_json(
+            ws.path(f"reports/error_distribution_{kind}.json"),
+            evaluation.error_distribution_report(errors_clean, errors_adv, det.tau),
+        ))
         summary[kind] = {
             "accuracy": report.accuracy,
             "roc_auc": report.roc_auc,
             "aa": robustness.aa,
         }
 
-    paths.append(
-        data.write_table(ws.path("reports/metrics.csv"), ["attack", *METRIC_COLUMNS], metrics_rows)
-    )
-
     table = evaluation.build_rank_table(schema.names, importance_by_condition)
     for cond, ranks in table.ranks.items():
         if sorted(ranks.tolist()) != list(range(1, len(table.feature_names) + 1)):
             failures.append(f"rank table: {cond} ranks are not a permutation")
-    rows = table.rows()
-    paths.append(data.write_json(ws.path("reports/rank_table.json"), {"rows": rows}))
-    paths.append(
-        data.write_table(
-            ws.path("reports/rank_table.csv"), list(rows[0]), (row.values() for row in rows)
-        )
-    )
-    paths.append(
-        data.write_json(ws.path("reports/summary.json"), {**summary, "checks_failed": failures})
-    )
+    paths.append(data.write_json(ws.path("reports/rank_table.json"), {"rows": table.rows()}))
+    summary["checks_failed"] = failures
     result = ws.finish("evaluate", started, paths, summary)
     if failures:
         raise InvariantError("evaluate: " + "; ".join(failures))

@@ -227,7 +227,7 @@ def test_criterion_05_gradients_match_finite_differences():
     worst = 0.0
     for seed in range(100):
         model, X, t, loss = _kink_free_config(seed)
-        dWs, dbs = neural.grad_params(model, X, t, loss)
+        _, dWs, dbs = neural.grad_params(model, X, t, loss)
         for a, b in zip([*dWs, *dbs], _fd_params(model, X, t, loss)):
             denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
             worst = max(worst, np.max(np.abs(a - b)) / denom)
@@ -311,12 +311,12 @@ def test_criterion_07_desk_scale_end_to_end(desk_run):
         assert ds.n == rows
         assert int(ds.y.sum()) == rows // 2
 
-    nids_report = json.loads((out / "models/nids_report.json").read_text())
-    assert nids_report["test_accuracy"] >= 0.95
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    test_accuracy = stages["train-nids"]["summary"]["test_accuracy"]
+    assert test_accuracy >= 0.95
 
     for kind in ("fgsm", "pgd"):
-        summary = json.loads((out / f"attacks/{kind}_summary.json").read_text())
-        assert summary["success_rate"] >= 0.80, kind
+        assert stages[f"attack-{kind}"]["summary"]["success_rate"] >= 0.80, kind
 
     lines = []
     for kind in ("fgsm", "pgd", "deepfool"):
@@ -327,7 +327,7 @@ def test_criterion_07_desk_scale_end_to_end(desk_run):
         lines.append(f"{kind}: auc {report['roc_auc']:.4f} acc {report['accuracy']:.4f}")
     _report(
         "criterion 7 (desk-scale end-to-end)",
-        f"[{desk_run['seconds']:.1f}s; acc {nids_report['test_accuracy']:.4f}; "
+        f"[{desk_run['seconds']:.1f}s; acc {test_accuracy:.4f}; "
         + "; ".join(lines) + "]",
     )
 
@@ -382,9 +382,13 @@ def test_criterion_09_rerun_is_byte_identical(desk_run):
         "fingerprints/fgsm.csv",
         "fingerprints/pgd.csv",
         "fingerprints/deepfool.csv",
-        "reports/metrics.csv",
-        "reports/rank_table.csv",
-        "reports/summary.json",
+        "attacks/fgsm.csv",
+        "attacks/pgd.csv",
+        "attacks/deepfool.csv",
+        "reports/metrics_fgsm.json",
+        "reports/metrics_pgd.json",
+        "reports/metrics_deepfool.json",
+        "reports/rank_table.json",
     ]
     before = {rel: _digest(out / rel) for rel in tracked}
     ws = pipeline.Workspace(desk_run["cfg"]["out_dir"], desk_run["cfg"])

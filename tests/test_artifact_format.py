@@ -36,7 +36,6 @@ def test_scaler_bytes(tmp_path):
 
 def test_adv_batch_and_sidecar_bytes(tmp_path):
     batch = attacks.AdvBatch(
-        X_clean=np.array([[0.2, 0.3], [0.9, 1.0]]),
         X_adv=np.array([[0.1, 0.4], [1.0, 0.9]]),
         success=np.array([True, False]),
         linf=np.array([0.1, 0.1]),
@@ -49,9 +48,9 @@ def test_adv_batch_and_sidecar_bytes(tmp_path):
     path = tmp_path / "adv.csv"
     attacks.save_adv_batch(batch, SCHEMA.names, path)
     assert path.read_bytes() == (
-        b"sample_index,success,linf,l2,clean_a,clean_b c,adv_a,adv_b c\r\n"
-        b"4,1,0.1,0.1414213562373095,0.2,0.3,0.1,0.4\r\n"
-        b"9,0,0.1,0.14142135623730953,0.9,1.0,1.0,0.9\r\n"
+        b"sample_index,success,linf,l2,adv_a,adv_b c\r\n"
+        b"4,1,0.1,0.1414213562373095,0.1,0.4\r\n"
+        b"9,0,0.1,0.14142135623730953,1.0,0.9\r\n"
     )
     assert path.with_suffix(".config.json").read_bytes() == (
         b'{\n  "kind": "pgd",\n  "epsilon": 0.1,\n  "alpha": 0.05,\n  "steps": 2,\n'
@@ -61,6 +60,7 @@ def test_adv_batch_and_sidecar_bytes(tmp_path):
     assert back.sample_index.tolist() == [4, 9]
     assert back.success.tolist() == [True, False]
     assert np.array_equal(back.l2, batch.l2) and back.config == batch.config
+    assert np.array_equal(back.X_adv, batch.X_adv) and back.n == 2
 
 
 def test_fingerprints_bytes(tmp_path):

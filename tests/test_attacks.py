@@ -321,7 +321,7 @@ def test_attack_batch_deterministic():
 def test_attack_batch_success_is_model_label_change():
     model, ds = _trained_toy(seed=8, n=100)
     batch = attacks.attack_batch(model, ds, AttackConfig(kind="fgsm"), "all")
-    _, before = neural.predict(model, batch.X_clean)
+    _, before = neural.predict(model, ds.X[batch.sample_index])
     _, after = neural.predict(model, batch.X_adv)
     assert np.array_equal(batch.success, before != after)
 
@@ -341,7 +341,8 @@ def test_adv_batch_roundtrip(tmp_path):
     path = tmp_path / "adv.csv"
     attacks.save_adv_batch(batch, ds.schema.names, path)
     back = attacks.load_adv_batch(path)
-    assert np.array_equal(back.X_clean, batch.X_clean)
+    assert np.array_equal(back.sample_index, batch.sample_index)
     assert np.array_equal(back.X_adv, batch.X_adv)
     assert np.array_equal(back.success, batch.success)
+    assert np.array_equal(back.linf, batch.linf) and np.array_equal(back.l2, batch.l2)
     assert back.config == batch.config

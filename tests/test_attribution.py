@@ -157,9 +157,10 @@ def test_batch_malicious_filter_keeps_rows_in_order():
     X = rng.uniform(0, 1, (5, 6))
     labels = np.array([1, 0, 1, 1, 0])
     bg = BackgroundSet(B=rng.uniform(0, 1, (8, 6)))
-    fps = attribution.fingerprint_batch(model, X, bg, labels=labels, class_filter="malicious")
+    rows = np.flatnonzero(labels == 1)
+    fps = attribution.fingerprint_batch(model, X[rows], bg, sample_ids=rows)
     assert fps.sample_ids.tolist() == [0, 2, 3]
-    assert np.array_equal(fps.phi, attribution.fingerprint_batch(model, X[[0, 2, 3]], bg).phi)
+    assert np.array_equal(fps.phi, attribution.fingerprint_batch(model, X, bg).phi[rows])
 
 
 def test_batch_without_filter_covers_all_rows():
@@ -260,10 +261,9 @@ def test_batch_empty_selection_raises():
     model, rng = _random_relu_net(63)
     X = rng.uniform(0, 1, (3, 6))
     bg = BackgroundSet(B=rng.uniform(0, 1, (5, 6)))
+    labels = np.zeros(3, int)
     with pytest.raises(EmptySelectionError):
-        attribution.fingerprint_batch(
-            model, X, bg, labels=np.zeros(3, int), class_filter="malicious"
-        )
+        attribution.fingerprint_batch(model, X[labels == 1], bg)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapguard import cli, pipeline
+from shapguard import attacks, cli, data, neural, pipeline
 
 
 def _tiny_config(out_dir, **overrides):
@@ -83,19 +83,29 @@ def test_resolve_config_requires_csv_path_for_csv_source():
 def test_run_all_produces_expected_bundle(tiny_run):
     expected = [
         "data/train.csv", "data/val.csv", "data/test.csv", "data/scaler.json",
-        "models/nids.json", "models/nids_history.csv", "models/nids_report.json",
+        "models/nids.json", "models/nids_history.csv",
         "attacks/fgsm.csv", "attacks/pgd.csv", "attacks/deepfool.csv",
         "fingerprints/clean_train.csv", "fingerprints/clean_val.csv",
         "fingerprints/clean_test.csv", "fingerprints/fgsm.csv",
         "fingerprints/pgd.csv", "fingerprints/deepfool.csv", "models/background.csv",
         "detector/detector.json",
-        "reports/metrics.csv", "reports/metrics_fgsm.json",
-        "reports/rank_table.csv", "reports/rank_table.json",
-        "reports/error_distribution_deepfool.json", "reports/summary.json",
+        "reports/metrics_fgsm.json", "reports/rank_table.json",
+        "reports/error_distribution_deepfool.json",
         "manifest.json", "resolved_config.json",
     ]
     for rel in expected:
         assert (tiny_run / rel).exists(), rel
+    # each of these repeated a fact that another artifact holds
+    deleted = [
+        "models/nids_report.json",
+        *(f"attacks/{kind}_summary.json" for kind in pipeline.ATTACK_KINDS),
+        "reports/metrics.csv", "reports/rank_table.csv", "reports/summary.json",
+        *(f"reports/error_distribution_{kind}.csv" for kind in pipeline.ATTACK_KINDS),
+    ]
+    assert len(deleted) == 10
+    for rel in deleted:
+        assert not (tiny_run / rel).exists(), rel
+    assert not list((tiny_run / "reports").glob("*.csv"))
 
 
 def test_manifest_lists_every_artifact_with_correct_digest(tiny_run):
@@ -163,7 +173,7 @@ def test_rerun_reproduces_byte_identical_artifacts(tmp_path):
         rel: _digest(tmp_path / "a" / rel)
         for rel in (
             "models/nids.json", "fingerprints/clean_test.csv", "fingerprints/fgsm.csv",
-            "detector/detector.json", "reports/metrics.csv", "reports/rank_table.csv",
+            "detector/detector.json", "reports/metrics_fgsm.json", "reports/rank_table.json",
         )
     }
     cfg2 = dict(cfg, out_dir=str(tmp_path / "b"))
@@ -179,10 +189,10 @@ def test_stage_isolation_rebuilds_identical_downstream(tmp_path):
     out = tmp_path / "run"
     before = {
         rel: _digest(out / rel)
-        for rel in ("detector/detector.json", "reports/metrics.csv")
+        for rel in ("detector/detector.json", "reports/metrics_fgsm.json")
     }
     (out / "detector/detector.json").unlink()
-    (out / "reports/metrics.csv").unlink()
+    (out / "reports/metrics_fgsm.json").unlink()
     assert cli.main(["train-detector", "--config", cfg_path]) == 0
     assert cli.main(["evaluate", "--config", cfg_path]) == 0
     for rel, digest in before.items():
@@ -372,11 +382,46 @@ def test_truncated_fingerprint_file_is_a_stage_failure(tiny_run, tmp_path, capsy
     assert "clean_val.csv" in capsys.readouterr().err
 
 
+def test_missing_attack_config_sidecar_is_a_stage_failure(tiny_run, tmp_path, capsys):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    (out / "attacks/pgd.config.json").unlink()
+    assert cli.main(["fingerprint", "--source", "pgd", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert "pgd.config.json" in capsys.readouterr().err
+
+
 def test_deepfool_stage_counts_degenerate_rows_in_the_manifest_only(tiny_run):
     stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
     assert stages["attack-deepfool"]["summary"]["degenerate_rows"] == 0
-    artifact = json.loads((tiny_run / "attacks/deepfool_summary.json").read_text())
-    assert "degenerate_rows" not in artifact
+    assert not (tiny_run / "attacks/deepfool_summary.json").exists()
+    header = (tiny_run / "attacks/deepfool.csv").read_text().splitlines()[0]
+    assert "degenerate" not in header
+
+
+def test_attack_summaries_and_rows_rebuild_from_the_test_split(tiny_run):
+    """The adversarial table stores no clean rows: linf, l2 and success
+    follow bitwise from data/test.csv at sample_index and the adv_ columns,
+    and the stage summary holds the means the old summary file did."""
+    test = data.load_dataset(tiny_run / "data/test.csv")
+    model = neural.load(tiny_run / "models/nids.json")
+    stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
+    for kind in pipeline.ATTACK_KINDS:
+        header = (tiny_run / f"attacks/{kind}.csv").read_text().splitlines()[0].split(",")
+        assert header == ["sample_index", "success", "linf", "l2",
+                          *(f"adv_{name}" for name in test.schema.names)]
+        batch = attacks.load_adv_batch(tiny_run / f"attacks/{kind}.csv")
+        clean = test.X[batch.sample_index]
+        diff = batch.X_adv - clean
+        assert np.array_equal(batch.linf, np.abs(diff).max(axis=1)), kind
+        assert np.array_equal(batch.l2, np.sqrt((diff**2).sum(axis=1))), kind
+        _, before = neural.predict(model, clean)
+        _, after = neural.predict(model, batch.X_adv)
+        assert np.array_equal(batch.success, before != after), kind
+        summary = stages[f"attack-{kind}"]["summary"]
+        assert summary["rows"] == batch.n
+        assert summary["success_rate"] == batch.success_rate
+        assert summary["mean_linf"] == float(batch.linf.mean())
+        assert summary["mean_l2"] == float(batch.l2.mean())
+    assert stages["evaluate"]["summary"]["checks_failed"] == []
 
 
 @pytest.mark.parametrize("damage", ["missing", "corrupt"])
@@ -406,7 +451,35 @@ def test_train_detector_without_a_recorded_background_is_a_stage_failure(
     del manifest["stages"]["fingerprint"]
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert cli.main(["train-detector", "--config", cfg_path]) == cli.EXIT_STAGE
-    assert "no background recorded" in capsys.readouterr().err
+    assert "manifest.json: missing field 'fingerprint'" in capsys.readouterr().err
+
+
+def _drop_tau(path):
+    payload = json.loads(path.read_text())
+    del payload["tau"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "artifact, damage, argv, message",
+    [
+        ("models/nids.json", lambda p: p.write_text("{}"), ["attack", "--attack", "fgsm"],
+         "models/nids.json: missing field 'spec'"),
+        ("detector/detector.json", _drop_tau, ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: missing field 'tau'"),
+        ("attacks/pgd.config.json", lambda p: p.write_text("{}"),
+         ["fingerprint", "--source", "pgd"], "attacks/pgd.config.json: not an attack config"),
+    ],
+    ids=["nids-empty-object", "detector-without-tau", "attack-config-empty-object"],
+)
+def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
+    tiny_run, tmp_path, capsys, artifact, damage, argv, message
+):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    damage(out / artifact)
+    argv = [str(out / a) if a.endswith(".csv") else a for a in argv]
+    assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
+    assert message in capsys.readouterr().err
 
 
 def test_single_stage_cli_commands(tmp_path):

@@ -241,7 +241,8 @@ def test_grad_params_matches_linear_regression_form():
     y = rng.uniform(-1, 1, (10, 1))
     out, _ = neural.forward(model, X)
     err = out - y
-    dWs, dbs = neural.grad_params(model, X, y, "mse")
+    loss, dWs, dbs = neural.grad_params(model, X, y, "mse")
+    assert loss == neural.loss_value(out, y, "mse")
     assert np.allclose(dWs[0], 2.0 * (err.T @ X) / 10, atol=1e-14)
     assert np.allclose(dbs[0], 2.0 * err.mean(axis=0), atol=1e-14)
 
@@ -249,7 +250,8 @@ def test_grad_params_matches_linear_regression_form():
 def test_grad_params_zero_at_perfect_reconstruction():
     model = _linear_model(np.eye(3), np.zeros(3), output="linear")
     X = np.random.default_rng(0).uniform(0, 1, (5, 3))
-    dWs, dbs = neural.grad_params(model, X, X, "mse")
+    loss, dWs, dbs = neural.grad_params(model, X, X, "mse")
+    assert loss == 0.0
     assert all(np.all(g == 0.0) for g in dWs + dbs)
 
 
@@ -263,7 +265,7 @@ def test_grad_params_finite_difference_oracle():
             if loss == "bce"
             else rng.uniform(0, 1, (4, 1))
         )
-        dWs, dbs = neural.grad_params(model, X, t, loss)
+        _, dWs, dbs = neural.grad_params(model, X, t, loss)
         fWs, fbs = _fd_loss_grad_params(model, X, t, loss)
         for a, b in zip(dWs + dbs, fWs + fbs):
             assert _rel_err(a, b) <= 1e-4
@@ -356,6 +358,59 @@ def test_train_does_not_mutate_input_model():
     before = [W.copy() for W in model.weights]
     neural.train(model, X, y, TrainConfig(epochs=2, seed=0))
     assert all(np.array_equal(a, b) for a, b in zip(before, model.weights))
+
+
+def _inline_adam_training(model, X, targets, cfg):
+    """The training loop as it was before it called grad_params, with
+    Adam's constants (0.9, 0.999, 1e-8) spelled out; the bitwise oracle
+    for neural.train."""
+    t_all = np.asarray(targets, dtype=np.float64)
+    t_all = t_all[:, None] if t_all.ndim == 1 else t_all
+    work = model.copy()
+    params = [*work.weights, *work.biases]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    history, step = [], 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(X.shape[0])
+        total = 0.0
+        for start in range(0, X.shape[0], cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb, tb = X[idx], t_all[idx]
+            out, trace = neural.forward(work, xb)
+            batch_loss = neural.loss_value(out, tb, cfg.loss)
+            delta = neural._output_delta(work, trace, tb, cfg.loss) / xb.shape[0]
+            dWs, dbs = neural._param_grads(work, trace, delta)
+            step += 1
+            for p, g, (m, v) in zip(params, [*dWs, *dbs], moments):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                m_hat = m / (1.0 - 0.9**step)
+                v_hat = v / (1.0 - 0.999**step)
+                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            total += batch_loss * xb.shape[0]
+        history.append(total / X.shape[0])
+    return work, history
+
+
+@pytest.mark.parametrize(
+    "sizes, output, loss",
+    [((12, 16, 8, 1), "sigmoid", "bce"), ((12, 8, 4, 8, 12), "linear", "mse")],
+    ids=["bce-classifier", "mse-autoencoder"],
+)
+def test_train_is_bitwise_the_inline_adam_loop(sizes, output, loss):
+    rng = np.random.default_rng(17)
+    X = rng.uniform(0, 1, (300, 12))
+    targets = rng.integers(0, 2, 300) if loss == "bce" else X
+    model = neural.init(MlpSpec(sizes, output_activation=output, seed=5))
+    cfg = TrainConfig(epochs=4, batch_size=64, learning_rate=0.01, loss=loss, seed=9)
+    trained, history = neural.train(model, X, targets, cfg)
+    oracle, oracle_history = _inline_adam_training(model, X, targets, cfg)
+    assert history == oracle_history
+    for a, b in zip([*trained.weights, *trained.biases], [*oracle.weights, *oracle.biases]):
+        assert np.array_equal(a, b)
 
 
 def test_adam_zero_learning_rate_is_identity():
