@@ -8,7 +8,7 @@ boundary g(x) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,22 +54,6 @@ class AttackConfig:
                 raise ValueError("deepfool needs max_iter >= 1")
             if self.overshoot < 0:
                 raise ValueError("overshoot must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "steps": self.steps,
-            "max_iter": self.max_iter,
-            "overshoot": self.overshoot,
-            "random_start": self.random_start,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AttackConfig":
-        return cls(**payload)
 
 
 @dataclass
@@ -243,7 +227,7 @@ def save_adv_batch(
         )
     )
     data.write_table(path, header, rows)
-    data.write_json(path.with_suffix(".config.json"), batch.config.to_dict())
+    data.write_json(path.with_suffix(".config.json"), asdict(batch.config))
 
 
 def load_adv_batch(path: str | Path) -> AdvBatch:
@@ -252,7 +236,7 @@ def load_adv_batch(path: str | Path) -> AdvBatch:
     sidecar = path.with_suffix(".config.json")
     payload = data.read_json(sidecar)
     try:
-        cfg = AttackConfig.from_dict(payload)
+        cfg = AttackConfig(**payload)
     except (TypeError, ValueError) as exc:
         raise data.ArtifactError(f"{sidecar}: not an attack config: {exc}") from None
     _, values, _ = data.read_table(path)

@@ -103,17 +103,10 @@ class FeatureSchema:
             raise SchemaError("schema needs at least one feature")
         if len(set(names)) != len(names):
             raise SchemaError("feature names must be unique")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     @property
     def m(self) -> int:
         return len(self.names)
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]  # type: ignore[attr-defined]
-        except KeyError:
-            raise SchemaError(f"unknown feature name: {name!r}") from None
 
     @classmethod
     def cic_iot2023(cls) -> "FeatureSchema":

@@ -45,44 +45,12 @@ class CalibrationMethod:
 
 
 @dataclass
-class CalibrationRecord:
-    """How tau was obtained, plus a summary of the validation errors."""
-
-    method: CalibrationMethod
-    n_samples: int
-    error_mean: float
-    error_std: float
-    error_min: float
-    error_max: float
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method.method,
-            "parameter": self.method.parameter,
-            "n_samples": self.n_samples,
-            "error_mean": self.error_mean,
-            "error_std": self.error_std,
-            "error_min": self.error_min,
-            "error_max": self.error_max,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CalibrationRecord":
-        return cls(
-            method=CalibrationMethod(payload["method"], payload["parameter"]),
-            n_samples=payload["n_samples"],
-            error_mean=payload["error_mean"],
-            error_std=payload["error_std"],
-            error_min=payload["error_min"],
-            error_max=payload["error_max"],
-        )
-
-
-@dataclass
 class DetectorModel:
     autoencoder: neural.MlpModel
     tau: float | None = None
-    calibration: CalibrationRecord | None = None
+    # How tau was obtained plus a summary of the validation errors, as
+    # written into detector.json.
+    calibration: dict | None = None
     background_ref: str = ""
 
     @property
@@ -160,18 +128,19 @@ def calibrate(
     """Return a calibrated copy of the detector with tau and its record."""
     e = np.asarray(errors_clean_val, dtype=np.float64)
     tau = calibrate_threshold(e, method)
-    record = CalibrationRecord(
-        method=method,
-        n_samples=int(e.size),
-        error_mean=float(e.mean()),
-        error_std=float(e.std()),
-        error_min=float(e.min()),
-        error_max=float(e.max()),
-    )
+    calibration = {
+        "method": method.method,
+        "parameter": method.parameter,
+        "n_samples": int(e.size),
+        "error_mean": float(e.mean()),
+        "error_std": float(e.std()),
+        "error_min": float(e.min()),
+        "error_max": float(e.max()),
+    }
     return DetectorModel(
         autoencoder=det.autoencoder,
         tau=tau,
-        calibration=record,
+        calibration=calibration,
         background_ref=det.background_ref if background_ref is None else background_ref,
     )
 
@@ -196,7 +165,7 @@ def save_detector(det: DetectorModel, path: str | Path) -> None:
     payload = {
         "autoencoder": neural.to_dict(det.autoencoder),
         "tau": det.tau,
-        "calibration": det.calibration.to_dict() if det.calibration else None,
+        "calibration": det.calibration,
         "background_ref": det.background_ref,
     }
     data.write_json(path, payload, indent=None)
@@ -204,11 +173,10 @@ def save_detector(det: DetectorModel, path: str | Path) -> None:
 
 def load_detector(path: str | Path) -> DetectorModel:
     payload = data.read_json(path)
-    calibration = (
-        CalibrationRecord.from_dict(payload["calibration"])
-        if payload.get("calibration")
-        else None
-    )
+    calibration = payload.get("calibration")
+    if calibration:
+        # rejects a stored method or parameter that calibrate cannot use
+        CalibrationMethod(calibration["method"], calibration["parameter"])
     return DetectorModel(
         autoencoder=neural.from_dict(payload["autoencoder"]),
         tau=payload["tau"],

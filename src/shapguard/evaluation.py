@@ -31,83 +31,6 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
-@dataclass
-class MetricsReport:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    roc_auc: float | None
-    average_precision: float | None
-    specificity: float
-    npv: float
-    fpr: float
-    fnr: float
-    counts: ConfusionCounts
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "roc_auc": self.roc_auc,
-            "average_precision": self.average_precision,
-            "specificity": self.specificity,
-            "npv": self.npv,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "tp": self.counts.tp,
-            "tn": self.counts.tn,
-            "fp": self.counts.fp,
-            "fn": self.counts.fn,
-        }
-
-
-@dataclass
-class RobustnessReport:
-    ca: float
-    aa: float
-    asr: float
-
-    def to_dict(self) -> dict:
-        return {"ca": self.ca, "aa": self.aa, "asr": self.asr}
-
-
-@dataclass
-class RankTable:
-    """Per-feature mean |SHAP|, ranks per condition, shifts per attack."""
-
-    feature_names: tuple[str, ...]
-    values: dict[str, np.ndarray]        # condition -> mean |SHAP|
-    values_norm: dict[str, np.ndarray]   # condition -> value / max(value)
-    ranks: dict[str, np.ndarray]         # condition -> 1..M
-    shifts: dict[str, np.ndarray]        # attack -> |rank_clean - rank_attack|
-    clean_condition: str = "clean"
-
-    def conditions(self) -> list[str]:
-        return list(self.values.keys())
-
-    def rows(self) -> list[dict]:
-        """Table rows sorted by clean rank (most important first)."""
-        conds = self.conditions()
-        attacks = [c for c in conds if c != self.clean_condition]
-        order = np.argsort(self.ranks[self.clean_condition])
-        out = []
-        for j in order:
-            row: dict = {"feature": self.feature_names[j], "index": int(j)}
-            for c in conds:
-                row[f"shap_{c}"] = float(self.values[c][j])
-            for c in conds:
-                row[f"shap_norm_{c}"] = float(self.values_norm[c][j])
-            for c in conds:
-                row[f"rank_{c}"] = int(self.ranks[c][j])
-            for c in attacks:
-                row[f"shift_{c}"] = int(self.shifts[c][j])
-            out.append(row)
-        return out
-
-
 def confusion(
     true_labels: Sequence[int] | np.ndarray, predicted_labels: Sequence[int] | np.ndarray
 ) -> ConfusionCounts:
@@ -171,8 +94,9 @@ def classification_metrics(
     counts: ConfusionCounts,
     scores: np.ndarray | None = None,
     truths: np.ndarray | None = None,
-) -> MetricsReport:
-    """Threshold metrics from counts plus score-based AUC/AP when given.
+) -> dict:
+    """Threshold metrics from counts plus score-based AUC/AP when given, in
+    report order: accuracy ... fnr, then the counts tp, tn, fp, fn.
 
     Zero-denominator conventions: precision = 0 when tp+fp = 0, recall = 0
     when tp+fn = 0, f1 = 0 when precision+recall = 0 (and likewise 0 for
@@ -195,39 +119,42 @@ def classification_metrics(
             raise ValueError("scores/truths length mismatch")
         auc = roc_auc(scores, truths)
         ap = average_precision(scores, truths)
-    return MetricsReport(
-        accuracy=(tp + tn) / counts.total,
-        precision=precision,
-        recall=recall,
-        f1=(
+    return {
+        "accuracy": (tp + tn) / counts.total,
+        "precision": precision,
+        "recall": recall,
+        "f1": (
             2.0 * precision * recall / (precision + recall)
             if precision + recall > 0
             else 0.0
         ),
-        roc_auc=auc,
-        average_precision=ap,
-        specificity=ratio(tn, tn + fp),
-        npv=ratio(tn, tn + fn),
-        fpr=ratio(fp, fp + tn),
-        fnr=ratio(fn, fn + tp),
-        counts=counts,
-    )
+        "roc_auc": auc,
+        "average_precision": ap,
+        "specificity": ratio(tn, tn + fp),
+        "npv": ratio(tn, tn + fn),
+        "fpr": ratio(fp, fp + tn),
+        "fnr": ratio(fn, fn + tp),
+        "tp": tp,
+        "tn": tn,
+        "fp": fp,
+        "fn": fn,
+    }
 
 
 def robustness_metrics(
     clean_results: Sequence[bool] | np.ndarray,
     adv_results: Sequence[bool] | np.ndarray,
-) -> RobustnessReport:
+) -> dict:
     """CA/AA from correctness flags; ASR = misclassified adv / total adv."""
     clean = np.asarray(clean_results, dtype=bool)
     adv = np.asarray(adv_results, dtype=bool)
     if clean.size == 0 or adv.size == 0:
         raise ValueError("empty correctness flags")
-    return RobustnessReport(
-        ca=float(np.count_nonzero(clean) / clean.size),
-        aa=float(np.count_nonzero(adv) / adv.size),
-        asr=float(np.count_nonzero(~adv) / adv.size),
-    )
+    return {
+        "ca": float(np.count_nonzero(clean) / clean.size),
+        "aa": float(np.count_nonzero(adv) / adv.size),
+        "asr": float(np.count_nonzero(~adv) / adv.size),
+    }
 
 
 def importance(Z: np.ndarray) -> np.ndarray:
@@ -260,41 +187,37 @@ def rank_shift(clean_ranks: np.ndarray, attack_ranks: np.ndarray) -> np.ndarray:
 def build_rank_table(
     feature_names: Sequence[str],
     importance_by_condition: dict[str, np.ndarray],
-    clean_condition: str = "clean",
-) -> RankTable:
-    if clean_condition not in importance_by_condition:
-        raise ValueError(f"missing clean condition {clean_condition!r}")
+) -> list[dict]:
+    """Rank table rows, most important clean feature first: per feature its
+    mean |SHAP| per condition, that value over the condition's largest, its
+    rank 1..M per condition and, per attack, |rank_clean - rank_attack|."""
+    if "clean" not in importance_by_condition:
+        raise ValueError("missing clean condition 'clean'")
     values = {c: np.asarray(v, dtype=np.float64) for c, v in importance_by_condition.items()}
     m = len(feature_names)
     for c, v in values.items():
         if v.shape != (m,):
             raise ValueError(f"condition {c!r} importance length != {m}")
-    values_norm = {
-        c: (v / v.max() if v.max() > 0 else v.copy()) for c, v in values.items()
-    }
+    values_norm = {c: (v / v.max() if v.max() > 0 else v) for c, v in values.items()}
     ranks = {c: rank_features(v) for c, v in values.items()}
-    shifts = {
-        c: rank_shift(ranks[clean_condition], ranks[c])
-        for c in values
-        if c != clean_condition
-    }
-    return RankTable(
-        feature_names=tuple(feature_names),
-        values=values,
-        values_norm=values_norm,
-        ranks=ranks,
-        shifts=shifts,
-        clean_condition=clean_condition,
-    )
+    shifts = {c: rank_shift(ranks["clean"], r) for c, r in ranks.items() if c != "clean"}
+    rows = []
+    for j in np.argsort(ranks["clean"]):
+        row: dict = {"feature": feature_names[j], "index": int(j)}
+        row.update((f"shap_{c}", float(v[j])) for c, v in values.items())
+        row.update((f"shap_norm_{c}", float(v[j])) for c, v in values_norm.items())
+        row.update((f"rank_{c}", int(r[j])) for c, r in ranks.items())
+        row.update((f"shift_{c}", int(d[j])) for c, d in shifts.items())
+        rows.append(row)
+    return rows
 
 
 def error_distribution_report(
     errors_clean: np.ndarray,
     errors_adv: np.ndarray,
     tau: float,
-    bins: int = 50,
 ) -> dict:
-    """Histogram over the pooled range plus per-group summary stats."""
+    """50-bin histogram over the pooled range plus per-group summary stats."""
     clean = np.asarray(errors_clean, dtype=np.float64)
     adv = np.asarray(errors_adv, dtype=np.float64)
     if clean.size == 0 or adv.size == 0:
@@ -303,7 +226,7 @@ def error_distribution_report(
     lo, hi = float(pooled.min()), float(pooled.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, 51)
     clean_counts, _ = np.histogram(clean, bins=edges)
     adv_counts, _ = np.histogram(adv, bins=edges)
 

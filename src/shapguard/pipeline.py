@@ -12,7 +12,6 @@ import copy
 import hashlib
 import logging
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -175,14 +174,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class StageResult:
-    name: str
-    seconds: float
-    artifacts: dict[str, str] = field(default_factory=dict)
-    summary: dict = field(default_factory=dict)
-
-
 class Workspace:
     """Output directory plus the cumulative run manifest."""
 
@@ -220,16 +211,12 @@ class Workspace:
     def write_resolved_config(self) -> Path:
         """Persist the resolved config snapshot and record it in the manifest."""
         target = data.write_json(self.path("resolved_config.json"), self.cfg)
-        self.record(
-            StageResult(
-                name="config",
-                seconds=0.0,
-                artifacts={"resolved_config.json": f"sha256:{_sha256(target)}"},
-            )
-        )
+        self.record("config", 0.0, {"resolved_config.json": f"sha256:{_sha256(target)}"}, {})
         return target
 
-    def record(self, result: StageResult) -> None:
+    def record(
+        self, name: str, seconds: float, artifacts: dict[str, str], summary: dict
+    ) -> None:
         manifest_path = self.path(MANIFEST_NAME)
         if manifest_path.exists():
             manifest = data.read_json(manifest_path)
@@ -243,29 +230,21 @@ class Workspace:
         manifest["resolved_config"] = self.cfg
         # A stage run again on part of its outputs (fingerprint --source fgsm)
         # keeps the digests of the files it did not rewrite.
-        earlier = manifest["stages"].get(result.name, {}).get("artifacts", {})
-        manifest["stages"][result.name] = {
-            "seconds": round(result.seconds, 3),
-            "artifacts": {**earlier, **result.artifacts},
-            "summary": result.summary,
+        earlier = manifest["stages"].get(name, {}).get("artifacts", {})
+        manifest["stages"][name] = {
+            "seconds": round(seconds, 3),
+            "artifacts": {**earlier, **artifacts},
+            "summary": summary,
         }
         data.write_json(manifest_path, manifest)
 
-    def finish(
-        self, name: str, started: float, paths: list[Path], summary: dict
-    ) -> StageResult:
+    def finish(self, name: str, started: float, paths: list[Path], summary: dict) -> None:
         artifacts = {
             str(p.relative_to(self.root)): f"sha256:{_sha256(p)}" for p in paths
         }
-        result = StageResult(
-            name=name,
-            seconds=time.perf_counter() - started,
-            artifacts=artifacts,
-            summary=summary,
-        )
-        self.record(result)
-        logger.info("stage %s finished in %.2fs: %s", name, result.seconds, summary)
-        return result
+        seconds = time.perf_counter() - started
+        self.record(name, seconds, artifacts, summary)
+        logger.info("stage %s finished in %.2fs: %s", name, seconds, summary)
 
 
 def _schema_from_cfg(csv_cfg: dict) -> data.FeatureSchema:
@@ -322,7 +301,7 @@ def _load_background(path: Path) -> attribution.BackgroundSet:
 # stages
 
 
-def cmd_ingest(ws: Workspace) -> StageResult:
+def cmd_ingest(ws: Workspace) -> None:
     """Ingest or synthesize data, split, fit the scaler on train, persist."""
     started = time.perf_counter()
     cfg = ws.cfg["data"]
@@ -375,10 +354,10 @@ def cmd_ingest(ws: Workspace) -> StageResult:
         "val": val.n,
         "test": test.n,
     }
-    return ws.finish("ingest", started, paths, summary)
+    ws.finish("ingest", started, paths, summary)
 
 
-def cmd_train_nids(ws: Workspace) -> StageResult:
+def cmd_train_nids(ws: Workspace) -> None:
     """Train the reference classifier; persist model and loss history.
 
     The accuracies go into the stage summary; the final loss and the epoch
@@ -413,10 +392,10 @@ def cmd_train_nids(ws: Workspace) -> StageResult:
         ws.path("models/nids_history.csv"), ["epoch", "loss"], enumerate(history, start=1)
     )
     summary = {"train_accuracy": train_acc, "test_accuracy": test_acc}
-    return ws.finish("train-nids", started, [model_path, history_path], summary)
+    ws.finish("train-nids", started, [model_path, history_path], summary)
 
 
-def cmd_attack(ws: Workspace, kind: str) -> StageResult:
+def cmd_attack(ws: Workspace, kind: str) -> None:
     """Craft adversarial rows from the test split for one attack kind."""
     started = time.perf_counter()
     if kind not in ATTACK_KINDS:
@@ -441,7 +420,7 @@ def cmd_attack(ws: Workspace, kind: str) -> StageResult:
     }
     if kind == "deepfool":
         summary["degenerate_rows"] = batch.degenerate_rows
-    return ws.finish(
+    ws.finish(
         f"attack-{kind}", started, [csv_path, csv_path.with_suffix(".config.json")], summary
     )
 
@@ -474,7 +453,7 @@ def _fingerprint_sources(
             )
 
 
-def cmd_fingerprint(ws: Workspace, source: str = "all") -> StageResult:
+def cmd_fingerprint(ws: Workspace, source: str = "all") -> None:
     """Compute attribution fingerprints for clean splits and/or attacks.
 
     source is 'clean', an attack kind, or 'all'. Completeness violations
@@ -514,10 +493,10 @@ def cmd_fingerprint(ws: Workspace, source: str = "all") -> StageResult:
         "background": background.describe(),
         "max_completeness_gap": max_gap,
     }
-    return ws.finish("fingerprint", started, paths, summary)
+    ws.finish("fingerprint", started, paths, summary)
 
 
-def cmd_train_detector(ws: Workspace) -> StageResult:
+def cmd_train_detector(ws: Workspace) -> None:
     """Train the autoencoder on clean train fingerprints and calibrate tau."""
     started = time.perf_counter()
     cfg = ws.cfg["detector"]
@@ -554,35 +533,33 @@ def cmd_train_detector(ws: Workspace) -> StageResult:
     )
     logger.info("detector tau=%.6g on %d validation errors", det.tau, errors_val.size)
     summary = {"tau": det.tau, "val_errors": int(errors_val.size)}
-    return ws.finish("train-detector", started, [det_path, history_path], summary)
+    ws.finish("train-detector", started, [det_path, history_path], summary)
 
 
-def _detector_checks(
-    report: evaluation.MetricsReport, robustness: evaluation.RobustnessReport
-) -> list[str]:
+def _detector_checks(metrics: dict, robustness: dict) -> list[str]:
     """Recompute every threshold metric from counts; return failures."""
     failures = []
-    c = report.counts
+    tp, tn, fp, fn = metrics["tp"], metrics["tn"], metrics["fp"], metrics["fn"]
     expected = {
-        "accuracy": (c.tp + c.tn) / c.total,
-        "precision": c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0,
-        "recall": c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0,
-        "specificity": c.tn / (c.tn + c.fp) if c.tn + c.fp else 0.0,
-        "npv": c.tn / (c.tn + c.fn) if c.tn + c.fn else 0.0,
-        "fpr": c.fp / (c.fp + c.tn) if c.fp + c.tn else 0.0,
-        "fnr": c.fn / (c.fn + c.tp) if c.fn + c.tp else 0.0,
+        "accuracy": (tp + tn) / (tp + tn + fp + fn),
+        "precision": tp / (tp + fp) if tp + fp else 0.0,
+        "recall": tp / (tp + fn) if tp + fn else 0.0,
+        "specificity": tn / (tn + fp) if tn + fp else 0.0,
+        "npv": tn / (tn + fn) if tn + fn else 0.0,
+        "fpr": fp / (fp + tn) if fp + tn else 0.0,
+        "fnr": fn / (fn + tp) if fn + tp else 0.0,
     }
     p, r = expected["precision"], expected["recall"]
     expected["f1"] = 2 * p * r / (p + r) if p + r else 0.0
     for name, value in expected.items():
-        if abs(getattr(report, name) - value) > 1e-12:
+        if abs(metrics[name] - value) > 1e-12:
             failures.append(f"{name} mismatch")
-    if abs(robustness.aa + robustness.asr - 1.0) > 1e-12:
+    if abs(robustness["aa"] + robustness["asr"] - 1.0) > 1e-12:
         failures.append("aa + asr != 1")
     return failures
 
 
-def cmd_evaluate(ws: Workspace) -> StageResult:
+def cmd_evaluate(ws: Workspace) -> None:
     """Emit the JSON report bundle; the failed checks go into the stage
     summary, and any failure raises InvariantError."""
     started = time.perf_counter()
@@ -609,48 +586,48 @@ def cmd_evaluate(ws: Workspace) -> StageResult:
         )
         preds = (scores > det.tau).astype(int)
         counts = evaluation.confusion(truths, preds)
-        report = evaluation.classification_metrics(counts, scores, truths)
+        metrics = evaluation.classification_metrics(counts, scores, truths)
         robustness = evaluation.robustness_metrics(
             clean_results=errors_clean <= det.tau,
             adv_results=errors_adv > det.tau,
         )
-        failures.extend(f"{kind}: {msg}" for msg in _detector_checks(report, robustness))
+        failures.extend(f"{kind}: {msg}" for msg in _detector_checks(metrics, robustness))
 
         paths.append(data.write_json(
             ws.path(f"reports/metrics_{kind}.json"),
-            {"attack": kind, **report.to_dict(), **robustness.to_dict()},
+            {"attack": kind, **metrics, **robustness},
         ))
         paths.append(data.write_json(
             ws.path(f"reports/error_distribution_{kind}.json"),
             evaluation.error_distribution_report(errors_clean, errors_adv, det.tau),
         ))
         summary[kind] = {
-            "accuracy": report.accuracy,
-            "roc_auc": report.roc_auc,
-            "aa": robustness.aa,
+            "accuracy": metrics["accuracy"],
+            "roc_auc": metrics["roc_auc"],
+            "aa": robustness["aa"],
         }
 
-    table = evaluation.build_rank_table(schema.names, importance_by_condition)
-    for cond, ranks in table.ranks.items():
-        if sorted(ranks.tolist()) != list(range(1, len(table.feature_names) + 1)):
+    rows = evaluation.build_rank_table(schema.names, importance_by_condition)
+    for cond in importance_by_condition:
+        if sorted(row[f"rank_{cond}"] for row in rows) != list(range(1, schema.m + 1)):
             failures.append(f"rank table: {cond} ranks are not a permutation")
-    paths.append(data.write_json(ws.path("reports/rank_table.json"), {"rows": table.rows()}))
+    paths.append(data.write_json(ws.path("reports/rank_table.json"), {"rows": rows}))
     summary["checks_failed"] = failures
-    result = ws.finish("evaluate", started, paths, summary)
+    ws.finish("evaluate", started, paths, summary)
     if failures:
         raise InvariantError("evaluate: " + "; ".join(failures))
-    return result
 
 
-def cmd_detect(ws: Workspace, input_path: str | Path) -> StageResult:
+def cmd_detect(ws: Workspace, input_path: str | Path) -> None:
     """Fingerprint every row of a dataset CSV, score the fingerprints with
     the autoencoder and compare the scores with tau.
 
     The input must be in scaled feature space (like the persisted splits):
     the feature columns of data/scaler.json in the same order, every value
-    finite and inside the [0, 1] box; labels in the file are ignored. The
-    background is the one the fingerprint stage saved. Decisions and scores
-    are written to reports/detections.json.
+    finite and inside the [0, 1] box, then a last column named label whose
+    cells may hold any text and are ignored. The background is the one the
+    fingerprint stage saved. Decisions and scores are written to
+    reports/detections.json.
     """
     started = time.perf_counter()
     input_path = Path(input_path)
@@ -659,45 +636,50 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> StageResult:
     _, schema = ws.load("data/scaler.json", "detect", data.load_scaler)
     background = ws.load(BACKGROUND, "detect", _load_background)
     try:
-        ds = data.load_dataset(input_path)
+        header, values, _ = data.read_table(input_path, text=(data.LABEL_COLUMN,))
     except FileNotFoundError:
         raise StageError(f"detect: file not found: {input_path}") from None
     except ValueError as exc:
         raise StageError(f"detect: {exc}") from exc
-    if ds.schema.names != schema.names:
+    expected = [*schema.names, data.LABEL_COLUMN]
+    if header != expected:
         raise StageError(
-            f"detect: {input_path}: feature columns {list(ds.schema.names)} do not "
-            f"match the trained schema {list(schema.names)} in data/scaler.json"
+            f"detect: {input_path}: columns {header} do not match the trained "
+            f"schema in data/scaler.json plus the label column: {expected}"
         )
-    outside = ~np.isfinite(ds.X) | (ds.X < -data.BOX_TOL) | (ds.X > 1.0 + data.BOX_TOL)
+    if not len(values):
+        raise StageError(f"detect: {input_path}: no data rows")
+    X = values[:, :-1]
+    outside = ~np.isfinite(X) | (X < -data.BOX_TOL) | (X > 1.0 + data.BOX_TOL)
     if outside.any():
         row, col = np.argwhere(outside)[0]
         raise StageError(
             f"detect: {input_path}: data row {row + 1}, column {schema.names[col]!r}: "
-            f"{float(ds.X[row, col])!r} is not a finite value in [0, 1]"
+            f"{float(X[row, col])!r} is not a finite value in [0, 1]"
         )
-    fps = attribution.fingerprint_batch(nids, ds.X, background)
+    fps = attribution.fingerprint_batch(nids, X, background)
     decisions, scores = detector.detect(det, fps.phi)
     flagged = int(np.count_nonzero(decisions == "adversarial"))
     rows = [
         {"sample_id": i, "decision": decision, "score": score}
         for i, (decision, score) in enumerate(zip(decisions.tolist(), scores.tolist()))
     ]
+    n = len(X)
     target = data.write_json(
         ws.path("reports/detections.json"),
-        {"input": str(input_path), "tau": det.tau, "n": ds.n,
+        {"input": str(input_path), "tau": det.tau, "n": n,
          "adversarial": flagged, "rows": rows},
     )
-    summary = {"n": ds.n, "adversarial": flagged, "tau": det.tau}
-    return ws.finish("detect", started, [target], summary)
+    summary = {"n": n, "adversarial": flagged, "tau": det.tau}
+    ws.finish("detect", started, [target], summary)
 
 
-def cmd_run_all(ws: Workspace) -> list[StageResult]:
+def cmd_run_all(ws: Workspace) -> None:
     """Execute every stage in pipeline order."""
-    results = [cmd_ingest(ws), cmd_train_nids(ws)]
+    cmd_ingest(ws)
+    cmd_train_nids(ws)
     for kind in ATTACK_KINDS:
-        results.append(cmd_attack(ws, kind))
-    results.append(cmd_fingerprint(ws, "all"))
-    results.append(cmd_train_detector(ws))
-    results.append(cmd_evaluate(ws))
-    return results
+        cmd_attack(ws, kind)
+    cmd_fingerprint(ws, "all")
+    cmd_train_detector(ws)
+    cmd_evaluate(ws)

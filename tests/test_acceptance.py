@@ -60,13 +60,13 @@ def test_criterion_01_metric_oracle_matches_published_rows():
         "f1": 0.9951, "fpr": 0.0045, "fnr": 0.0052,
     }
     for name, value in published.items():
-        assert abs(getattr(fgsm, name) - value) <= tol, name
+        assert abs(fgsm[name] - value) <= tol, name
 
     deepfool = evaluation.classification_metrics(
         evaluation.ConfusionCounts(tp=6649, tn=9735, fp=265, fn=3351)
     )
-    assert abs(deepfool.recall - 0.6649) <= tol
-    assert abs(deepfool.fnr - 0.3351) <= tol
+    assert abs(deepfool["recall"] - 0.6649) <= tol
+    assert abs(deepfool["fnr"] - 0.3351) <= tol
     _report("criterion 1 (metric oracle vs published rows)")
 
 
@@ -78,12 +78,12 @@ def test_criterion_02_robustness_oracle_matches_published_rows():
     fgsm = evaluation.robustness_metrics(
         [True] * 9955 + [False] * 45, [True] * 9948 + [False] * 52
     )
-    assert fgsm.ca == 0.9955
-    assert fgsm.aa == 0.9948
-    assert fgsm.asr == 0.0052
+    assert fgsm["ca"] == 0.9955
+    assert fgsm["aa"] == 0.9948
+    assert fgsm["asr"] == 0.0052
     pgd = evaluation.robustness_metrics([True] * 9955 + [False] * 45, [True] * 10000)
-    assert pgd.aa == 1.0
-    assert pgd.asr == 0.0
+    assert pgd["aa"] == 1.0
+    assert pgd["asr"] == 0.0
     _report("criterion 2 (robustness oracle, exact)")
 
 
@@ -122,7 +122,7 @@ def test_criterion_03_rank_shift_oracle_matches_published_ranking():
         "IRC": (38, 20, 18),
     }
     for name, (rc, rf, shift) in expected.items():
-        j = schema.index_of(name)
+        j = schema.names.index(name)
         assert clean_ranks[j] == rc, name
         assert fgsm_ranks[j] == rf, name
         assert shifts[j] == shift, name

@@ -6,9 +6,12 @@ These tests pin the bytes. The floats cover the repr corner cases: a
 subnormal, 1e16 (exponent form), 1e-05, -0.0 and a 17-digit mantissa.
 """
 
+import hashlib
+import json
+
 import numpy as np
 
-from shapguard import attacks, attribution, data, detector, neural
+from shapguard import attacks, attribution, data, detector, neural, pipeline
 
 SCHEMA = data.FeatureSchema(("a", "b c"))
 
@@ -101,11 +104,12 @@ def test_detector_bytes(tmp_path):
         weights=[np.array([[1.0, -2.0]]), np.array([[0.5], [0.25]])],
         biases=[np.array([0.0]), np.array([0.1, 0.2])],
     )
-    record = detector.CalibrationRecord(
-        detector.CalibrationMethod("percentile", 99.0), 10, 0.1, 0.2, 0.0, 0.9
-    )
+    calibration = {
+        "method": "percentile", "parameter": 99.0, "n_samples": 10,
+        "error_mean": 0.1, "error_std": 0.2, "error_min": 0.0, "error_max": 0.9,
+    }
     det = detector.DetectorModel(
-        autoencoder=ae, tau=0.75, calibration=record,
+        autoencoder=ae, tau=0.75, calibration=calibration,
         background_ref="clean-train (k=3, seed=1)",
     )
     path = tmp_path / "det.json"
@@ -117,4 +121,116 @@ def test_detector_bytes(tmp_path):
         b'{"method": "percentile", "parameter": 99.0, "n_samples": 10, "error_mean": 0.1, '
         b'"error_std": 0.2, "error_min": 0.0, "error_max": 0.9}, '
         b'"background_ref": "clean-train (k=3, seed=1)"}\n'
+    )
+
+
+# The detector of test_detector_bytes and four fingerprint tables whose
+# reconstruction errors (0.05 .. 4.1 against tau 0.75) give every confusion
+# cell, a score tie between clean and deepfool rows and a rank swap.
+EVAL_DETECTOR = (
+    b'{"autoencoder": {"spec": {"layer_sizes": [2, 1, 2], "hidden_activation": "relu", '
+    b'"output_activation": "linear", "seed": 5}, "weights": [[[1.0, -2.0]], [[0.5], '
+    b'[0.25]]], "biases": [[0.0], [0.1, 0.2]]}, "tau": 0.75, "calibration": '
+    b'{"method": "percentile", "parameter": 99.0, "n_samples": 10, "error_mean": 0.1, '
+    b'"error_std": 0.2, "error_min": 0.0, "error_max": 0.9}, '
+    b'"background_ref": "clean-train (k=3, seed=1)"}\n'
+)
+EVAL_SCALER = b'{"schema": ["a", "b c"], "min": [0.0, 0.0], "max": [1.0, 1.0]}\n'
+EVAL_FINGERPRINTS = {
+    "clean_test": b"0,0.125,0.0,0.0,0.125,clean\r\n1,0.125,1.0,0.0,1.125,clean\r\n"
+                  b"2,0.125,0.5,0.5,1.125,clean\r\n3,0.125,2.0,0.0,2.125,clean\r\n",
+    "fgsm": b"0,0.125,0.0,1.0,1.125,fgsm\r\n1,0.125,-1.0,0.0,-0.875,fgsm\r\n"
+            b"2,0.125,0.0,-1.0,-0.875,fgsm\r\n",
+    "pgd": b"0,0.125,-1.0,0.0,-0.875,pgd\r\n1,0.125,0.0,-1.0,-0.875,pgd\r\n"
+           b"3,0.125,2.0,0.0,2.125,pgd\r\n",
+    "deepfool": b"0,0.125,0.0,1.0,1.125,deepfool\r\n2,0.125,0.0,0.0,0.125,deepfool\r\n",
+}
+
+
+def test_evaluate_report_bytes(tmp_path):
+    for sub in ("detector", "data", "fingerprints"):
+        (tmp_path / sub).mkdir()
+    (tmp_path / "detector/detector.json").write_bytes(EVAL_DETECTOR)
+    (tmp_path / "data/scaler.json").write_bytes(EVAL_SCALER)
+    for name, body in EVAL_FINGERPRINTS.items():
+        (tmp_path / f"fingerprints/{name}.csv").write_bytes(
+            b"sample_id,phi0,phi_1,phi_2,model_output,origin\r\n" + body
+        )
+    pipeline.cmd_evaluate(pipeline.Workspace(tmp_path, {}))
+    reports = tmp_path / "reports"
+    assert (reports / "metrics_fgsm.json").read_bytes() == (
+        b'{\n  "attack": "fgsm",\n  "accuracy": 0.7142857142857143,\n'
+        b'  "precision": 0.6666666666666666,\n  "recall": 0.6666666666666666,\n'
+        b'  "f1": 0.6666666666666666,\n  "roc_auc": 0.8333333333333333,\n'
+        b'  "average_precision": 0.8055555555555556,\n  "specificity": 0.75,\n'
+        b'  "npv": 0.75,\n  "fpr": 0.25,\n  "fnr": 0.3333333333333333,\n'
+        b'  "tp": 2,\n  "tn": 3,\n  "fp": 1,\n  "fn": 1,\n'
+        b'  "ca": 0.75,\n  "aa": 0.6666666666666666,\n  "asr": 0.3333333333333333\n}\n'
+    )
+    assert (reports / "metrics_pgd.json").read_bytes() == (
+        b'{\n  "attack": "pgd",\n  "accuracy": 0.8571428571428571,\n  "precision": 0.75,\n'
+        b'  "recall": 1.0,\n  "f1": 0.8571428571428571,\n  "roc_auc": 0.875,\n'
+        b'  "average_precision": 0.8055555555555556,\n  "specificity": 0.75,\n'
+        b'  "npv": 1.0,\n  "fpr": 0.25,\n  "fnr": 0.0,\n'
+        b'  "tp": 3,\n  "tn": 3,\n  "fp": 1,\n  "fn": 0,\n'
+        b'  "ca": 0.75,\n  "aa": 1.0,\n  "asr": 0.0\n}\n'
+    )
+    assert (reports / "metrics_deepfool.json").read_bytes() == (
+        b'{\n  "attack": "deepfool",\n  "accuracy": 0.5,\n  "precision": 0.0,\n'
+        b'  "recall": 0.0,\n  "f1": 0.0,\n  "roc_auc": 0.4375,\n'
+        b'  "average_precision": 0.41666666666666663,\n  "specificity": 0.75,\n'
+        b'  "npv": 0.6,\n  "fpr": 0.25,\n  "fnr": 1.0,\n'
+        b'  "tp": 0,\n  "tn": 3,\n  "fp": 1,\n  "fn": 2,\n'
+        b'  "ca": 0.75,\n  "aa": 0.0,\n  "asr": 1.0\n}\n'
+    )
+    row_a = (
+        b'    {\n      "feature": "a",\n      "index": 0,\n'
+        b'      "shap_clean": 0.875,\n      "shap_fgsm": 0.3333333333333333,\n'
+        b'      "shap_pgd": 1.0,\n      "shap_deepfool": 0.0,\n'
+        b'      "shap_norm_clean": 1.0,\n      "shap_norm_fgsm": 0.5,\n'
+        b'      "shap_norm_pgd": 1.0,\n      "shap_norm_deepfool": 0.0,\n'
+        b'      "rank_clean": 1,\n      "rank_fgsm": 2,\n      "rank_pgd": 1,\n'
+        b'      "rank_deepfool": 2,\n'
+        b'      "shift_fgsm": 1,\n      "shift_pgd": 0,\n      "shift_deepfool": 1\n    }'
+    )
+    row_bc = (
+        b'    {\n      "feature": "b c",\n      "index": 1,\n'
+        b'      "shap_clean": 0.125,\n      "shap_fgsm": 0.6666666666666666,\n'
+        b'      "shap_pgd": 0.3333333333333333,\n      "shap_deepfool": 0.5,\n'
+        b'      "shap_norm_clean": 0.14285714285714285,\n      "shap_norm_fgsm": 1.0,\n'
+        b'      "shap_norm_pgd": 0.3333333333333333,\n      "shap_norm_deepfool": 1.0,\n'
+        b'      "rank_clean": 2,\n      "rank_fgsm": 1,\n      "rank_pgd": 2,\n'
+        b'      "rank_deepfool": 1,\n'
+        b'      "shift_fgsm": 1,\n      "shift_pgd": 0,\n      "shift_deepfool": 1\n    }'
+    )
+    assert (reports / "rank_table.json").read_bytes() == (
+        b'{\n  "rows": [\n' + row_a + b",\n" + row_bc + b"\n  ]\n}\n"
+    )
+    # 51 bin edges and 2 x 50 counts, one per line: pinned by digest, with
+    # the per-group summaries spelled out.
+    digests = {
+        "fgsm": "1a923f17fb8c5863c36e3d31ee96d65116c1eaa62907f10c5f19739011836d2a",
+        "pgd": "d040efa1856b374ddbb17290879c2bf1052dfb19508c43e51f543e733341c086",
+        "deepfool": "bccfb660dfc427effb8c6e83fcf9d560bfaacc56259ad505dcd4c433f7859ee8",
+    }
+    for kind, digest in digests.items():
+        body = (reports / f"error_distribution_{kind}.json").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == digest, kind
+    assert (reports / "error_distribution_fgsm.json").read_bytes().endswith(
+        b'  "clean": {\n    "count": 4,\n    "mean": 0.490625,\n    "median": 0.30625,\n'
+        b'    "fraction_above_tau": 0.25\n  },\n'
+        b'  "adv": {\n    "count": 3,\n    "mean": 2.0,\n    "median": 1.2500000000000002,\n'
+        b'    "fraction_above_tau": 0.6666666666666666\n  }\n}\n'
+    )
+    stage = json.loads((tmp_path / "manifest.json").read_text())["stages"]["evaluate"]
+    assert stage["summary"] == {
+        "tau": 0.75, "clean_rows": 4,
+        "fgsm": {"accuracy": 0.7142857142857143, "roc_auc": 0.8333333333333333,
+                 "aa": 0.6666666666666666},
+        "pgd": {"accuracy": 0.8571428571428571, "roc_auc": 0.875, "aa": 1.0},
+        "deepfool": {"accuracy": 0.5, "roc_auc": 0.4375, "aa": 0.0},
+        "checks_failed": [],
+    }
+    assert sorted(stage["artifacts"]) == sorted(
+        f"reports/{p.name}" for p in reports.iterdir()
     )

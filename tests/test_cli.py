@@ -326,6 +326,21 @@ def test_detect_rejects_cells_outside_the_box(tiny_run, tmp_path, capsys, value)
     assert "data row 2, column 'f0'" in err and "[0, 1]" in err
 
 
+@pytest.mark.parametrize("label", ["2", "BenignTraffic", ""])
+def test_detect_ignores_the_label_column(tiny_run, tmp_path, label):
+    """Any text in the label column scores like the unmodified file."""
+    cfg_path = _write_config(tmp_path, json.loads((tiny_run / "resolved_config.json").read_text()))
+    argv = ["detect", "--config", cfg_path, "--input", str(tiny_run / "data/test.csv")]
+    assert cli.main(argv) == 0
+    unmodified = json.loads((tiny_run / "reports/detections.json").read_text())["rows"]
+
+    def relabel(rows):
+        return [rows[0], *([*row[:-1], label] for row in rows[1:])]
+    assert _detect_on_rewritten_test_csv(tiny_run, tmp_path, relabel) == 0
+    relabelled = json.loads((tiny_run / "reports/detections.json").read_text())["rows"]
+    assert relabelled == unmodified
+
+
 def _copy_of_run(tiny_run, tmp_path):
     """A private copy of the tiny run plus an unresolved config for it, so
     a --seed override re-derives every seed."""

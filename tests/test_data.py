@@ -30,17 +30,15 @@ def _small_schema():
 def test_cic_schema_has_39_features_with_table_indices():
     schema = FeatureSchema.cic_iot2023()
     assert schema.m == 39
-    assert schema.index_of("Header_Length") == 0
-    assert schema.index_of("IAT") == 36
-    assert schema.index_of("Number") == 37
-    assert schema.index_of("Variance") == 38
+    assert schema.names.index("Header_Length") == 0
+    assert schema.names.index("IAT") == 36
+    assert schema.names.index("Number") == 37
+    assert schema.names.index("Variance") == 38
 
 
-def test_schema_rejects_duplicates_and_unknown_lookup():
+def test_schema_rejects_duplicates():
     with pytest.raises(SchemaError):
         FeatureSchema(("x", "x"))
-    with pytest.raises(SchemaError):
-        _small_schema().index_of("nope")
 
 
 # ---------------------------------------------------------------------------

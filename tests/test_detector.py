@@ -245,7 +245,7 @@ def test_detector_json_roundtrip(tmp_path):
     detector.save_detector(det, path)
     back = detector.load_detector(path)
     assert back.tau == det.tau
-    assert back.calibration.method == det.calibration.method
+    assert back.calibration == det.calibration
     z = np.array([0.1, 0.9, 0.4])
     assert detector.detect(back, z) == detector.detect(det, z)
 

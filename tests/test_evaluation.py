@@ -59,16 +59,16 @@ def test_confusion_empty_and_mismatch():
 
 def test_metrics_zero_denominator_conventions():
     report = evaluation.classification_metrics(ConfusionCounts(tp=0, tn=5, fp=0, fn=0))
-    assert report.precision == 0.0 and report.recall == 0.0 and report.f1 == 0.0
+    assert report["precision"] == 0.0 and report["recall"] == 0.0 and report["f1"] == 0.0
 
 
 def test_metrics_identities():
     report = evaluation.classification_metrics(ConfusionCounts(tp=7, tn=11, fp=3, fn=2))
-    assert report.fpr + report.specificity == pytest.approx(1.0, abs=1e-12)
-    assert report.fnr + report.recall == pytest.approx(1.0, abs=1e-12)
-    p, r = report.precision, report.recall
-    assert report.f1 == pytest.approx(2 * p * r / (p + r), abs=1e-12)
-    assert report.accuracy == pytest.approx(18 / 23, abs=1e-12)
+    assert report["fpr"] + report["specificity"] == pytest.approx(1.0, abs=1e-12)
+    assert report["fnr"] + report["recall"] == pytest.approx(1.0, abs=1e-12)
+    p, r = report["precision"], report["recall"]
+    assert report["f1"] == pytest.approx(2 * p * r / (p + r), abs=1e-12)
+    assert report["accuracy"] == pytest.approx(18 / 23, abs=1e-12)
 
 
 def test_metrics_perfect_separation_scores():
@@ -76,8 +76,8 @@ def test_metrics_perfect_separation_scores():
     truths = np.array([1, 1, 0, 0])
     counts = evaluation.confusion(truths, (scores > 0.5).astype(int))
     report = evaluation.classification_metrics(counts, scores, truths)
-    assert report.roc_auc == 1.0
-    assert report.average_precision == 1.0
+    assert report["roc_auc"] == 1.0
+    assert report["average_precision"] == 1.0
 
 
 def test_metrics_single_class_truths_leave_auc_undefined():
@@ -85,8 +85,8 @@ def test_metrics_single_class_truths_leave_auc_undefined():
     truths = np.array([1, 1])
     counts = ConfusionCounts(tp=2, tn=0, fp=0, fn=0)
     report = evaluation.classification_metrics(counts, scores, truths)
-    assert report.roc_auc is None and report.average_precision is None
-    assert report.accuracy == 1.0
+    assert report["roc_auc"] is None and report["average_precision"] is None
+    assert report["accuracy"] == 1.0
 
 
 def test_auc_invariant_under_monotone_transform():
@@ -134,19 +134,19 @@ def test_published_shap_fgsm_detection_row():
     counts = ConfusionCounts(tp=9948, tn=9955, fp=45, fn=52)
     report = evaluation.classification_metrics(counts)
     tol = 5e-5 + 1e-9
-    assert abs(report.accuracy - 0.9952) <= tol
-    assert abs(report.precision - 0.9955) <= tol
-    assert abs(report.recall - 0.9948) <= tol
-    assert abs(report.f1 - 0.9951) <= tol
-    assert abs(report.fpr - 0.0045) <= tol
-    assert abs(report.fnr - 0.0052) <= tol
+    assert abs(report["accuracy"] - 0.9952) <= tol
+    assert abs(report["precision"] - 0.9955) <= tol
+    assert abs(report["recall"] - 0.9948) <= tol
+    assert abs(report["f1"] - 0.9951) <= tol
+    assert abs(report["fpr"] - 0.0045) <= tol
+    assert abs(report["fnr"] - 0.0052) <= tol
 
 
 def test_published_adversarially_trained_deepfool_row():
     counts = ConfusionCounts(tp=6649, tn=9735, fp=265, fn=3351)
     report = evaluation.classification_metrics(counts)
-    assert report.recall == pytest.approx(0.6649, abs=1e-12)
-    assert report.fnr == pytest.approx(0.3351, abs=1e-12)
+    assert report["recall"] == pytest.approx(0.6649, abs=1e-12)
+    assert report["fnr"] == pytest.approx(0.3351, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +157,20 @@ def test_published_shap_fgsm_robustness_row():
     clean = [True] * 9955 + [False] * 45
     adv = [True] * 9948 + [False] * 52
     report = evaluation.robustness_metrics(clean, adv)
-    assert report.ca == 0.9955
-    assert report.aa == 0.9948
-    assert report.asr == 0.0052
+    assert report["ca"] == 0.9955
+    assert report["aa"] == 0.9948
+    assert report["asr"] == 0.0052
 
 
 def test_published_shap_pgd_row_perfect_detection():
     report = evaluation.robustness_metrics([True] * 9955 + [False] * 45, [True] * 10000)
-    assert report.aa == 1.0 and report.asr == 0.0
+    assert report["aa"] == 1.0 and report["asr"] == 0.0
 
 
 def test_robustness_asr_complement_and_sum():
     report = evaluation.robustness_metrics([True, False], [False, False, False])
-    assert report.asr == 1.0
-    assert report.aa + report.asr == pytest.approx(1.0, abs=1e-12)
+    assert report["asr"] == 1.0
+    assert report["aa"] + report["asr"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_robustness_empty_rejected():
@@ -209,15 +209,15 @@ def test_rank_shift_definition():
 
 
 def test_build_rank_table_normalization_and_rows():
-    table = evaluation.build_rank_table(
+    rows = evaluation.build_rank_table(
         ("a", "b", "c"),
         {"clean": np.array([1.0, 4.0, 2.0]), "fgsm": np.array([2.0, 1.0, 4.0])},
     )
-    assert table.ranks["clean"].tolist() == [3, 1, 2]
-    assert table.ranks["fgsm"].tolist() == [2, 3, 1]
-    assert table.shifts["fgsm"].tolist() == [1, 2, 1]
-    assert table.values_norm["clean"].tolist() == [0.25, 1.0, 0.5]
-    rows = table.rows()
+    by_index = sorted(rows, key=lambda row: row["index"])
+    assert [row["rank_clean"] for row in by_index] == [3, 1, 2]
+    assert [row["rank_fgsm"] for row in by_index] == [2, 3, 1]
+    assert [row["shift_fgsm"] for row in by_index] == [1, 2, 1]
+    assert [row["shap_norm_clean"] for row in by_index] == [0.25, 1.0, 0.5]
     assert rows[0]["feature"] == "b"  # sorted by clean rank
     assert rows[0]["rank_clean"] == 1 and rows[0]["shift_fgsm"] == 2
 
