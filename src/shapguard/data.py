@@ -78,16 +78,20 @@ class SchemaError(ValueError):
     """A CSV header or matrix dimension does not match the expected schema."""
 
 
-class ParseError(ValueError):
-    """A CSV cell could not be parsed as a number."""
-
-
 class EmptyDatasetError(ValueError):
     """No usable rows were found or selected."""
 
 
 class ArtifactError(ValueError):
     """An artifact file is empty, truncated or malformed."""
+
+
+class ParseError(ArtifactError):
+    """A CSV cell could not be parsed as a number."""
+
+
+class EmptyFileError(ArtifactError, EmptyDatasetError):
+    """A CSV file has no header line."""
 
 
 @dataclass(frozen=True)
@@ -204,73 +208,37 @@ def load_csv(
     label_column: str = LABEL_COLUMN,
     benign_labels: frozenset[str] | set[str] = DEFAULT_BENIGN_LABELS,
 ) -> FlowDataset:
-    """Load a flow-feature CSV into a FlowDataset.
+    """Load a raw flow-feature CSV into a FlowDataset.
 
-    The header must contain every schema feature plus the label column; extra
-    columns are ignored. Label strings found in ``benign_labels`` map to 0,
-    everything else to 1. Rows containing NaN/inf are dropped with a counted
-    warning.
+    The file is read by :func:`read_table`, so every column but the label
+    column must be numeric. The schema columns are taken by name, in schema
+    order; other columns are ignored. Label cells, stripped, found in
+    ``benign_labels`` map to 0, everything else to 1. Rows with NaN/inf in a
+    schema column are dropped with a counted warning.
 
     Raises:
-        SchemaError: a required column is missing from the header.
-        ParseError: a cell cannot be parsed as a number (names row/column).
+        SchemaError: a schema column is missing from the header.
         EmptyDatasetError: the file has no header or no usable data rows.
+        ArtifactError: as :func:`read_table`, e.g. the label column is missing.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDatasetError(f"{path}: file is empty")
-        header = [cell.strip() for cell in header]
-        positions = {name: i for i, name in enumerate(header)}
-
-        missing = [n for n in (*schema.names, label_column) if n not in positions]
-        if missing:
-            raise SchemaError(
-                f"{path}: missing required column(s): {', '.join(missing)}"
-            )
-        feat_idx = [positions[n] for n in schema.names]
-        label_idx = positions[label_column]
-        max_idx = max(*feat_idx, label_idx)
-
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        dropped = 0
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) <= max_idx:
-                raise ParseError(
-                    f"{path}: row {line_no}: expected at least {max_idx + 1} cells, "
-                    f"got {len(raw)}"
-                )
-            values = []
-            for name, col in zip(schema.names, feat_idx):
-                cell = raw[col].strip()
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {line_no}, column {name!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-            if not all(math.isfinite(v) for v in values):
-                dropped += 1
-                continue
-            rows.append(values)
-            labels.append(0 if raw[label_idx].strip() in benign_labels else 1)
-
+    header, values, text = read_table(path, text=(label_column,))
+    positions = {name: i for i, name in enumerate(header)}
+    missing = [name for name in schema.names if name not in positions]
+    if missing:
+        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+    X = values[:, [positions[name] for name in schema.names]]
+    finite = np.isfinite(X).all(axis=1)
+    dropped = int(np.count_nonzero(~finite))
     if dropped:
         warnings.warn(
             f"{path}: dropped {dropped} row(s) containing NaN/inf values",
             stacklevel=2,
         )
-    if not rows:
+    if not finite.any():
         raise EmptyDatasetError(f"{path}: no usable data rows")
-    X = np.array(rows, dtype=np.float64)
-    logger.info("loaded %d rows x %d features from %s", X.shape[0], X.shape[1], path)
-    return FlowDataset(schema=schema, X=X, y=np.array(labels, dtype=np.int64))
+    y = np.array([label.strip() not in benign_labels for label in text[label_column]])
+    logger.info("loaded %d rows x %d features from %s", finite.sum(), schema.m, path)
+    return FlowDataset(schema=schema, X=X[finite], y=y[finite])
 
 
 def fit_scaler(ds: FlowDataset) -> ScalerParams:
@@ -450,50 +418,68 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Iterable
 def read_table(
     path: str | Path, text: Sequence[str] = ()
 ) -> tuple[list[str], np.ndarray, dict[str, list[str]]]:
-    """Read a CSV artifact written by :func:`write_table`.
+    """Read a CSV file in the dialect :func:`write_table` writes.
 
-    Returns the header, a float64 matrix with one row per non-blank line and
-    one column per header cell, and the cells of the columns named in
-    ``text`` as lists of str (their matrix columns hold NaN).
+    Returns the header (its cells stripped), a float64 matrix with one row
+    per non-blank line and one column per header cell, and the cells of the
+    columns named in ``text`` as lists of str (their matrix columns hold NaN).
 
     Raises:
-        ArtifactError: the file is empty, a text column is missing, a row's
-            width differs from the header's or a cell is not a number.
+        ArtifactError: the file is empty (EmptyFileError), a text column is
+            missing, a row's width differs from the header's or a cell is
+            not a number (ParseError); a bad row is named by its file line.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader([fh.readline()]), None)
+        header = [name.strip() for name in next(csv.reader([fh.readline()]), [])]
         if not header:
-            raise ArtifactError(f"{path}: file is empty")
+            raise EmptyFileError(f"{path}: file is empty")
         missing = [name for name in text if name not in header]
         if missing:
             raise ArtifactError(f"{path}: missing column(s): {', '.join(missing)}")
         cells: dict[str, list[str]] = {name: [] for name in text}
-        converters = {header.index(name): _collect_into(cells[name]) for name in text}
+        # list.append returns None, which numpy stores as NaN
+        converters = {header.index(name): cells[name].append for name in text}
         values = np.empty((0, len(header)))
-        # np.loadtxt streams the lines; it is handed the first non-blank one
-        # because it warns on input without any.
-        first = next((line for line in fh if line.strip()), None)
-        if first is not None:
-            try:
+        # np.loadtxt streams the non-blank lines; it is handed the first one
+        # apart because it warns on input without any.
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        try:
+            if first is not None:
                 values = np.loadtxt(
-                    itertools.chain([first], fh), dtype=np.float64, delimiter=",",
+                    itertools.chain([first], lines), dtype=np.float64, delimiter=",",
                     quotechar='"', comments=None, converters=converters, ndmin=2,
                 )
-            except ValueError as exc:
-                raise ArtifactError(f"{path}: malformed table: {exc}") from None
-    if values.shape[1] != len(header):
-        raise ArtifactError(
-            f"{path}: rows have {values.shape[1]} cells but the header has {len(header)}"
-        )
+            if values.shape[1] != len(header):
+                raise ValueError(f"rows have {values.shape[1]} cells, the header {len(header)}")
+        except ValueError as exc:
+            # numpy counts rows from the first data line: scan the lines
+            # again to name the first bad one as a line of the file.
+            fh.seek(0)
+            fh.readline()
+            for line_no, line in enumerate(fh, start=2):
+                row = next(csv.reader([line])) if line.strip() else []
+                if row and len(row) != len(header):
+                    raise ArtifactError(f"{path}: row {line_no} has {len(row)} cells "
+                                        f"but the header has {len(header)}") from None
+                for j, cell in enumerate(row):
+                    if j not in converters and not _parses_as_float64(cell):
+                        raise ParseError(f"{path}: row {line_no}, column {header[j]!r}: "
+                                         f"cannot parse {cell!r} as a number") from None
+            raise ArtifactError(f"{path}: malformed table: {exc}") from None
     return header, values, cells
 
 
-def _collect_into(cells: list[str]):
-    def convert(cell: str) -> float:
-        cells.append(cell)
-        return math.nan
-    return convert
+def _parses_as_float64(cell: str) -> bool:
+    """np.loadtxt's test: float() of the stripped cell, less digit-grouping
+    underscores and non-ASCII digits."""
+    cell = cell.strip()
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return cell.isascii() and "_" not in cell
 
 
 def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:

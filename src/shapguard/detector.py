@@ -173,13 +173,16 @@ def save_detector(det: DetectorModel, path: str | Path) -> None:
 
 def load_detector(path: str | Path) -> DetectorModel:
     payload = data.read_json(path)
+    tau = payload["tau"]
+    if type(tau) not in (int, float) or not np.isfinite(tau):
+        raise data.ArtifactError(f"{path}: tau must be a finite number, got {tau!r}")
     calibration = payload.get("calibration")
     if calibration:
         # rejects a stored method or parameter that calibrate cannot use
         CalibrationMethod(calibration["method"], calibration["parameter"])
     return DetectorModel(
         autoencoder=neural.from_dict(payload["autoencoder"]),
-        tau=payload["tau"],
+        tau=tau,
         calibration=calibration,
         background_ref=payload.get("background_ref", ""),
     )

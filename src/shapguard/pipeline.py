@@ -336,7 +336,7 @@ def cmd_ingest(ws: Workspace) -> None:
         test = data.apply_scaler(test, scaler)
     except FileNotFoundError as exc:
         raise StageError(f"ingest: file not found: {exc.filename}") from exc
-    except (data.SchemaError, data.ParseError, data.EmptyDatasetError, ValueError) as exc:
+    except ValueError as exc:
         raise StageError(f"ingest: {exc}") from exc
 
     paths = []
@@ -565,10 +565,17 @@ def cmd_evaluate(ws: Workspace) -> None:
     started = time.perf_counter()
     det = ws.load("detector/detector.json", "evaluate", detector.load_detector)
     _, schema = ws.load("data/scaler.json", "evaluate", data.load_scaler)
-    Z_clean = ws.load(
-        "fingerprints/clean_test.csv", "evaluate", attribution.load_fingerprints
-    ).phi
-    errors_clean = detector.reconstruction_errors(det.autoencoder, Z_clean)
+
+    def scored(rel: str) -> tuple[np.ndarray, np.ndarray]:
+        Z = ws.load(rel, "evaluate", attribution.load_fingerprints).phi
+        if not Z.shape[1] == det.autoencoder.spec.input_size == schema.m:
+            raise StageError(
+                f"evaluate: {rel}: {Z.shape[1]} fingerprint features, but the detector "
+                f"takes {det.autoencoder.spec.input_size} and data/scaler.json has {schema.m}"
+            )
+        return Z, detector.reconstruction_errors(det.autoencoder, Z)
+
+    Z_clean, errors_clean = scored("fingerprints/clean_test.csv")
 
     paths: list[Path] = []
     failures: list[str] = []
@@ -576,8 +583,7 @@ def cmd_evaluate(ws: Workspace) -> None:
     summary: dict = {"tau": det.tau, "clean_rows": int(errors_clean.size)}
 
     for kind in ATTACK_KINDS:
-        Z_adv = ws.load(f"fingerprints/{kind}.csv", "evaluate", attribution.load_fingerprints).phi
-        errors_adv = detector.reconstruction_errors(det.autoencoder, Z_adv)
+        Z_adv, errors_adv = scored(f"fingerprints/{kind}.csv")
         importance_by_condition[kind] = evaluation.importance(Z_adv)
 
         scores = np.concatenate([errors_clean, errors_adv])

@@ -6,8 +6,10 @@ These tests pin the bytes. The floats cover the repr corner cases: a
 subnormal, 1e16 (exponent form), 1e-05, -0.0 and a 17-digit mantissa.
 """
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -234,3 +236,35 @@ def test_evaluate_report_bytes(tmp_path):
     assert sorted(stage["artifacts"]) == sorted(
         f"reports/{p.name}" for p in reports.iterdir()
     )
+
+
+# Calls that read or write a file's format; outside the codec each would be
+# a second reader or writer of some artifact.
+FORMAT_CALLS = {
+    "csv.reader", "csv.writer", "csv.DictReader", "csv.DictWriter",
+    "np.loadtxt", "np.genfromtxt", "np.savetxt",
+    "json.load", "json.loads", "json.dump", "json.dumps",
+}
+
+
+def test_files_are_parsed_and_written_by_the_codec_alone():
+    src = Path(data.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    call = f"{func.value.id}.{func.attr}"
+                    if call in FORMAT_CALLS:
+                        found.add((f"{path.stem}.{owner}", call))
+    assert found == {
+        ("data.write_table", "csv.writer"),
+        ("data.read_table", "csv.reader"),
+        ("data.read_table", "np.loadtxt"),
+        ("data.write_json", "json.dump"),
+        ("data.read_json", "json.load"),
+        # the user's --config file is input, not an artifact
+        ("cli.main", "json.load"),
+    }

@@ -245,6 +245,37 @@ def test_exit_stage_failure_on_missing_csv(tmp_path):
     assert code == cli.EXIT_STAGE
 
 
+def _ingest_raw_csv(tmp_path, text):
+    """Run ingest on a raw CSV holding ``text``, schema a, b, c; return the
+    exit code and the file's path."""
+    path = tmp_path / "flows.csv"
+    path.write_text(text, encoding="utf-8")
+    cfg = _tiny_config(tmp_path / "run")
+    cfg["data"] = {"source": "csv", "csv": {"path": str(path), "schema": ["a", "b", "c"]}}
+    return cli.main(["ingest", "--config", _write_config(tmp_path, cfg)]), path
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b,c,label\n1,2,3,x\n4,oops,6,x\n", "row 3, column 'b': cannot parse 'oops'"),
+        ("a,c,label\n1,3,x\n", "missing required column(s): b"),
+        # rejected since ingest reads through the table codec; the parser
+        # before it ignored or accepted each of these
+        ("a,b,c,proto,label\n1,2,3,tcp,x\n", "row 2, column 'proto': cannot parse 'tcp'"),
+        ("a,b,c,label\n1,2,3,x\n4,5,6,x,extra\n", "row 3 has 5 cells but the header has 4"),
+        ("a,b,c,label\n1,2,3,x\n,,,\n", "row 3, column 'a': cannot parse ''"),
+        ("a,b,c,label\n1,2,3,x\n1_000,5,6,x\n", "row 3, column 'a': cannot parse '1_000'"),
+    ],
+    ids=["unparsable-cell", "missing-column", "text-extra-column", "ragged-row",
+         "empty-cells-row", "digit-grouping"],
+)
+def test_ingest_rejects_a_malformed_raw_csv_naming_the_file(tmp_path, capsys, text, message):
+    code, path = _ingest_raw_csv(tmp_path, text)
+    assert code == cli.EXIT_STAGE
+    assert f"ingest: {path}: {message}" in capsys.readouterr().err
+
+
 def test_detect_command_scores_a_dataset(tiny_run, tmp_path):
     cfg = json.loads((tiny_run / "resolved_config.json").read_text())
     cfg_path = _write_config(tmp_path, cfg)
@@ -397,6 +428,38 @@ def test_truncated_fingerprint_file_is_a_stage_failure(tiny_run, tmp_path, capsy
     assert "clean_val.csv" in capsys.readouterr().err
 
 
+def _rewrite_csv(path, rewrite):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rewrite(rows))
+
+
+def test_unparsable_fingerprint_cell_is_a_stage_failure_naming_its_line(tiny_run, tmp_path, capsys):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+
+    def corrupt(rows):
+        rows[2][rows[0].index("phi_2")] = "oops"
+        return rows
+    _rewrite_csv(out / "fingerprints/clean_val.csv", corrupt)
+    assert cli.main(["train-detector", "--config", cfg_path]) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "fingerprints/clean_val.csv: row 3, column 'phi_2': cannot parse 'oops'" in err
+
+
+@pytest.mark.parametrize("source", ["clean_test", "deepfool"])
+def test_evaluate_rejects_fingerprints_wider_than_the_detector(tiny_run, tmp_path, capsys, source):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+
+    def widen(rows):
+        at = rows[0].index("model_output")
+        return [[*row[:at], "phi_9" if i == 0 else "0.0", *row[at:]] for i, row in enumerate(rows)]
+    _rewrite_csv(out / f"fingerprints/{source}.csv", widen)
+    assert cli.main(["evaluate", "--config", cfg_path]) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert f"fingerprints/{source}.csv: 9 fingerprint features, but the detector takes 8" in err
+
+
 def test_missing_attack_config_sidecar_is_a_stage_failure(tiny_run, tmp_path, capsys):
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
     (out / "attacks/pgd.config.json").unlink()
@@ -475,6 +538,14 @@ def _drop_tau(path):
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _set_tau(value):
+    def damage(path):
+        payload = json.loads(path.read_text())
+        payload["tau"] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    return damage
+
+
 @pytest.mark.parametrize(
     "artifact, damage, argv, message",
     [
@@ -484,8 +555,15 @@ def _drop_tau(path):
          "detector/detector.json: missing field 'tau'"),
         ("attacks/pgd.config.json", lambda p: p.write_text("{}"),
          ["fingerprint", "--source", "pgd"], "attacks/pgd.config.json: not an attack config"),
+        *(
+            ("detector/detector.json", _set_tau(tau), argv,
+             f"detector/detector.json: tau must be a finite number, got {tau!r}")
+            for tau in (None, "0.5")
+            for argv in (["detect", "--input", "data/test.csv"], ["evaluate"])
+        ),
     ],
-    ids=["nids-empty-object", "detector-without-tau", "attack-config-empty-object"],
+    ids=["nids-empty-object", "detector-without-tau", "attack-config-empty-object",
+         "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, artifact, damage, argv, message

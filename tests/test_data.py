@@ -1,3 +1,9 @@
+import csv
+import logging
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,6 +111,112 @@ def test_load_csv_drops_nan_inf_rows_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="dropped 2"):
         ds = data.load_csv(path, _small_schema())
     assert ds.n == 2
+
+
+def _reference_load_csv(
+    path,
+    schema,
+    label_column=data.LABEL_COLUMN,
+    benign_labels=data.DEFAULT_BENIGN_LABELS,
+):
+    """The hand-written csv.reader parser load_csv replaced, kept verbatim
+    as the oracle for the inputs both accept."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDatasetError(f"{path}: file is empty")
+        header = [cell.strip() for cell in header]
+        positions = {name: i for i, name in enumerate(header)}
+
+        missing = [n for n in (*schema.names, label_column) if n not in positions]
+        if missing:
+            raise SchemaError(
+                f"{path}: missing required column(s): {', '.join(missing)}"
+            )
+        feat_idx = [positions[n] for n in schema.names]
+        label_idx = positions[label_column]
+        max_idx = max(*feat_idx, label_idx)
+
+        rows: list[list[float]] = []
+        labels: list[int] = []
+        dropped = 0
+        for line_no, raw in enumerate(reader, start=2):
+            if not raw or all(not cell.strip() for cell in raw):
+                continue
+            if len(raw) <= max_idx:
+                raise ParseError(
+                    f"{path}: row {line_no}: expected at least {max_idx + 1} cells, "
+                    f"got {len(raw)}"
+                )
+            values = []
+            for name, col in zip(schema.names, feat_idx):
+                cell = raw[col].strip()
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {line_no}, column {name!r}: "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
+            if not all(math.isfinite(v) for v in values):
+                dropped += 1
+                continue
+            rows.append(values)
+            labels.append(0 if raw[label_idx].strip() in benign_labels else 1)
+
+    if dropped:
+        warnings.warn(
+            f"{path}: dropped {dropped} row(s) containing NaN/inf values",
+            stacklevel=2,
+        )
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no usable data rows")
+    X = np.array(rows, dtype=np.float64)
+    logging.getLogger(__name__).info(
+        "loaded %d rows x %d features from %s", X.shape[0], X.shape[1], path
+    )
+    return FlowDataset(schema=schema, X=X, y=np.array(labels, dtype=np.int64))
+
+
+def _spell(rng, v):
+    """One of the spellings a raw CSV may hold for the float v."""
+    return (repr(v), f"{v:.6g}", f"{v:.4e}", f"{v:E}", f" {v!r} ", f"\t{v:.3g}")[rng.integers(6)]
+
+
+def test_load_csv_matches_the_reference_parser_bitwise(tmp_path):
+    schema = FeatureSchema(("Rate", "Protocol Type", "IAT", "Tot sum", "f4", "f5"))
+    rng = np.random.default_rng(17)
+    # schema columns shuffled, numeric extra columns before, between and
+    # after them, the label in the middle, a padded header cell
+    header = ["x0", "IAT", " Rate ", "x1", "f5", "label", "Tot sum", "x2", "f4",
+              "Protocol Type", "x3"]
+    lines = [",".join(header)]
+    for i in range(400):
+        cells = [_spell(rng, float(v)) for v in rng.normal(0, 10.0 ** rng.integers(-6, 7), 11)]
+        cells[5] = ["BenignTraffic", " BenignTraffic ", "Mirai", "DDoS-ICMP_Flood", ""][i % 5]
+        if i % 23 == 0:
+            cells[1 + i % 4] = ["-0.0", "0", "-0", "4.9e-324"][i % 4]
+        if i % 17 == 0:
+            cells[[1, 2, 4, 6, 8, 9][i % 6]] = ["inf", "-inf", "nan", "NaN", " Infinity", "-nan"][i % 6]
+        if i % 19 == 0:
+            cells[[0, 3, 7, 10][i % 4]] = ["inf", "nan"][i % 2]  # not a schema column: kept
+        lines.append(",".join(cells))
+        if i % 50 == 0:
+            lines.append("")
+    path = tmp_path / "flows.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+
+    with pytest.warns(UserWarning) as expected_warnings:
+        expected = _reference_load_csv(path, schema)
+    with pytest.warns(UserWarning) as got_warnings:
+        got = data.load_csv(path, schema)
+    assert got.X.tobytes() == expected.X.tobytes()
+    assert np.array_equal(got.y, expected.y)
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in expected_warnings]
+    assert "dropped 24 row(s)" in str(got_warnings[0].message)
+    assert 0 < got.y.mean() < 1 and np.signbit(got.X).any()
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +418,37 @@ def test_read_table_rejects_empty_and_ragged_files(tmp_path):
         data.read_table(path)
     with pytest.raises(data.ArtifactError, match="missing column"):
         data.read_table(path, text=("c",))
+
+
+def test_read_table_names_the_file_line_of_a_bad_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n  \n3,x\n")
+    with pytest.raises(ParseError, match=r"t.csv: row 5, column 'b': cannot parse 'x'"):
+        data.read_table(path)
+    path.write_text("a,b\r\n1,2\r\n\r\n3,4,5\r\n")
+    with pytest.raises(data.ArtifactError, match=r"t.csv: row 4 has 3 cells but the header has 2"):
+        data.read_table(path)
+    assert issubclass(ParseError, data.ArtifactError)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["1_000", "\u0663", "\xa01.5", "1.5\u3000", "\x1c7", " 1.5 ", "inf", "-nan", "1e400",
+     ".5", "+1", "4.9e-324", "0x1p3", "1d5", "", " ", "1 5", "nan(1)", "--1", "1e"],
+)
+def test_read_table_locates_exactly_the_cells_numpy_rejects(tmp_path, cell):
+    """A cell numpy cannot read is named by its line and column; one it can
+    read is passed over, so the error names the ragged row after it."""
+    try:
+        np.loadtxt([f'"{cell}"'], delimiter=",", quotechar='"', comments=None)
+        message = "row 4 has 3 cells"
+    except ValueError:
+        message = "row 3, column 'b'"
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["a", "b"], [1, 2], [3, cell], [4, 5, 6]])
+    with pytest.raises(data.ArtifactError, match=message):
+        data.read_table(path)
 
 
 def test_json_artifact_rejects_truncated_file(tmp_path):
