@@ -90,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     ws = pipeline.Workspace(cfg["out_dir"], cfg)
-    ws.write_resolved_config()
+    if args.command not in ("detect", "evaluate"):  # the two read no config value
+        ws.write_resolved_config()
     try:
         if args.command == "ingest":
             pipeline.cmd_ingest(ws)
@@ -110,9 +111,6 @@ def main(argv: list[str] | None = None) -> int:
             pipeline.cmd_detect(ws, args.input)
         else:
             pipeline.cmd_run_all(ws)
-    except pipeline.ConfigError as exc:
-        print(f"shapguard: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except pipeline.InvariantError as exc:
         print(f"shapguard: invariant check failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import logging
+import sys
 import time
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -116,6 +117,38 @@ _SEED_OFFSETS = {
 }
 
 
+# An overriding value has the JSON type of the default it replaces, save
+# these leaves: a seed left unset is null, a csv schema a list of names.
+_FORMS = {
+    **{".".join(keys): (int, None) for keys in _SEED_OFFSETS},
+    "data.csv.path": (str, None),
+    "data.csv.schema": (str, [str]),
+}
+_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", None: "null"}
+
+
+def _fits(form, value) -> bool:
+    """Whether ``value`` has ``form``: a type, None, or [form] for a list."""
+    if isinstance(form, list):
+        return isinstance(value, list) and all(_fits(form[0], item) for item in value)
+    if form is None:
+        return value is None
+    if form is float:  # an integer is a number too; every number is finite
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is form  # so a boolean is no integer
+
+
+def _leaf(where: str, default, value):
+    """``value`` if it fits the form of ``default``, as a float where that
+    is a float; otherwise a ConfigError."""
+    own = [type(default[0])] if isinstance(default, list) else type(default)
+    forms = _FORMS.get(where, (own,))
+    if not any(_fits(form, value) for form in forms):
+        names = (f"list of {_NAMES[f[0]]}s" if isinstance(f, list) else _NAMES[f] for f in forms)
+        raise ConfigError(f"config key {where!r} must be {' or '.join(names)}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -127,8 +160,17 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
                 raise ConfigError(f"config key {where!r} must be a mapping")
             out[key] = _merge(base[key], value, where)
         else:
-            out[key] = value
+            out[key] = _leaf(where, base[key], value)
     return out
+
+
+def _checked(section: str, build: Callable[..., Any], *args, **kwargs) -> Any:
+    """``build(*args, **kwargs)``, a ValueError from it raised as a
+    ConfigError naming the config section it checks."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def resolve_config(
@@ -136,29 +178,44 @@ def resolve_config(
     seed_override: int | None = None,
     out_override: str | None = None,
 ) -> dict:
-    """Merge user settings over defaults and materialize every seed.
+    """Merge user settings over defaults, materialize every seed and check
+    every value: its type, and its range by building each setting object a
+    stage builds from it.
 
     The resolved snapshot is fully explicit: later stages never fall back
-    to implicit defaults, so a run is reproducible from its snapshot alone.
+    to implicit defaults or cast a value, so a run is reproducible from its
+    snapshot alone.
     """
+    flags = {"seed": seed_override, "out_dir": out_override}
     cfg = _merge(DEFAULT_CONFIG, user or {})
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
-    if out_override is not None:
-        cfg["out_dir"] = str(out_override)
-    master = int(cfg["seed"])
+    cfg = _merge(cfg, {key: value for key, value in flags.items() if value is not None})
     for keys, offset in _SEED_OFFSETS.items():
         node = cfg
         for key in keys[:-1]:
             node = node[key]
         if node[keys[-1]] is None:
-            node[keys[-1]] = master + offset
-    if cfg["data"]["source"] not in ("synthetic", "csv"):
-        raise ConfigError(f"unknown data source {cfg['data']['source']!r}")
-    if cfg["data"]["source"] == "csv" and not cfg["data"]["csv"]["path"]:
+            node[keys[-1]] = cfg["seed"] + offset
+        if node[keys[-1]] < 0:
+            raise ConfigError(f"{'.'.join(keys)} must be >= 0, got {node[keys[-1]]}")
+    source, clf, det = cfg["data"]["source"], cfg["classifier"], cfg["detector"]
+    if source not in ("synthetic", "csv"):
+        raise ConfigError(f"unknown data source {source!r}")
+    if source == "csv" and not cfg["data"]["csv"]["path"]:
         raise ConfigError("data.csv.path is required for the csv source")
     if cfg["attacks"]["filter"] not in attacks.FILTERS:
         raise ConfigError(f"unknown attacks.filter {cfg['attacks']['filter']!r}")
+    schema = _checked("data.csv", _schema_from_cfg, cfg["data"]["csv"])
+    m = schema.m if source == "csv" else cfg["data"]["synthetic"]["n_features"]
+    _checked("data.split", data.SplitSpec, **cfg["data"]["split"])
+    _checked("classifier", neural.MlpSpec, (m, *clf["hidden_sizes"], 1))
+    _checked("classifier.train", neural.TrainConfig, **clf["train"], loss="bce")
+    for kind in ATTACK_KINDS:
+        _checked(f"attacks.{kind}", attacks.AttackConfig, kind, **cfg["attacks"][kind])
+    if cfg["background"]["size"] < 1:
+        raise ConfigError("background.size must be >= 1")
+    _checked("detector", detector.autoencoder_spec, m, tuple(det["hidden_sizes"]), det["latent"])
+    _checked("detector.train", neural.TrainConfig, **det["train"], loss="mse")
+    _checked("detector.calibration", detector.CalibrationMethod, **det["calibration"])
     return cfg
 
 
@@ -221,13 +278,7 @@ class Workspace:
         if manifest_path.exists():
             manifest = data.read_json(manifest_path)
         else:
-            manifest = {
-                "tool": "shapguard",
-                "version": __version__,
-                "resolved_config": self.cfg,
-                "stages": {},
-            }
-        manifest["resolved_config"] = self.cfg
+            manifest = {"tool": "shapguard", "version": __version__, "stages": {}}
         # A stage run again on part of its outputs (fingerprint --source fgsm)
         # keeps the digests of the files it did not rewrite.
         earlier = manifest["stages"].get(name, {}).get("artifacts", {})
@@ -254,36 +305,6 @@ def _schema_from_cfg(csv_cfg: dict) -> data.FeatureSchema:
     if isinstance(schema, list):
         return data.FeatureSchema(tuple(schema))
     raise ConfigError(f"unsupported schema spec {schema!r}")
-
-
-def _train_config(train_cfg: dict, loss: str) -> neural.TrainConfig:
-    return neural.TrainConfig(
-        epochs=int(train_cfg["epochs"]),
-        batch_size=int(train_cfg["batch_size"]),
-        learning_rate=float(train_cfg["learning_rate"]),
-        loss=loss,
-        seed=int(train_cfg["seed"]),
-    )
-
-
-def _attack_config(cfg: dict, kind: str) -> attacks.AttackConfig:
-    section = cfg["attacks"][kind]
-    if kind == "fgsm":
-        return attacks.AttackConfig(kind="fgsm", epsilon=float(section["epsilon"]))
-    if kind == "pgd":
-        return attacks.AttackConfig(
-            kind="pgd",
-            epsilon=float(section["epsilon"]),
-            alpha=float(section["alpha"]),
-            steps=int(section["steps"]),
-            random_start=bool(section["random_start"]),
-            seed=int(section["seed"]),
-        )
-    return attacks.AttackConfig(
-        kind="deepfool",
-        max_iter=int(section["max_iter"]),
-        overshoot=float(section["overshoot"]),
-    )
 
 
 def _recorded_background(manifest_path: Path) -> str:
@@ -315,21 +336,9 @@ def cmd_ingest(ws: Workspace) -> None:
                 benign_labels=frozenset(cfg["csv"]["benign_labels"]),
             )
         else:
-            syn = cfg["synthetic"]
-            ds = data.synth_generate(
-                n_per_class=int(syn["n_per_class"]),
-                m=int(syn["n_features"]),
-                class_separation=float(syn["class_separation"]),
-                noise=float(syn["noise"]),
-                seed=int(syn["seed"]),
-            )
-        spec = data.SplitSpec(
-            train_frac=float(cfg["split"]["train_frac"]),
-            val_frac=float(cfg["split"]["val_frac"]),
-            test_frac=float(cfg["split"]["test_frac"]),
-            seed=int(cfg["split"]["seed"]),
-        )
-        train, val, test = data.split(ds, spec)
+            syn = dict(cfg["synthetic"])
+            ds = data.synth_generate(m=syn.pop("n_features"), **syn)
+        train, val, test = data.split(ds, data.SplitSpec(**cfg["split"]))
         scaler = data.fit_scaler(train)
         train = data.apply_scaler(train, scaler)
         val = data.apply_scaler(val, scaler)
@@ -367,16 +376,10 @@ def cmd_train_nids(ws: Workspace) -> None:
     cfg = ws.cfg["classifier"]
     train = ws.load("data/train.csv", "train-nids", data.load_dataset)
     test = ws.load("data/test.csv", "train-nids", data.load_dataset)
-    spec = neural.MlpSpec(
-        layer_sizes=(train.m, *(int(h) for h in cfg["hidden_sizes"]), 1),
-        hidden_activation="relu",
-        output_activation="sigmoid",
-        seed=int(cfg["init_seed"]),
-    )
-    model = neural.init(spec)
+    model = neural.init(neural.MlpSpec((train.m, *cfg["hidden_sizes"], 1), seed=cfg["init_seed"]))
     try:
         model, history = neural.train(
-            model, train.X, train.y, _train_config(cfg["train"], "bce")
+            model, train.X, train.y, neural.TrainConfig(**cfg["train"], loss="bce")
         )
     except neural.TrainingDivergedError as exc:
         raise StageError(f"train-nids: {exc}") from exc
@@ -402,7 +405,7 @@ def cmd_attack(ws: Workspace, kind: str) -> None:
         raise ConfigError(f"unknown attack kind {kind!r}")
     model = ws.load("models/nids.json", f"attack-{kind}", neural.load)
     test = ws.load("data/test.csv", f"attack-{kind}", data.load_dataset)
-    cfg = _attack_config(ws.cfg, kind)
+    cfg = attacks.AttackConfig(kind, **ws.cfg["attacks"][kind])
     try:
         batch = attacks.attack_batch(
             model, test, cfg, row_filter=ws.cfg["attacks"]["filter"]
@@ -462,10 +465,7 @@ def cmd_fingerprint(ws: Workspace, source: str = "all") -> None:
     started = time.perf_counter()
     model = ws.load("models/nids.json", "fingerprint", neural.load)
     train = ws.load("data/train.csv", "fingerprint", data.load_dataset)
-    bg_cfg = ws.cfg["background"]
-    background = attribution.sample_background(
-        train.X, size=int(bg_cfg["size"]), seed=int(bg_cfg["seed"]), source="clean-train"
-    )
+    background = attribution.sample_background(train.X, **ws.cfg["background"])
     sources: list[str]
     if source == "all":
         sources = ["clean", *ATTACK_KINDS]
@@ -507,20 +507,16 @@ def cmd_train_detector(ws: Workspace) -> None:
     try:
         ae, history = detector.train_autoencoder(
             Z_train,
-            _train_config(cfg["train"], "mse"),
-            latent=int(cfg["latent"]),
-            hidden_sizes=tuple(int(h) for h in cfg["hidden_sizes"]),
-            init_seed=int(cfg["init_seed"]),
-        )
-        method = detector.CalibrationMethod(
-            method=cfg["calibration"]["method"],
-            parameter=float(cfg["calibration"]["parameter"]),
+            neural.TrainConfig(**cfg["train"], loss="mse"),
+            latent=cfg["latent"],
+            hidden_sizes=tuple(cfg["hidden_sizes"]),
+            init_seed=cfg["init_seed"],
         )
         errors_val = detector.reconstruction_errors(ae, Z_val)
         det = detector.calibrate(
             detector.DetectorModel(autoencoder=ae),
             errors_val,
-            method,
+            detector.CalibrationMethod(**cfg["calibration"]),
             background_ref=background_ref,
         )
     except (neural.TrainingDivergedError, detector.CalibrationError, ValueError) as exc:
@@ -659,8 +655,11 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> None:
     outside = ~np.isfinite(X) | (X < -data.BOX_TOL) | (X > 1.0 + data.BOX_TOL)
     if outside.any():
         row, col = np.argwhere(outside)[0]
+        # Name the row by its file line, as read_table does: blank lines hold no row.
+        with open(input_path, newline="", encoding="utf-8") as fh:
+            line = [n for n, text in enumerate(fh, start=1) if text.strip()][row + 1]
         raise StageError(
-            f"detect: {input_path}: data row {row + 1}, column {schema.names[col]!r}: "
+            f"detect: {input_path}: row {line}, column {schema.names[col]!r}: "
             f"{float(X[row, col])!r} is not a finite value in [0, 1]"
         )
     fps = attribution.fingerprint_batch(nids, X, background)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from shapguard import attacks, cli, data, neural, pipeline
+from test_acceptance import DESK_OVERRIDES
 
 
 def _tiny_config(out_dir, **overrides):
@@ -74,6 +76,119 @@ def test_resolve_config_rejects_unknown_keys():
 def test_resolve_config_requires_csv_path_for_csv_source():
     with pytest.raises(pipeline.ConfigError, match="csv"):
         pipeline.resolve_config({"data": {"source": "csv"}})
+
+
+@pytest.mark.parametrize(
+    "user", [{}, _tiny_config("runs/tiny"), DESK_OVERRIDES], ids=["default", "tiny", "desk"]
+)
+def test_resolve_config_is_a_fixed_point(user):
+    """A resolved snapshot fed back in resolves to itself, types included."""
+    once = pipeline.resolve_config(user)
+    assert json.dumps(pipeline.resolve_config(once)) == json.dumps(once)
+
+
+@pytest.mark.parametrize(
+    "user, message",
+    [
+        # the JSON type of the default
+        ({"classifier": {"train": {"epochs": "x"}}},
+         "config key 'classifier.train.epochs' must be integer, got 'x'"),
+        ({"classifier": {"train": {"epochs": 2.9}}},
+         "config key 'classifier.train.epochs' must be integer, got 2.9"),
+        ({"attacks": {"pgd": {"random_start": "no"}}},
+         "config key 'attacks.pgd.random_start' must be boolean, got 'no'"),
+        ({"classifier": {"hidden_sizes": 8}},
+         "config key 'classifier.hidden_sizes' must be list of integers, got 8"),
+        ({"attacks": {"fgsm": {"epsilon": None}}},
+         "config key 'attacks.fgsm.epsilon' must be number, got None"),
+        ({"attacks": {"fgsm": {"epsilon": float("nan")}}},
+         "config key 'attacks.fgsm.epsilon' must be number, got nan"),
+        ({"attacks": {"fgsm": {"epsilon": 10**400}}},
+         "config key 'attacks.fgsm.epsilon' must be number, got 1000"),
+        ({"seed": "x"}, "config key 'seed' must be integer, got 'x'"),
+        # the range the setting object checks
+        ({"classifier": {"train": {"epochs": 0}}}, "classifier.train: epochs must be >= 1"),
+        ({"attacks": {"pgd": {"alpha": 0.5}}}, "attacks.pgd: pgd needs 0 < alpha <= epsilon"),
+        ({"background": {"size": 0}}, "background.size must be >= 1"),
+        ({"detector": {"latent": 20}},
+         "detector: latent size 20 must be smaller than input 20"),
+        ({"data": {"split": {"test_frac": 0.1}}},
+         "data.split: split fractions must sum to 1"),
+    ],
+    ids=["epochs-string", "epochs-fraction", "random-start-string", "hidden-sizes-int",
+         "epsilon-null", "epsilon-nan", "epsilon-beyond-float", "seed-string", "epochs-zero",
+         "pgd-alpha-above-epsilon", "background-empty", "latent-not-below-m",
+         "split-sums-to-0.9"],
+)
+def test_bad_config_value_is_a_config_error_before_any_stage(tmp_path, capsys, user, message):
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, {"out_dir": str(out), **user})
+    assert cli.main(["run-all", "--config", cfg_path]) == cli.EXIT_USAGE
+    assert f"shapguard: config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_integer_number_is_stored_as_a_float(tmp_path):
+    out = tmp_path / "run"
+    cfg = _tiny_config(out, attacks={"pgd": {"steps": 5}, "fgsm": {"epsilon": 1}})
+    cfg_path = _write_config(tmp_path, cfg)
+    for argv in (["ingest"], ["train-nids"], ["attack", "--attack", "fgsm"]):
+        assert cli.main([*argv, "--config", cfg_path]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())["attacks"]["fgsm"]
+    used = json.loads((out / "attacks/fgsm.config.json").read_text())
+    assert repr(resolved["epsilon"]) == repr(used["epsilon"]) == "1.0"
+
+
+def _is_config_part(node: ast.AST, sections: set[str]) -> bool:
+    """Whether an expression is ws.cfg, a name bound to a part of it, or a
+    subscript, method result or dict/list/tuple copy of either."""
+    while True:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            node = node.func.value
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "id", None) in ("dict", "list", "tuple")):
+            node = node.args[0]
+        else:
+            break
+    return (isinstance(node, ast.Attribute) and node.attr == "cfg") or (
+        isinstance(node, ast.Name) and node.id in sections
+    )
+
+
+def test_stages_cast_no_config_value():
+    """resolve_config is the one place that types a config value: no stage
+    calls int, float or bool on ws.cfg or on a name bound to a part of it."""
+    tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    stages = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(stages) == 8
+    casts = []
+    for stage in stages:
+        bindings = []  # (target, value): assignments, for loops, comprehensions
+        for node in ast.walk(stage):
+            if isinstance(node, ast.Assign):
+                bindings += [(target, node.value) for target in node.targets]
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                bindings.append((node.target, node.iter))
+        sections: set[str] = set()
+        while True:
+            bound = {
+                n.id for target, value in bindings if _is_config_part(value, sections)
+                for n in ast.walk(target) if isinstance(n, ast.Name)
+            }
+            if bound <= sections:
+                break
+            sections |= bound
+        for node in ast.walk(stage):
+            if (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("int", "float", "bool")
+                and any(_is_config_part(part, sections) for arg in node.args
+                        for part in ast.walk(arg))
+            ):
+                casts.append(f"{stage.name}: {ast.unparse(node)}")
+    assert casts == []
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +367,7 @@ def _ingest_raw_csv(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     cfg = _tiny_config(tmp_path / "run")
     cfg["data"] = {"source": "csv", "csv": {"path": str(path), "schema": ["a", "b", "c"]}}
+    cfg["detector"]["latent"] = 2  # the latent size must be below the schema's 3 features
     return cli.main(["ingest", "--config", _write_config(tmp_path, cfg)]), path
 
 
@@ -342,11 +458,15 @@ def _set_cell(row, col, value):
     return rewrite
 
 
+# A bad cell is named by its file line, the header being line 1, as
+# data.read_table names a cell it cannot parse.
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_detect_rejects_non_finite_cells(tiny_run, tmp_path, capsys, value):
     code = _detect_on_rewritten_test_csv(tiny_run, tmp_path, _set_cell(3, 1, value))
     assert code == cli.EXIT_STAGE
-    assert "data row 3, column 'f1'" in capsys.readouterr().err
+    assert f"{tmp_path / 'input.csv'}: row 4, column 'f1': " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["5.0", "-3.0", "1.000001"])
@@ -354,7 +474,20 @@ def test_detect_rejects_cells_outside_the_box(tiny_run, tmp_path, capsys, value)
     code = _detect_on_rewritten_test_csv(tiny_run, tmp_path, _set_cell(2, 0, value))
     assert code == cli.EXIT_STAGE
     err = capsys.readouterr().err
-    assert "data row 2, column 'f0'" in err and "[0, 1]" in err
+    assert f"{tmp_path / 'input.csv'}: row 3, column 'f0': " in err and "[0, 1]" in err
+
+
+@pytest.mark.parametrize("value, problem", [("nan", "nan is not a finite value"),
+                                            ("x", "cannot parse 'x'")])
+def test_detect_counts_blank_lines_when_it_names_a_bad_row(tiny_run, tmp_path, capsys, value,
+                                                           problem):
+    """Header on line 1, a row on line 2, a blank line 3, the bad row on 4."""
+    def rewrite(rows):
+        rows = _set_cell(2, 1, value)(rows)
+        return [*rows[:2], [], *rows[2:]]
+    code = _detect_on_rewritten_test_csv(tiny_run, tmp_path, rewrite)
+    assert code == cli.EXIT_STAGE
+    assert f"{tmp_path / 'input.csv'}: row 4, column 'f1': {problem}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("label", ["2", "BenignTraffic", ""])
@@ -392,6 +525,22 @@ def test_stage_rerun_on_one_source_keeps_the_other_digests(tiny_run, tmp_path):
     for rel, digest in stage["artifacts"].items():
         assert digest == f"sha256:{_digest(out / rel)}", rel
     assert stage["summary"]["rows"].keys() == {"fgsm"}
+
+
+def test_detect_and_evaluate_leave_the_config_snapshot_alone(tiny_run, tmp_path):
+    """Neither reads a config value, so a --seed flag must not rewrite the
+    snapshot that describes the artifacts."""
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    snapshot = (out / "resolved_config.json").read_bytes()
+    assert cli.main(["detect", "--config", cfg_path, "--seed", "8",
+                     "--input", str(out / "data/test.csv")]) == 0
+    assert cli.main(["evaluate", "--config", cfg_path, "--seed", "8"]) == 0
+    assert (out / "resolved_config.json").read_bytes() == snapshot
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"tool", "version", "stages"}
+    assert manifest["stages"]["config"]["artifacts"] == {
+        "resolved_config.json": f"sha256:{_digest(out / 'resolved_config.json')}"
+    }
 
 
 def test_detect_scores_do_not_depend_on_the_seed_flag(tiny_run, tmp_path):
