@@ -8,7 +8,7 @@ boundary g(x) = 0.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,6 @@ class AdvBatch:
     success: np.ndarray          # True iff the model label changed
     linf: np.ndarray             # ||x' - x||_inf against the clean row
     l2: np.ndarray               # ||x' - x||_2 against the clean row
-    config: AttackConfig
     sample_index: np.ndarray     # row indices into the attacked dataset
     # DeepFool rows left at their clean value because the logit gradient
     # vanished; reported in the stage manifest, not saved with the batch.
@@ -202,7 +201,6 @@ def attack_batch(
         success=adv_labels != orig_labels,
         linf=np.abs(diff).max(axis=1),
         l2=np.sqrt((diff**2).sum(axis=1)),
-        config=cfg,
         sample_index=rows,
         degenerate_rows=degenerate_rows,
     )
@@ -211,12 +209,11 @@ def attack_batch(
 def save_adv_batch(
     batch: AdvBatch, feature_names: tuple[str, ...], path: str | Path
 ) -> None:
-    """Write the adversarial rows as a table plus a JSON config sidecar.
+    """Write the adversarial rows as a table.
 
     Columns: sample_index, success, linf, l2, adv_<feature>... The clean
     rows are not stored: they are the attacked split at sample_index.
     """
-    path = Path(path)
     header = ["sample_index", "success", "linf", "l2", *(f"adv_{n}" for n in feature_names)]
     rows = (
         [i, success, linf, l2, *adv.tolist()]
@@ -227,24 +224,15 @@ def save_adv_batch(
         )
     )
     data.write_table(path, header, rows)
-    data.write_json(path.with_suffix(".config.json"), asdict(batch.config))
 
 
 def load_adv_batch(path: str | Path) -> AdvBatch:
-    """Read a file written by :func:`save_adv_batch` and its config sidecar."""
-    path = Path(path)
-    sidecar = path.with_suffix(".config.json")
-    payload = data.read_json(sidecar)
-    try:
-        cfg = AttackConfig(**payload)
-    except (TypeError, ValueError) as exc:
-        raise data.ArtifactError(f"{sidecar}: not an attack config: {exc}") from None
+    """Read a file written by :func:`save_adv_batch`."""
     _, values, _ = data.read_table(path)
     return AdvBatch(
         X_adv=values[:, 4:].copy(),
         success=values[:, 1].astype(bool),
         linf=values[:, 2].copy(),
         l2=values[:, 3].copy(),
-        config=cfg,
         sample_index=values[:, 0].astype(np.int64),
     )

@@ -123,11 +123,6 @@ def sample_background(
     return BackgroundSet(B=X[idx], seed=seed, source=source)
 
 
-def expected_output(model: neural.MlpModel, background: BackgroundSet) -> float:
-    """phi0: mean logit over the background distribution."""
-    return float(np.mean(neural.logit(model, background.B)))
-
-
 def shap_fingerprint(
     model: neural.MlpModel,
     X_block: np.ndarray,
@@ -200,7 +195,7 @@ def fingerprint_batch(
         )
     return Fingerprints(
         phi=phi,
-        phi0=expected_output(model, background),
+        phi0=float(np.mean(trace_b.pre[-1][:, 0])),  # the mean background logit
         model_output=logits,
         sample_ids=sample_ids,
         origin=origin,

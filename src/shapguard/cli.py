@@ -90,8 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     ws = pipeline.Workspace(cfg["out_dir"], cfg)
-    if args.command not in ("detect", "evaluate"):  # the two read no config value
-        ws.write_resolved_config()
     try:
         if args.command == "ingest":
             pipeline.cmd_ingest(ws)

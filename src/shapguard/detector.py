@@ -51,7 +51,6 @@ class DetectorModel:
     # How tau was obtained plus a summary of the validation errors, as
     # written into detector.json.
     calibration: dict | None = None
-    background_ref: str = ""
 
     @property
     def is_calibrated(self) -> bool:
@@ -70,7 +69,6 @@ def autoencoder_spec(
     sizes = (m, *hidden_sizes, latent, *reversed(hidden_sizes), m)
     return neural.MlpSpec(
         layer_sizes=sizes,
-        hidden_activation="relu",
         output_activation="linear",
         seed=seed,
     )
@@ -123,7 +121,6 @@ def calibrate(
     det: DetectorModel,
     errors_clean_val: np.ndarray,
     method: CalibrationMethod,
-    background_ref: str | None = None,
 ) -> DetectorModel:
     """Return a calibrated copy of the detector with tau and its record."""
     e = np.asarray(errors_clean_val, dtype=np.float64)
@@ -137,12 +134,7 @@ def calibrate(
         "error_min": float(e.min()),
         "error_max": float(e.max()),
     }
-    return DetectorModel(
-        autoencoder=det.autoencoder,
-        tau=tau,
-        calibration=calibration,
-        background_ref=det.background_ref if background_ref is None else background_ref,
-    )
+    return DetectorModel(autoencoder=det.autoencoder, tau=tau, calibration=calibration)
 
 
 def detect(
@@ -166,7 +158,6 @@ def save_detector(det: DetectorModel, path: str | Path) -> None:
         "autoencoder": neural.to_dict(det.autoencoder),
         "tau": det.tau,
         "calibration": det.calibration,
-        "background_ref": det.background_ref,
     }
     data.write_json(path, payload, indent=None)
 
@@ -180,9 +171,8 @@ def load_detector(path: str | Path) -> DetectorModel:
     if calibration:
         # rejects a stored method or parameter that calibrate cannot use
         CalibrationMethod(calibration["method"], calibration["parameter"])
-    return DetectorModel(
-        autoencoder=neural.from_dict(payload["autoencoder"]),
-        tau=tau,
-        calibration=calibration,
-        background_ref=payload.get("background_ref", ""),
-    )
+    try:
+        autoencoder = neural.from_dict(payload["autoencoder"])
+    except ValueError as exc:
+        raise data.ArtifactError(f"{path}: {exc}") from None
+    return DetectorModel(autoencoder=autoencoder, tau=tau, calibration=calibration)

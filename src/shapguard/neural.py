@@ -16,7 +16,6 @@ import numpy as np
 
 from . import data
 
-HIDDEN_ACTIVATIONS = ("relu",)
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
 LOSSES = ("bce", "mse")
 
@@ -31,10 +30,10 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture: layer sizes (input first), activation tags, init seed."""
+    """Architecture: layer sizes (input first), output activation tag, init
+    seed. Every hidden layer is relu."""
 
     layer_sizes: tuple[int, ...]
-    hidden_activation: str = "relu"
     output_activation: str = "sigmoid"
     seed: int = 0
 
@@ -45,8 +44,6 @@ class MlpSpec:
             raise ValueError("need at least input and output layer sizes")
         if any(s < 1 for s in sizes):
             raise ValueError("layer sizes must be positive")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unsupported hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unsupported output activation {self.output_activation!r}")
 
@@ -378,7 +375,7 @@ def to_dict(model: MlpModel) -> dict:
     return {
         "spec": {
             "layer_sizes": list(model.spec.layer_sizes),
-            "hidden_activation": model.spec.hidden_activation,
+            "hidden_activation": "relu",
             "output_activation": model.spec.output_activation,
             "seed": model.spec.seed,
         },
@@ -388,14 +385,15 @@ def to_dict(model: MlpModel) -> dict:
 
 
 def from_dict(payload: dict) -> MlpModel:
-    spec = MlpSpec(
-        layer_sizes=tuple(payload["spec"]["layer_sizes"]),
-        hidden_activation=payload["spec"]["hidden_activation"],
-        output_activation=payload["spec"]["output_activation"],
-        seed=payload["spec"]["seed"],
-    )
+    spec = payload["spec"]
+    if spec["hidden_activation"] != "relu":
+        raise ValueError(f"unsupported hidden activation {spec['hidden_activation']!r}")
     return MlpModel(
-        spec=spec,
+        spec=MlpSpec(
+            layer_sizes=tuple(spec["layer_sizes"]),
+            output_activation=spec["output_activation"],
+            seed=spec["seed"],
+        ),
         weights=[np.array(W, dtype=np.float64) for W in payload["weights"]],
         biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
     )
@@ -407,4 +405,8 @@ def save(model: MlpModel, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> MlpModel:
-    return from_dict(data.read_json(path))
+    payload = data.read_json(path)
+    try:
+        return from_dict(payload)
+    except ValueError as exc:
+        raise data.ArtifactError(f"{path}: {exc}") from None

@@ -2,8 +2,9 @@
 
 Each stage reads its inputs from disk and writes plain CSV/JSON artifacts,
 so any downstream stage can be deleted and re-run in isolation with
-identical results. A cumulative manifest records every produced file with
-its sha256 digest plus stage timings.
+identical results. A cumulative manifest records, per stage, the config
+part the stage read, every file it produced with its sha256 digest, its
+timing and its summary.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def resolve_config(
     every value: its type, and its range by building each setting object a
     stage builds from it.
 
-    The resolved snapshot is fully explicit: later stages never fall back
-    to implicit defaults or cast a value, so a run is reproducible from its
-    snapshot alone.
+    The result is fully explicit: later stages never fall back to implicit
+    defaults or cast a value, so a run is reproducible from the config
+    parts its stages record in the manifest.
     """
     flags = {"seed": seed_override, "out_dir": out_override}
     cfg = _merge(DEFAULT_CONFIG, user or {})
@@ -254,10 +255,6 @@ class Workspace:
             )
         try:
             return loader(target)
-        except FileNotFoundError as exc:  # a sidecar the loader opens
-            raise StageError(
-                f"{stage}: missing artifact {exc.filename!r}; run the producing stage first"
-            ) from exc
         except ValueError as exc:
             raise StageError(f"{stage}: {exc}") from exc
         except KeyError as exc:
@@ -265,36 +262,34 @@ class Workspace:
         except TypeError as exc:
             raise StageError(f"{stage}: {rel}: malformed field: {exc}") from exc
 
-    def write_resolved_config(self) -> Path:
-        """Persist the resolved config snapshot and record it in the manifest."""
-        target = data.write_json(self.path("resolved_config.json"), self.cfg)
-        self.record("config", 0.0, {"resolved_config.json": f"sha256:{_sha256(target)}"}, {})
-        return target
-
     def record(
-        self, name: str, seconds: float, artifacts: dict[str, str], summary: dict
+        self, name: str, seconds: float, artifacts: dict[str, str], summary: dict,
+        config: dict | None = None,
     ) -> None:
-        manifest_path = self.path(MANIFEST_NAME)
-        if manifest_path.exists():
-            manifest = data.read_json(manifest_path)
+        """Write stage ``name``'s entry into the manifest. ``config`` is the
+        part of the resolved config the stage read, nested as in it; a stage
+        that reads none has no ``config`` key."""
+        if self.path(MANIFEST_NAME).exists():
+            manifest = self.load(MANIFEST_NAME, name, _read_manifest)
         else:
             manifest = {"tool": "shapguard", "version": __version__, "stages": {}}
         # A stage run again on part of its outputs (fingerprint --source fgsm)
         # keeps the digests of the files it did not rewrite.
         earlier = manifest["stages"].get(name, {}).get("artifacts", {})
-        manifest["stages"][name] = {
-            "seconds": round(seconds, 3),
-            "artifacts": {**earlier, **artifacts},
-            "summary": summary,
-        }
-        data.write_json(manifest_path, manifest)
+        entry = {"seconds": round(seconds, 3), "config": config,
+                 "artifacts": {**earlier, **artifacts}, "summary": summary}
+        manifest["stages"][name] = {k: v for k, v in entry.items() if v is not None}
+        data.write_json(self.path(MANIFEST_NAME), manifest)
 
-    def finish(self, name: str, started: float, paths: list[Path], summary: dict) -> None:
+    def finish(
+        self, name: str, started: float, paths: list[Path], summary: dict,
+        config: dict | None = None,
+    ) -> None:
         artifacts = {
             str(p.relative_to(self.root)): f"sha256:{_sha256(p)}" for p in paths
         }
         seconds = time.perf_counter() - started
-        self.record(name, seconds, artifacts, summary)
+        self.record(name, seconds, artifacts, summary, config)
         logger.info("stage %s finished in %.2fs: %s", name, seconds, summary)
 
 
@@ -307,9 +302,13 @@ def _schema_from_cfg(csv_cfg: dict) -> data.FeatureSchema:
     raise ConfigError(f"unsupported schema spec {schema!r}")
 
 
-def _recorded_background(manifest_path: Path) -> str:
-    """The background description the fingerprint stage put in the manifest."""
-    return data.read_json(manifest_path)["stages"]["fingerprint"]["summary"]["background"]
+def _read_manifest(path: Path) -> dict:
+    """The manifest at ``path``; a KeyError or TypeError if it has no
+    mapping of stages."""
+    manifest = data.read_json(path)
+    if not isinstance(manifest["stages"], dict):
+        raise TypeError("'stages' is not a mapping")
+    return manifest
 
 
 def _load_background(path: Path) -> attribution.BackgroundSet:
@@ -363,7 +362,7 @@ def cmd_ingest(ws: Workspace) -> None:
         "val": val.n,
         "test": test.n,
     }
-    ws.finish("ingest", started, paths, summary)
+    ws.finish("ingest", started, paths, summary, {"data": cfg})
 
 
 def cmd_train_nids(ws: Workspace) -> None:
@@ -395,7 +394,7 @@ def cmd_train_nids(ws: Workspace) -> None:
         ws.path("models/nids_history.csv"), ["epoch", "loss"], enumerate(history, start=1)
     )
     summary = {"train_accuracy": train_acc, "test_accuracy": test_acc}
-    ws.finish("train-nids", started, [model_path, history_path], summary)
+    ws.finish("train-nids", started, [model_path, history_path], summary, {"classifier": cfg})
 
 
 def cmd_attack(ws: Workspace, kind: str) -> None:
@@ -405,10 +404,10 @@ def cmd_attack(ws: Workspace, kind: str) -> None:
         raise ConfigError(f"unknown attack kind {kind!r}")
     model = ws.load("models/nids.json", f"attack-{kind}", neural.load)
     test = ws.load("data/test.csv", f"attack-{kind}", data.load_dataset)
-    cfg = attacks.AttackConfig(kind, **ws.cfg["attacks"][kind])
+    cfg = {"filter": ws.cfg["attacks"]["filter"], kind: ws.cfg["attacks"][kind]}
     try:
         batch = attacks.attack_batch(
-            model, test, cfg, row_filter=ws.cfg["attacks"]["filter"]
+            model, test, attacks.AttackConfig(kind, **cfg[kind]), row_filter=cfg["filter"]
         )
     except attacks.EmptyBatchError as exc:
         raise StageError(f"attack-{kind}: {exc}") from exc
@@ -423,9 +422,7 @@ def cmd_attack(ws: Workspace, kind: str) -> None:
     }
     if kind == "deepfool":
         summary["degenerate_rows"] = batch.degenerate_rows
-    ws.finish(
-        f"attack-{kind}", started, [csv_path, csv_path.with_suffix(".config.json")], summary
-    )
+    ws.finish(f"attack-{kind}", started, [csv_path], summary, {"attacks": cfg})
 
 
 def _fingerprint_sources(
@@ -493,7 +490,7 @@ def cmd_fingerprint(ws: Workspace, source: str = "all") -> None:
         "background": background.describe(),
         "max_completeness_gap": max_gap,
     }
-    ws.finish("fingerprint", started, paths, summary)
+    ws.finish("fingerprint", started, paths, summary, {"background": ws.cfg["background"]})
 
 
 def cmd_train_detector(ws: Workspace) -> None:
@@ -503,7 +500,6 @@ def cmd_train_detector(ws: Workspace) -> None:
     load = attribution.load_fingerprints
     Z_train = ws.load("fingerprints/clean_train.csv", "train-detector", load).phi
     Z_val = ws.load("fingerprints/clean_val.csv", "train-detector", load).phi
-    background_ref = ws.load(MANIFEST_NAME, "train-detector", _recorded_background)
     try:
         ae, history = detector.train_autoencoder(
             Z_train,
@@ -517,7 +513,6 @@ def cmd_train_detector(ws: Workspace) -> None:
             detector.DetectorModel(autoencoder=ae),
             errors_val,
             detector.CalibrationMethod(**cfg["calibration"]),
-            background_ref=background_ref,
         )
     except (neural.TrainingDivergedError, detector.CalibrationError, ValueError) as exc:
         raise StageError(f"train-detector: {exc}") from exc
@@ -529,7 +524,7 @@ def cmd_train_detector(ws: Workspace) -> None:
     )
     logger.info("detector tau=%.6g on %d validation errors", det.tau, errors_val.size)
     summary = {"tau": det.tau, "val_errors": int(errors_val.size)}
-    ws.finish("train-detector", started, [det_path, history_path], summary)
+    ws.finish("train-detector", started, [det_path, history_path], summary, {"detector": cfg})
 
 
 def _detector_checks(metrics: dict, robustness: dict) -> list[str]:

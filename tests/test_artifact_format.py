@@ -45,9 +45,6 @@ def test_adv_batch_and_sidecar_bytes(tmp_path):
         success=np.array([True, False]),
         linf=np.array([0.1, 0.1]),
         l2=np.array([0.1414213562373095, 0.14142135623730953]),
-        config=attacks.AttackConfig(
-            kind="pgd", epsilon=0.1, alpha=0.05, steps=2, random_start=True, seed=3
-        ),
         sample_index=np.array([4, 9]),
     )
     path = tmp_path / "adv.csv"
@@ -57,14 +54,12 @@ def test_adv_batch_and_sidecar_bytes(tmp_path):
         b"4,1,0.1,0.1414213562373095,0.1,0.4\r\n"
         b"9,0,0.1,0.14142135623730953,1.0,0.9\r\n"
     )
-    assert path.with_suffix(".config.json").read_bytes() == (
-        b'{\n  "kind": "pgd",\n  "epsilon": 0.1,\n  "alpha": 0.05,\n  "steps": 2,\n'
-        b'  "max_iter": 50,\n  "overshoot": 0.02,\n  "random_start": true,\n  "seed": 3\n}\n'
-    )
+    # the attack-<kind> manifest entry records the config; no sidecar
+    assert list(tmp_path.iterdir()) == [path]
     back = attacks.load_adv_batch(path)
     assert back.sample_index.tolist() == [4, 9]
     assert back.success.tolist() == [True, False]
-    assert np.array_equal(back.l2, batch.l2) and back.config == batch.config
+    assert np.array_equal(back.l2, batch.l2)
     assert np.array_equal(back.X_adv, batch.X_adv) and back.n == 2
 
 
@@ -110,10 +105,7 @@ def test_detector_bytes(tmp_path):
         "method": "percentile", "parameter": 99.0, "n_samples": 10,
         "error_mean": 0.1, "error_std": 0.2, "error_min": 0.0, "error_max": 0.9,
     }
-    det = detector.DetectorModel(
-        autoencoder=ae, tau=0.75, calibration=calibration,
-        background_ref="clean-train (k=3, seed=1)",
-    )
+    det = detector.DetectorModel(autoencoder=ae, tau=0.75, calibration=calibration)
     path = tmp_path / "det.json"
     detector.save_detector(det, path)
     assert path.read_bytes() == (
@@ -121,8 +113,7 @@ def test_detector_bytes(tmp_path):
         b'"output_activation": "linear", "seed": 5}, "weights": [[[1.0, -2.0]], [[0.5], '
         b'[0.25]]], "biases": [[0.0], [0.1, 0.2]]}, "tau": 0.75, "calibration": '
         b'{"method": "percentile", "parameter": 99.0, "n_samples": 10, "error_mean": 0.1, '
-        b'"error_std": 0.2, "error_min": 0.0, "error_max": 0.9}, '
-        b'"background_ref": "clean-train (k=3, seed=1)"}\n'
+        b'"error_std": 0.2, "error_min": 0.0, "error_max": 0.9}}\n'
     )
 
 
@@ -134,8 +125,7 @@ EVAL_DETECTOR = (
     b'"output_activation": "linear", "seed": 5}, "weights": [[[1.0, -2.0]], [[0.5], '
     b'[0.25]]], "biases": [[0.0], [0.1, 0.2]]}, "tau": 0.75, "calibration": '
     b'{"method": "percentile", "parameter": 99.0, "n_samples": 10, "error_mean": 0.1, '
-    b'"error_std": 0.2, "error_min": 0.0, "error_max": 0.9}, '
-    b'"background_ref": "clean-train (k=3, seed=1)"}\n'
+    b'"error_std": 0.2, "error_min": 0.0, "error_max": 0.9}}\n'
 )
 EVAL_SCALER = b'{"schema": ["a", "b c"], "min": [0.0, 0.0], "max": [1.0, 1.0]}\n'
 EVAL_FINGERPRINTS = {

@@ -345,4 +345,3 @@ def test_adv_batch_roundtrip(tmp_path):
     assert np.array_equal(back.X_adv, batch.X_adv)
     assert np.array_equal(back.success, batch.success)
     assert np.array_equal(back.linf, batch.linf) and np.array_equal(back.l2, batch.l2)
-    assert back.config == batch.config

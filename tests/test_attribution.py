@@ -45,14 +45,18 @@ def _rescale_oracle(model, x, b):
 
 
 # ---------------------------------------------------------------------------
-# expected_output (phi0)
+# phi0, the mean background logit
+
+
+def _phi0(model, bg):
+    return attribution.fingerprint_batch(model, bg.B, bg).phi0
 
 
 def test_phi0_singleton_background():
     model = _linear_logit([1.0, 2.0], 0.5)
     b = np.array([[0.3, 0.4]])
     bg = BackgroundSet(B=b)
-    assert attribution.expected_output(model, bg) == pytest.approx(
+    assert _phi0(model, bg) == pytest.approx(
         float(neural.logit(model, b)[0]), abs=0
     )
 
@@ -61,15 +65,15 @@ def test_phi0_linearity():
     w, c = np.array([1.0, -3.0]), 0.7
     model = _linear_logit(w, c)
     B = np.array([[0.2, 0.8], [0.6, 0.4]])
-    phi0 = attribution.expected_output(model, BackgroundSet(B=B))
+    phi0 = _phi0(model, BackgroundSet(B=B))
     assert phi0 == pytest.approx(float(w @ B.mean(axis=0) + c), abs=1e-12)
 
 
 def test_phi0_invariant_to_duplicated_rows():
     model, _ = _random_relu_net(1)
     B = np.random.default_rng(2).uniform(0, 1, (4, 6))
-    a = attribution.expected_output(model, BackgroundSet(B=B))
-    b = attribution.expected_output(model, BackgroundSet(B=np.vstack([B, B])))
+    a = _phi0(model, BackgroundSet(B=B))
+    b = _phi0(model, BackgroundSet(B=np.vstack([B, B])))
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -186,7 +190,7 @@ def test_batch_row_equals_single_fingerprint():
     phi, logit = attribution.shap_fingerprint(model, X, bg, trace_b)
     assert np.array_equal(fps.phi, phi)
     assert np.array_equal(fps.model_output, logit)
-    assert fps.phi0 == attribution.expected_output(model, bg)
+    assert fps.phi0 == float(np.mean(neural.logit(model, bg.B)))
 
 
 def _per_row_fingerprint(model, x, background, trace_b):

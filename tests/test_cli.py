@@ -134,9 +134,9 @@ def test_an_integer_number_is_stored_as_a_float(tmp_path):
     cfg_path = _write_config(tmp_path, cfg)
     for argv in (["ingest"], ["train-nids"], ["attack", "--attack", "fgsm"]):
         assert cli.main([*argv, "--config", cfg_path]) == 0
-    resolved = json.loads((out / "resolved_config.json").read_text())["attacks"]["fgsm"]
-    used = json.loads((out / "attacks/fgsm.config.json").read_text())
-    assert repr(resolved["epsilon"]) == repr(used["epsilon"]) == "1.0"
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    used = stages["attack-fgsm"]["config"]["attacks"]["fgsm"]
+    assert repr(used["epsilon"]) == "1.0"
 
 
 def _is_config_part(node: ast.AST, sections: set[str]) -> bool:
@@ -206,7 +206,7 @@ def test_run_all_produces_expected_bundle(tiny_run):
         "detector/detector.json",
         "reports/metrics_fgsm.json", "reports/rank_table.json",
         "reports/error_distribution_deepfool.json",
-        "manifest.json", "resolved_config.json",
+        "manifest.json",
     ]
     for rel in expected:
         assert (tiny_run / rel).exists(), rel
@@ -216,33 +216,88 @@ def test_run_all_produces_expected_bundle(tiny_run):
         *(f"attacks/{kind}_summary.json" for kind in pipeline.ATTACK_KINDS),
         "reports/metrics.csv", "reports/rank_table.csv", "reports/summary.json",
         *(f"reports/error_distribution_{kind}.csv" for kind in pipeline.ATTACK_KINDS),
+        # the manifest's config parts record what these did
+        "resolved_config.json",
+        *(f"attacks/{kind}.config.json" for kind in pipeline.ATTACK_KINDS),
     ]
-    assert len(deleted) == 10
+    assert len(deleted) == 14
     for rel in deleted:
         assert not (tiny_run / rel).exists(), rel
     assert not list((tiny_run / "reports").glob("*.csv"))
 
 
+def _assert_manifest_lists_every_file_once(root):
+    """The files under ``root`` are manifest.json plus the union of the
+    entries' artifacts, no two entries list one file, and every listed
+    digest matches its file."""
+    stages = json.loads((root / "manifest.json").read_text())["stages"]
+    listed = [rel for entry in stages.values() for rel in entry["artifacts"]]
+    assert len(listed) == len(set(listed))
+    on_disk = {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+    assert on_disk == {*listed, "manifest.json"}
+    for entry in stages.values():
+        for rel, digest in entry["artifacts"].items():
+            assert digest == f"sha256:{_digest(root / rel)}", rel
+
+
 def test_manifest_lists_every_artifact_with_correct_digest(tiny_run):
     manifest = json.loads((tiny_run / "manifest.json").read_text())
     assert manifest["tool"] == "shapguard"
-    stages = manifest["stages"]
-    assert set(stages) >= {
+    assert set(manifest["stages"]) >= {
         "ingest", "train-nids", "attack-fgsm", "attack-pgd", "attack-deepfool",
         "fingerprint", "train-detector", "evaluate",
     }
-    recorded = {}
-    for stage in stages.values():
-        recorded.update(stage["artifacts"])
-    # every file produced by the run is listed, with a correct digest
-    on_disk = {
-        str(p.relative_to(tiny_run))
-        for p in tiny_run.rglob("*")
-        if p.is_file() and p.name != "manifest.json"
+    _assert_manifest_lists_every_file_once(tiny_run)
+
+
+def test_manifest_lists_every_file_once_after_a_stage_rerun(tiny_run, tmp_path):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    assert cli.main(["fingerprint", "--config", cfg_path, "--source", "fgsm"]) == 0
+    _assert_manifest_lists_every_file_once(out)
+
+
+def test_each_stage_records_the_config_part_it_read(tiny_run):
+    stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
+    cfg = pipeline.resolve_config(_tiny_config(tiny_run))
+    assert stages["ingest"]["config"] == {"data": cfg["data"]}
+    assert stages["train-nids"]["config"] == {"classifier": cfg["classifier"]}
+    for kind in pipeline.ATTACK_KINDS:
+        assert stages[f"attack-{kind}"]["config"] == {
+            "attacks": {"filter": cfg["attacks"]["filter"], kind: cfg["attacks"][kind]}
+        }
+    assert stages["fingerprint"]["config"] == {"background": cfg["background"]}
+    assert stages["train-detector"]["config"] == {"detector": cfg["detector"]}
+    assert "config" not in stages["evaluate"]
+    for entry in stages.values():
+        assert list(entry) in (["seconds", "config", "artifacts", "summary"],
+                               ["seconds", "artifacts", "summary"])
+
+
+def _deep_merge(parts):
+    merged: dict = {}
+    for part in parts:
+        for key, value in part.items():
+            if isinstance(value, dict):
+                value = _deep_merge([merged.get(key, {}), value])
+            merged[key] = value
+    return merged
+
+
+def test_run_is_reproducible_from_its_manifest(tiny_run, tmp_path):
+    """The stages' config parts, merged, are a config that rebuilds every
+    artifact bitwise, whatever the master seed."""
+    stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
+    cfg = _deep_merge(entry["config"] for entry in stages.values() if "config" in entry)
+    assert set(cfg) == {"data", "classifier", "attacks", "background", "detector"}
+    out = tmp_path / "rebuilt"
+    cfg_path = _write_config(tmp_path, cfg)
+    assert cli.main(["run-all", "--config", cfg_path, "--seed", "99", "--out", str(out)]) == 0
+    made = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()} - {"manifest.json"}
+    assert made == {
+        rel for name, entry in stages.items() if name != "detect" for rel in entry["artifacts"]
     }
-    assert on_disk == set(recorded)
-    for rel, digest in recorded.items():
-        assert digest == f"sha256:{_digest(tiny_run / rel)}", rel
+    for rel in made:
+        assert _digest(out / rel) == _digest(tiny_run / rel), rel
 
 
 def test_detector_tau_positive_and_recorded(tiny_run):
@@ -393,8 +448,7 @@ def test_ingest_rejects_a_malformed_raw_csv_naming_the_file(tmp_path, capsys, te
 
 
 def test_detect_command_scores_a_dataset(tiny_run, tmp_path):
-    cfg = json.loads((tiny_run / "resolved_config.json").read_text())
-    cfg_path = _write_config(tmp_path, cfg)
+    cfg_path = _write_config(tmp_path, _tiny_config(tiny_run))
     code = cli.main(
         ["detect", "--config", cfg_path, "--input", str(tiny_run / "data/test.csv")]
     )
@@ -408,8 +462,7 @@ def test_detect_command_scores_a_dataset(tiny_run, tmp_path):
 
 
 def test_detect_command_missing_input(tiny_run, tmp_path):
-    cfg = json.loads((tiny_run / "resolved_config.json").read_text())
-    cfg_path = _write_config(tmp_path, cfg)
+    cfg_path = _write_config(tmp_path, _tiny_config(tiny_run))
     code = cli.main(["detect", "--config", cfg_path, "--input", str(tmp_path / "no.csv")])
     assert code == cli.EXIT_STAGE
 
@@ -422,8 +475,7 @@ def _detect_on_rewritten_test_csv(tiny_run, tmp_path, rewrite):
     path = tmp_path / "input.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rewrite(rows))
-    cfg = json.loads((tiny_run / "resolved_config.json").read_text())
-    cfg_path = _write_config(tmp_path, cfg)
+    cfg_path = _write_config(tmp_path, _tiny_config(tiny_run))
     return cli.main(["detect", "--config", cfg_path, "--input", str(path)])
 
 
@@ -493,7 +545,7 @@ def test_detect_counts_blank_lines_when_it_names_a_bad_row(tiny_run, tmp_path, c
 @pytest.mark.parametrize("label", ["2", "BenignTraffic", ""])
 def test_detect_ignores_the_label_column(tiny_run, tmp_path, label):
     """Any text in the label column scores like the unmodified file."""
-    cfg_path = _write_config(tmp_path, json.loads((tiny_run / "resolved_config.json").read_text()))
+    cfg_path = _write_config(tmp_path, _tiny_config(tiny_run))
     argv = ["detect", "--config", cfg_path, "--input", str(tiny_run / "data/test.csv")]
     assert cli.main(argv) == 0
     unmodified = json.loads((tiny_run / "reports/detections.json").read_text())["rows"]
@@ -528,19 +580,20 @@ def test_stage_rerun_on_one_source_keeps_the_other_digests(tiny_run, tmp_path):
 
 
 def test_detect_and_evaluate_leave_the_config_snapshot_alone(tiny_run, tmp_path):
-    """Neither reads a config value, so a --seed flag must not rewrite the
-    snapshot that describes the artifacts."""
+    """Neither reads a config value, so a --seed flag records no config
+    part and leaves the other stages' entries as they were."""
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
-    snapshot = (out / "resolved_config.json").read_bytes()
+    before = json.loads((out / "manifest.json").read_text())["stages"]
     assert cli.main(["detect", "--config", cfg_path, "--seed", "8",
                      "--input", str(out / "data/test.csv")]) == 0
     assert cli.main(["evaluate", "--config", cfg_path, "--seed", "8"]) == 0
-    assert (out / "resolved_config.json").read_bytes() == snapshot
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"tool", "version", "stages"}
-    assert manifest["stages"]["config"]["artifacts"] == {
-        "resolved_config.json": f"sha256:{_digest(out / 'resolved_config.json')}"
-    }
+    stages = manifest["stages"]
+    assert "config" not in stages["detect"] and "config" not in stages["evaluate"]
+    for name in set(stages) | set(before):
+        if name not in ("detect", "evaluate"):
+            assert stages[name] == before[name], name
 
 
 def test_detect_scores_do_not_depend_on_the_seed_flag(tiny_run, tmp_path):
@@ -609,13 +662,6 @@ def test_evaluate_rejects_fingerprints_wider_than_the_detector(tiny_run, tmp_pat
     assert f"fingerprints/{source}.csv: 9 fingerprint features, but the detector takes 8" in err
 
 
-def test_missing_attack_config_sidecar_is_a_stage_failure(tiny_run, tmp_path, capsys):
-    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
-    (out / "attacks/pgd.config.json").unlink()
-    assert cli.main(["fingerprint", "--source", "pgd", "--config", cfg_path]) == cli.EXIT_STAGE
-    assert "pgd.config.json" in capsys.readouterr().err
-
-
 def test_deepfool_stage_counts_degenerate_rows_in_the_manifest_only(tiny_run):
     stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
     assert stages["attack-deepfool"]["summary"]["degenerate_rows"] == 0
@@ -664,26 +710,29 @@ def test_evaluate_without_a_readable_scaler_is_a_stage_failure(tiny_run, tmp_pat
 
 
 def test_train_detector_records_the_background_the_fingerprints_used(tiny_run, tmp_path):
+    """Each stage records the config part it ran with, so a rerun under
+    another seed leaves the fingerprint stage's background seed as it was."""
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
     assert cli.main(["train-detector", "--config", cfg_path, "--seed", "8"]) == 0
-    detector = json.loads((out / "detector/detector.json").read_text())
-    assert detector["background_ref"] == "clean-train (k=30, seed=13)"
-
-
-def test_train_detector_without_a_recorded_background_is_a_stage_failure(
-    tiny_run, tmp_path, capsys
-):
-    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    del manifest["stages"]["fingerprint"]
-    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    assert cli.main(["train-detector", "--config", cfg_path]) == cli.EXIT_STAGE
-    assert "manifest.json: missing field 'fingerprint'" in capsys.readouterr().err
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    used = stages["train-detector"]["config"]["detector"]
+    assert used["init_seed"] == 15 and used["train"]["seed"] == 16
+    assert stages["fingerprint"]["config"] == {"background": {"size": 30, "seed": 13}}
+    assert stages["fingerprint"]["summary"]["background"] == "clean-train (k=30, seed=13)"
+    assert "background_ref" not in json.loads((out / "detector/detector.json").read_text())
 
 
 def _drop_tau(path):
     payload = json.loads(path.read_text())
     del payload["tau"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _set_tanh(path):
+    """Damage: the stored network (nids.json, or detector.json's
+    autoencoder) says its hidden layers are tanh."""
+    payload = json.loads(path.read_text())
+    payload.get("autoencoder", payload)["spec"]["hidden_activation"] = "tanh"
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
@@ -700,10 +749,12 @@ def _set_tau(value):
     [
         ("models/nids.json", lambda p: p.write_text("{}"), ["attack", "--attack", "fgsm"],
          "models/nids.json: missing field 'spec'"),
+        ("models/nids.json", _set_tanh, ["attack", "--attack", "fgsm"],
+         "models/nids.json: unsupported hidden activation 'tanh'"),
+        ("detector/detector.json", _set_tanh, ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: unsupported hidden activation 'tanh'"),
         ("detector/detector.json", _drop_tau, ["detect", "--input", "data/test.csv"],
          "detector/detector.json: missing field 'tau'"),
-        ("attacks/pgd.config.json", lambda p: p.write_text("{}"),
-         ["fingerprint", "--source", "pgd"], "attacks/pgd.config.json: not an attack config"),
         *(
             ("detector/detector.json", _set_tau(tau), argv,
              f"detector/detector.json: tau must be a finite number, got {tau!r}")
@@ -711,7 +762,7 @@ def _set_tau(value):
             for argv in (["detect", "--input", "data/test.csv"], ["evaluate"])
         ),
     ],
-    ids=["nids-empty-object", "detector-without-tau", "attack-config-empty-object",
+    ids=["nids-empty-object", "nids-tanh", "detector-tanh", "detector-without-tau",
          "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
@@ -722,6 +773,23 @@ def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
     argv = [str(out / a) if a.endswith(".csv") else a for a in argv]
     assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["evaluate"], ["train-detector"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"tool": "shapguard", "vers', "manifest.json: not valid JSON"),
+     ("{}", "manifest.json: missing field 'stages'")],
+    ids=["truncated", "empty-object"],
+)
+def test_damaged_manifest_is_a_stage_failure_naming_it(
+    tiny_run, tmp_path, capsys, text, message, argv
+):
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    (out / "manifest.json").write_text(text, encoding="utf-8")
+    assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert f"shapguard: {argv[0]}: " in err and message in err
 
 
 def test_single_stage_cli_commands(tmp_path):
