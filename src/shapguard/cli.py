@@ -1,7 +1,9 @@
 """Command-line entry points for the pipeline stages.
 
 Exit codes: 0 success, 1 usage/config error, 2 stage failure,
-3 invariant-check failure.
+3 invariant-check failure. A bad, missing or mismatched input, a check
+that depends on the data or a diverged training run is a stage failure,
+printed as ``shapguard: <stage>: ...``; any traceback is a bug.
 """
 
 from __future__ import annotations

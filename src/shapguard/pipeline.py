@@ -10,7 +10,9 @@ timing and its summary.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
+import inspect
 import logging
 import sys
 import time
@@ -243,36 +245,33 @@ class Workspace:
     def path(self, rel: str) -> Path:
         return self.root / rel
 
-    def load(self, rel: str, stage: str, loader: Callable[[Path], Any]) -> Any:
-        """Read artifact ``rel`` with ``loader``; a missing, empty or
-        malformed artifact is a StageError naming the file. A KeyError or
-        TypeError from the loader means JSON that parses but lacks a field
-        or holds one of the wrong type."""
+    def load(self, rel: str, loader: Callable[[Path], Any]) -> Any:
+        """Read artifact ``rel`` with ``loader``. A missing file, or JSON that
+        lacks a field (KeyError) or holds one of the wrong type (TypeError),
+        is an ArtifactError naming the file; the stage runner makes it, like
+        any ValueError, a stage failure (exit 2) naming the stage."""
         target = self.path(rel)
         if not target.exists():
-            raise StageError(
-                f"{stage}: missing artifact {rel!r}; run the producing stage first"
-            )
+            raise data.ArtifactError(f"missing artifact {rel!r}; run the producing stage first")
         try:
             return loader(target)
-        except ValueError as exc:
-            raise StageError(f"{stage}: {exc}") from exc
         except KeyError as exc:
-            raise StageError(f"{stage}: {rel}: missing field {exc}") from exc
+            raise data.ArtifactError(f"{rel}: missing field {exc}") from exc
         except TypeError as exc:
-            raise StageError(f"{stage}: {rel}: malformed field: {exc}") from exc
+            raise data.ArtifactError(f"{rel}: malformed field: {exc}") from exc
 
-    def record(
-        self, name: str, seconds: float, artifacts: dict[str, str], summary: dict,
+    def finish(
+        self, name: str, started: float, paths: list[Path], summary: dict,
         config: dict | None = None,
     ) -> None:
-        """Write stage ``name``'s entry into the manifest. ``config`` is the
-        part of the resolved config the stage read, nested as in it; a stage
-        that reads none has no ``config`` key."""
-        if self.path(MANIFEST_NAME).exists():
-            manifest = self.load(MANIFEST_NAME, name, _read_manifest)
-        else:
-            manifest = {"tool": "shapguard", "version": __version__, "stages": {}}
+        """Record stage ``name`` in the manifest. ``config`` is the part of
+        the resolved config it read, nested as in it; a stage that reads
+        none has no ``config`` key."""
+        artifacts = {
+            str(p.relative_to(self.root)): f"sha256:{_sha256(p)}" for p in paths
+        }
+        seconds = time.perf_counter() - started
+        manifest = _manifest(self)
         # A stage run again on part of its outputs (fingerprint --source fgsm)
         # keeps the digests of the files it did not rewrite.
         earlier = manifest["stages"].get(name, {}).get("artifacts", {})
@@ -280,16 +279,6 @@ class Workspace:
                  "artifacts": {**earlier, **artifacts}, "summary": summary}
         manifest["stages"][name] = {k: v for k, v in entry.items() if v is not None}
         data.write_json(self.path(MANIFEST_NAME), manifest)
-
-    def finish(
-        self, name: str, started: float, paths: list[Path], summary: dict,
-        config: dict | None = None,
-    ) -> None:
-        artifacts = {
-            str(p.relative_to(self.root)): f"sha256:{_sha256(p)}" for p in paths
-        }
-        seconds = time.perf_counter() - started
-        self.record(name, seconds, artifacts, summary, config)
         logger.info("stage %s finished in %.2fs: %s", name, seconds, summary)
 
 
@@ -311,6 +300,13 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
+def _manifest(ws: Workspace) -> dict:
+    """The run manifest so far; a fresh one before any stage finished."""
+    if ws.path(MANIFEST_NAME).exists():
+        return ws.load(MANIFEST_NAME, _read_manifest)
+    return {"tool": "shapguard", "version": __version__, "stages": {}}
+
+
 def _load_background(path: Path) -> attribution.BackgroundSet:
     """Read the background rows the fingerprint stage sampled and saved."""
     _, values, _ = data.read_table(path)
@@ -321,67 +317,75 @@ def _load_background(path: Path) -> attribution.BackgroundSet:
 # stages
 
 
-def cmd_ingest(ws: Workspace) -> None:
+def _stage(name: str) -> Callable:
+    """Run a ``cmd_*`` body, which returns (paths, summary, config part), as
+    the stage ``name`` formatted with its arguments (``"attack-{kind}"``):
+    time it and record it with Workspace.finish. This is the one place a
+    stage failure is made: a ValueError (a bad, missing or mismatched input
+    or a check that depends on the data), an OSError or a diverged training
+    run becomes a StageError naming the stage. A summary listing failed
+    checks is recorded, then raised as an InvariantError."""
+    def wrap(body: Callable[..., tuple[list[Path], dict, dict | None]]) -> Callable[..., None]:
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> None:
+            arguments = inspect.signature(body).bind(*args, **kwargs).arguments
+            stage = name.format_map(arguments)
+            started = time.perf_counter()
+            try:
+                paths, summary, config = body(*args, **kwargs)
+                arguments["ws"].finish(stage, started, paths, summary, config)
+            except OSError as exc:
+                where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+                raise StageError(f"{stage}: {where}") from exc
+            except (ValueError, neural.TrainingDivergedError) as exc:
+                raise StageError(f"{stage}: {exc}") from exc
+            if summary.get("checks_failed"):
+                raise InvariantError(f"{stage}: " + "; ".join(summary["checks_failed"]))
+        return run
+    return wrap
+
+
+@_stage("ingest")
+def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
     """Ingest or synthesize data, split, fit the scaler on train, persist."""
-    started = time.perf_counter()
     cfg = ws.cfg["data"]
-    try:
-        if cfg["source"] == "csv":
-            schema = _schema_from_cfg(cfg["csv"])
-            ds = data.load_csv(
-                cfg["csv"]["path"],
-                schema,
-                label_column=cfg["csv"]["label_column"],
-                benign_labels=frozenset(cfg["csv"]["benign_labels"]),
-            )
-        else:
-            syn = dict(cfg["synthetic"])
-            ds = data.synth_generate(m=syn.pop("n_features"), **syn)
-        train, val, test = data.split(ds, data.SplitSpec(**cfg["split"]))
-        scaler = data.fit_scaler(train)
-        train = data.apply_scaler(train, scaler)
-        val = data.apply_scaler(val, scaler)
-        test = data.apply_scaler(test, scaler)
-    except FileNotFoundError as exc:
-        raise StageError(f"ingest: file not found: {exc.filename}") from exc
-    except ValueError as exc:
-        raise StageError(f"ingest: {exc}") from exc
-
-    paths = []
-    for name, part in (("train", train), ("val", val), ("test", test)):
-        target = ws.path(f"data/{name}.csv")
-        data.save_dataset(part, target)
-        paths.append(target)
-    scaler_path = ws.path("data/scaler.json")
-    data.save_scaler(scaler, ds.schema, scaler_path)
-    paths.append(scaler_path)
-    summary = {
-        "rows": ds.n,
-        "features": ds.m,
-        "train": train.n,
-        "val": val.n,
-        "test": test.n,
-    }
-    ws.finish("ingest", started, paths, summary, {"data": cfg})
+    if cfg["source"] == "csv":
+        schema = _schema_from_cfg(cfg["csv"])
+        ds = data.load_csv(
+            cfg["csv"]["path"],
+            schema,
+            label_column=cfg["csv"]["label_column"],
+            benign_labels=frozenset(cfg["csv"]["benign_labels"]),
+        )
+    else:
+        syn = dict(cfg["synthetic"])
+        ds = data.synth_generate(m=syn.pop("n_features"), **syn)
+    splits = data.split(ds, data.SplitSpec(**cfg["split"]))
+    scaler = data.fit_scaler(splits[0])
+    paths, summary = [], {"rows": ds.n, "features": ds.m}
+    for name, part in zip(("train", "val", "test"), splits):
+        paths.append(ws.path(f"data/{name}.csv"))
+        data.save_dataset(data.apply_scaler(part, scaler), paths[-1])
+        summary[name] = part.n
+    paths.append(ws.path("data/scaler.json"))
+    data.save_scaler(scaler, ds.schema, paths[-1])
+    return paths, summary, {"data": cfg}
 
 
-def cmd_train_nids(ws: Workspace) -> None:
+@_stage("train-nids")
+def cmd_train_nids(ws: Workspace) -> tuple[list[Path], dict, dict]:
     """Train the reference classifier; persist model and loss history.
 
     The accuracies go into the stage summary; the final loss and the epoch
     count are the last row and the length of the history.
     """
-    started = time.perf_counter()
     cfg = ws.cfg["classifier"]
-    train = ws.load("data/train.csv", "train-nids", data.load_dataset)
-    test = ws.load("data/test.csv", "train-nids", data.load_dataset)
+    train = ws.load("data/train.csv", data.load_dataset)
+    test = ws.load("data/test.csv", data.load_dataset)
     model = neural.init(neural.MlpSpec((train.m, *cfg["hidden_sizes"], 1), seed=cfg["init_seed"]))
-    try:
-        model, history = neural.train(
-            model, train.X, train.y, neural.TrainConfig(**cfg["train"], loss="bce")
-        )
-    except neural.TrainingDivergedError as exc:
-        raise StageError(f"train-nids: {exc}") from exc
+    model, history = neural.train(
+        model, train.X, train.y, neural.TrainConfig(**cfg["train"], loss="bce")
+    )
     _, train_pred = neural.predict(model, train.X)
     _, test_pred = neural.predict(model, test.X)
     train_acc = float(np.mean(train_pred == train.y))
@@ -394,23 +398,20 @@ def cmd_train_nids(ws: Workspace) -> None:
         ws.path("models/nids_history.csv"), ["epoch", "loss"], enumerate(history, start=1)
     )
     summary = {"train_accuracy": train_acc, "test_accuracy": test_acc}
-    ws.finish("train-nids", started, [model_path, history_path], summary, {"classifier": cfg})
+    return [model_path, history_path], summary, {"classifier": cfg}
 
 
-def cmd_attack(ws: Workspace, kind: str) -> None:
+@_stage("attack-{kind}")
+def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
     """Craft adversarial rows from the test split for one attack kind."""
-    started = time.perf_counter()
     if kind not in ATTACK_KINDS:
         raise ConfigError(f"unknown attack kind {kind!r}")
-    model = ws.load("models/nids.json", f"attack-{kind}", neural.load)
-    test = ws.load("data/test.csv", f"attack-{kind}", data.load_dataset)
+    model = ws.load("models/nids.json", neural.load)
+    test = ws.load("data/test.csv", data.load_dataset)
     cfg = {"filter": ws.cfg["attacks"]["filter"], kind: ws.cfg["attacks"][kind]}
-    try:
-        batch = attacks.attack_batch(
-            model, test, attacks.AttackConfig(kind, **cfg[kind]), row_filter=cfg["filter"]
-        )
-    except attacks.EmptyBatchError as exc:
-        raise StageError(f"attack-{kind}: {exc}") from exc
+    batch = attacks.attack_batch(
+        model, test, attacks.AttackConfig(kind, **cfg[kind]), row_filter=cfg["filter"]
+    )
 
     csv_path = ws.path(f"attacks/{kind}.csv")
     attacks.save_adv_batch(batch, test.schema.names, csv_path)
@@ -422,7 +423,7 @@ def cmd_attack(ws: Workspace, kind: str) -> None:
     }
     if kind == "deepfool":
         summary["degenerate_rows"] = batch.degenerate_rows
-    ws.finish(f"attack-{kind}", started, [csv_path], summary, {"attacks": cfg})
+    return [csv_path], summary, {"attacks": cfg}
 
 
 def _fingerprint_sources(
@@ -438,38 +439,44 @@ def _fingerprint_sources(
     for item in sources:
         if item == "clean":
             for source in CLEAN_SOURCES:
-                split_name = source.removeprefix("clean_")
-                ds = train if split_name == "train" else ws.load(
-                    f"data/{split_name}.csv", "fingerprint", data.load_dataset
-                )
+                rel = f"data/{source.removeprefix('clean_')}.csv"
+                ds = train if source == "clean_train" else ws.load(rel, data.load_dataset)
                 rows = np.flatnonzero(ds.y == 1)
+                if not rows.size:
+                    raise attribution.EmptySelectionError(
+                        f"{rel} has no malicious rows to fingerprint"
+                    )
                 yield source, attribution.fingerprint_batch(
                     model, ds.X[rows], background, sample_ids=rows
                 )
         else:
-            batch = ws.load(f"attacks/{item}.csv", "fingerprint", attacks.load_adv_batch)
+            batch = ws.load(f"attacks/{item}.csv", attacks.load_adv_batch)
             yield item, attribution.fingerprint_batch(
                 model, batch.X_adv, background, sample_ids=batch.sample_index, origin=item
             )
 
 
-def cmd_fingerprint(ws: Workspace, source: str = "all") -> None:
+@_stage("fingerprint")
+def cmd_fingerprint(ws: Workspace, source: str = "all") -> tuple[list[Path], dict, dict]:
     """Compute attribution fingerprints for clean splits and/or attacks.
 
-    source is 'clean', an attack kind, or 'all'. Completeness violations
-    abort the stage; the largest completeness gap goes into the summary.
+    source is 'clean', an attack kind, or 'all'. A partial rerun must use
+    the background config the saved background was sampled with, since the
+    fingerprint files it leaves alone were computed against it. Completeness
+    violations abort the stage; the largest completeness gap goes into the
+    summary.
     """
-    started = time.perf_counter()
-    model = ws.load("models/nids.json", "fingerprint", neural.load)
-    train = ws.load("data/train.csv", "fingerprint", data.load_dataset)
-    background = attribution.sample_background(train.X, **ws.cfg["background"])
-    sources: list[str]
-    if source == "all":
-        sources = ["clean", *ATTACK_KINDS]
-    elif source in ("clean", *ATTACK_KINDS):
-        sources = [source]
-    else:
+    if source not in ("all", "clean", *ATTACK_KINDS):
         raise ConfigError(f"unknown fingerprint source {source!r}")
+    sources = ["clean", *ATTACK_KINDS] if source == "all" else [source]
+    config = {"background": ws.cfg["background"]}
+    recorded = _manifest(ws)["stages"].get("fingerprint", {}).get("config", config)
+    if source != "all" and recorded != config:
+        raise data.ArtifactError(f"{BACKGROUND} was sampled under {recorded}, not "
+                                 f"{config}; rerun with --source all")
+    model = ws.load("models/nids.json", neural.load)
+    train = ws.load("data/train.csv", data.load_dataset)
+    background = attribution.sample_background(train.X, **ws.cfg["background"])
     paths: list[Path] = []
     rows: dict[str, int] = {}
     max_gap = 0.0
@@ -490,32 +497,29 @@ def cmd_fingerprint(ws: Workspace, source: str = "all") -> None:
         "background": background.describe(),
         "max_completeness_gap": max_gap,
     }
-    ws.finish("fingerprint", started, paths, summary, {"background": ws.cfg["background"]})
+    return paths, summary, config
 
 
-def cmd_train_detector(ws: Workspace) -> None:
+@_stage("train-detector")
+def cmd_train_detector(ws: Workspace) -> tuple[list[Path], dict, dict]:
     """Train the autoencoder on clean train fingerprints and calibrate tau."""
-    started = time.perf_counter()
     cfg = ws.cfg["detector"]
     load = attribution.load_fingerprints
-    Z_train = ws.load("fingerprints/clean_train.csv", "train-detector", load).phi
-    Z_val = ws.load("fingerprints/clean_val.csv", "train-detector", load).phi
-    try:
-        ae, history = detector.train_autoencoder(
-            Z_train,
-            neural.TrainConfig(**cfg["train"], loss="mse"),
-            latent=cfg["latent"],
-            hidden_sizes=tuple(cfg["hidden_sizes"]),
-            init_seed=cfg["init_seed"],
-        )
-        errors_val = detector.reconstruction_errors(ae, Z_val)
-        det = detector.calibrate(
-            detector.DetectorModel(autoencoder=ae),
-            errors_val,
-            detector.CalibrationMethod(**cfg["calibration"]),
-        )
-    except (neural.TrainingDivergedError, detector.CalibrationError, ValueError) as exc:
-        raise StageError(f"train-detector: {exc}") from exc
+    Z_train = ws.load("fingerprints/clean_train.csv", load).phi
+    Z_val = ws.load("fingerprints/clean_val.csv", load).phi
+    ae, history = detector.train_autoencoder(
+        Z_train,
+        neural.TrainConfig(**cfg["train"], loss="mse"),
+        latent=cfg["latent"],
+        hidden_sizes=tuple(cfg["hidden_sizes"]),
+        init_seed=cfg["init_seed"],
+    )
+    errors_val = detector.reconstruction_errors(ae, Z_val)
+    det = detector.calibrate(
+        detector.DetectorModel(autoencoder=ae),
+        errors_val,
+        detector.CalibrationMethod(**cfg["calibration"]),
+    )
 
     det_path = ws.path("detector/detector.json")
     detector.save_detector(det, det_path)
@@ -524,7 +528,7 @@ def cmd_train_detector(ws: Workspace) -> None:
     )
     logger.info("detector tau=%.6g on %d validation errors", det.tau, errors_val.size)
     summary = {"tau": det.tau, "val_errors": int(errors_val.size)}
-    ws.finish("train-detector", started, [det_path, history_path], summary, {"detector": cfg})
+    return [det_path, history_path], summary, {"detector": cfg}
 
 
 def _detector_checks(metrics: dict, robustness: dict) -> list[str]:
@@ -550,18 +554,19 @@ def _detector_checks(metrics: dict, robustness: dict) -> list[str]:
     return failures
 
 
-def cmd_evaluate(ws: Workspace) -> None:
+@_stage("evaluate")
+def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
     """Emit the JSON report bundle; the failed checks go into the stage
-    summary, and any failure raises InvariantError."""
-    started = time.perf_counter()
-    det = ws.load("detector/detector.json", "evaluate", detector.load_detector)
-    _, schema = ws.load("data/scaler.json", "evaluate", data.load_scaler)
+    summary, which the stage runner records and then raises as an
+    InvariantError."""
+    det = ws.load("detector/detector.json", detector.load_detector)
+    _, schema = ws.load("data/scaler.json", data.load_scaler)
 
     def scored(rel: str) -> tuple[np.ndarray, np.ndarray]:
-        Z = ws.load(rel, "evaluate", attribution.load_fingerprints).phi
+        Z = ws.load(rel, attribution.load_fingerprints).phi
         if not Z.shape[1] == det.autoencoder.spec.input_size == schema.m:
-            raise StageError(
-                f"evaluate: {rel}: {Z.shape[1]} fingerprint features, but the detector "
+            raise data.SchemaError(
+                f"{rel}: {Z.shape[1]} fingerprint features, but the detector "
                 f"takes {det.autoencoder.spec.input_size} and data/scaler.json has {schema.m}"
             )
         return Z, detector.reconstruction_errors(det.autoencoder, Z)
@@ -610,12 +615,11 @@ def cmd_evaluate(ws: Workspace) -> None:
             failures.append(f"rank table: {cond} ranks are not a permutation")
     paths.append(data.write_json(ws.path("reports/rank_table.json"), {"rows": rows}))
     summary["checks_failed"] = failures
-    ws.finish("evaluate", started, paths, summary)
-    if failures:
-        raise InvariantError("evaluate: " + "; ".join(failures))
+    return paths, summary, None
 
 
-def cmd_detect(ws: Workspace, input_path: str | Path) -> None:
+@_stage("detect")
+def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict, None]:
     """Fingerprint every row of a dataset CSV, score the fingerprints with
     the autoencoder and compare the scores with tau.
 
@@ -626,26 +630,20 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> None:
     fingerprint stage saved. Decisions and scores are written to
     reports/detections.json.
     """
-    started = time.perf_counter()
     input_path = Path(input_path)
-    nids = ws.load("models/nids.json", "detect", neural.load)
-    det = ws.load("detector/detector.json", "detect", detector.load_detector)
-    _, schema = ws.load("data/scaler.json", "detect", data.load_scaler)
-    background = ws.load(BACKGROUND, "detect", _load_background)
-    try:
-        header, values, _ = data.read_table(input_path, text=(data.LABEL_COLUMN,))
-    except FileNotFoundError:
-        raise StageError(f"detect: file not found: {input_path}") from None
-    except ValueError as exc:
-        raise StageError(f"detect: {exc}") from exc
+    nids = ws.load("models/nids.json", neural.load)
+    det = ws.load("detector/detector.json", detector.load_detector)
+    _, schema = ws.load("data/scaler.json", data.load_scaler)
+    background = ws.load(BACKGROUND, _load_background)
+    header, values, _ = data.read_table(input_path, text=(data.LABEL_COLUMN,))
     expected = [*schema.names, data.LABEL_COLUMN]
     if header != expected:
-        raise StageError(
-            f"detect: {input_path}: columns {header} do not match the trained "
+        raise data.SchemaError(
+            f"{input_path}: columns {header} do not match the trained "
             f"schema in data/scaler.json plus the label column: {expected}"
         )
     if not len(values):
-        raise StageError(f"detect: {input_path}: no data rows")
+        raise data.EmptyDatasetError(f"{input_path}: no data rows")
     X = values[:, :-1]
     outside = ~np.isfinite(X) | (X < -data.BOX_TOL) | (X > 1.0 + data.BOX_TOL)
     if outside.any():
@@ -653,8 +651,8 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> None:
         # Name the row by its file line, as read_table does: blank lines hold no row.
         with open(input_path, newline="", encoding="utf-8") as fh:
             line = [n for n, text in enumerate(fh, start=1) if text.strip()][row + 1]
-        raise StageError(
-            f"detect: {input_path}: row {line}, column {schema.names[col]!r}: "
+        raise data.ArtifactError(
+            f"{input_path}: row {line}, column {schema.names[col]!r}: "
             f"{float(X[row, col])!r} is not a finite value in [0, 1]"
         )
     fps = attribution.fingerprint_batch(nids, X, background)
@@ -671,7 +669,7 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> None:
          "adversarial": flagged, "rows": rows},
     )
     summary = {"n": n, "adversarial": flagged, "tau": det.tau}
-    ws.finish("detect", started, [target], summary)
+    return [target], summary, None
 
 
 def cmd_run_all(ws: Workspace) -> None:

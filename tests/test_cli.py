@@ -191,6 +191,28 @@ def test_stages_cast_no_config_value():
     assert casts == []
 
 
+def test_stage_failures_are_made_by_the_stage_runner_alone():
+    """_stage is the one place that times a stage and turns an exception
+    into a StageError: no cmd_* catches an exception or reads the clock."""
+    tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def stage_errors(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "StageError"]
+    made = stage_errors(functions["_stage"]) if "_stage" in functions else []
+    assert made
+    assert [n.lineno for n in stage_errors(tree) if n not in made] == []
+    bookkeeping = [
+        f"{name}: line {node.lineno}"
+        for name, stage in functions.items() if name.startswith("cmd_")
+        for node in ast.walk(stage)
+        if isinstance(node, ast.Try)
+        or (isinstance(node, ast.Attribute) and node.attr == "perf_counter")
+    ]
+    assert bookkeeping == []
+
+
 # ---------------------------------------------------------------------------
 # full run artifacts
 
@@ -415,15 +437,16 @@ def test_exit_stage_failure_on_missing_csv(tmp_path):
     assert code == cli.EXIT_STAGE
 
 
-def _ingest_raw_csv(tmp_path, text):
-    """Run ingest on a raw CSV holding ``text``, schema a, b, c; return the
-    exit code and the file's path."""
+def _ingest_raw_csv(tmp_path, text, command="ingest"):
+    """Run ``command`` on a raw CSV holding ``text``, schema a, b, c, with
+    every test row attacked; return the exit code and the file's path."""
     path = tmp_path / "flows.csv"
     path.write_text(text, encoding="utf-8")
     cfg = _tiny_config(tmp_path / "run")
     cfg["data"] = {"source": "csv", "csv": {"path": str(path), "schema": ["a", "b", "c"]}}
+    cfg["attacks"]["filter"] = "all"
     cfg["detector"]["latent"] = 2  # the latent size must be below the schema's 3 features
-    return cli.main(["ingest", "--config", _write_config(tmp_path, cfg)]), path
+    return cli.main([command, "--config", _write_config(tmp_path, cfg)]), path
 
 
 @pytest.mark.parametrize(
@@ -445,6 +468,18 @@ def test_ingest_rejects_a_malformed_raw_csv_naming_the_file(tmp_path, capsys, te
     code, path = _ingest_raw_csv(tmp_path, text)
     assert code == cli.EXIT_STAGE
     assert f"ingest: {path}: {message}" in capsys.readouterr().err
+
+
+def test_a_split_without_malicious_rows_is_a_fingerprint_failure_naming_it(tmp_path, capsys):
+    """60 benign rows and 2 malicious ones leave the test split with no
+    malicious row to fingerprint; the attacks, on every row, still run."""
+    rows = "".join(f"0.{i:02d},0.{i % 7},0.{i % 5},BenignTraffic\n" for i in range(60))
+    text = f"a,b,c,label\n{rows}0.9,0.9,0.9,x\n0.8,0.95,0.85,y\n"
+    with pytest.warns(UserWarning, match="split 'test' received no rows of class 1"):
+        code, _ = _ingest_raw_csv(tmp_path, text, command="run-all")
+    assert code == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "shapguard: fingerprint: data/test.csv has no malicious rows to fingerprint" in err
 
 
 def test_detect_command_scores_a_dataset(tiny_run, tmp_path):
@@ -579,6 +614,25 @@ def test_stage_rerun_on_one_source_keeps_the_other_digests(tiny_run, tmp_path):
     assert stage["summary"]["rows"].keys() == {"fgsm"}
 
 
+def test_partial_fingerprint_rerun_under_another_background_is_refused(tiny_run, tmp_path, capsys):
+    """The fingerprint files a partial rerun leaves alone were computed
+    against the saved background, so it may not resample it under another
+    seed; --source all may."""
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    argv = ["fingerprint", "--config", cfg_path, "--seed", "8"]
+    assert cli.main([*argv, "--source", "fgsm"]) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "shapguard: fingerprint: models/background.csv was sampled under" in err
+    assert "{'size': 30, 'seed': 13}" in err and "{'size': 30, 'seed': 14}" in err
+    assert "--source all" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert cli.main([*argv, "--source", "all"]) == 0
+    assert cli.main([*argv, "--source", "fgsm"]) == 0
+    stage = json.loads((out / "manifest.json").read_text())["stages"]["fingerprint"]
+    assert stage["config"] == {"background": {"size": 30, "seed": 14}}
+
+
 def test_detect_and_evaluate_leave_the_config_snapshot_alone(tiny_run, tmp_path):
     """Neither reads a config value, so a --seed flag records no config
     part and leaves the other stages' entries as they were."""
@@ -620,6 +674,34 @@ def test_empty_artifact_is_a_stage_failure_naming_it(tiny_run, tmp_path, capsys,
     argv = [str(out / a) if a.endswith(".csv") else a for a in argv]
     assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
     assert f"{artifact}: file is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["attack", "--attack", "fgsm"], "attack-fgsm: input has 10 features, model expects 8"),
+        (["fingerprint"], "fingerprint: X and the background must match the model input"),
+        (["detect", "--input", "data/test.csv"],
+         "detect: X and the background must match the model input"),
+        (["detect", "--input", "data"], "detect: {out}/data: Is a directory"),
+    ],
+    ids=["attack", "fingerprint", "detect", "detect-a-directory"],
+)
+def test_input_that_does_not_match_the_model_is_a_stage_failure(
+    tiny_run, tmp_path, capsys, argv, message
+):
+    """A re-ingest at another width without retraining leaves a model that
+    takes 8 features beside data with 10: each stage that pairs them fails
+    naming itself, as does detect given a directory."""
+    out, _ = _copy_of_run(tiny_run, tmp_path)
+    cfg = _tiny_config(out)
+    cfg["data"]["synthetic"]["n_features"] = 10
+    cfg_path = _write_config(tmp_path, cfg, "wide.json")
+    assert cli.main(["ingest", "--config", cfg_path]) == 0
+    argv = [str(out / a) if a.startswith("data") else a for a in argv]
+    assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert f"shapguard: {message.format(out=out)}" in err and "Traceback" not in err
 
 
 def test_truncated_fingerprint_file_is_a_stage_failure(tiny_run, tmp_path, capsys):
