@@ -177,7 +177,8 @@ def fingerprint_batch(
     if model.output_size != 1:
         raise ValueError("attribution requires a single-output model")
     if X.shape[1] != model.input_size or background.m != model.input_size:
-        raise ValueError("X and the background must match the model input")
+        raise ValueError(f"X has {X.shape[1]} features, the background {background.m}, "
+                         f"the model {model.input_size}")
     n = X.shape[0]
     if sample_ids is None:
         sample_ids = np.arange(n)
@@ -221,11 +222,19 @@ def save_fingerprints(fps: Fingerprints, path: str | Path) -> None:
 
 
 def load_fingerprints(path: str | Path) -> Fingerprints:
-    """Read a file written by :func:`save_fingerprints`; its phi0 and origin
-    columns must be constant."""
+    """Read a file written by :func:`save_fingerprints`; its numeric cells
+    must be finite, its phi0 and origin columns constant."""
     header, values, text = data.read_table(path, text=("origin",))
     if not len(values):
         raise EmptySelectionError(f"{path}: no fingerprints")
+    bad = ~np.isfinite(values)
+    bad[:, header.index("origin")] = False  # a text column, held as NaN
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise data.ArtifactError(
+            f"{path}: row {data.file_line(path, row)}, column {header[col]!r}: "
+            f"{float(values[row, col])!r} is not a finite value"
+        )
     m = len(header) - 4
     if np.unique(values[:, 1]).size != 1:
         raise ValueError(f"{path}: the phi0 column is not constant")

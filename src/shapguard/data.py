@@ -471,6 +471,15 @@ def read_table(
     return header, values, cells
 
 
+def file_line(path: str | Path, row: int) -> int:
+    """The file line holding data row ``row`` (from 0) of a table
+    :func:`read_table` read: the header is line 1, and blank lines, which
+    hold no row, are counted."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = (n for n, text in enumerate(fh, start=1) if text.strip())
+        return next(itertools.islice(lines, row + 1, None))
+
+
 def _parses_as_float64(cell: str) -> bool:
     """np.loadtxt's test: float() of the stripped cell, less digit-grouping
     underscores and non-ASCII digits."""

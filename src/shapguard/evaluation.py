@@ -1,54 +1,15 @@
-"""Detection metrics, robustness metrics, and attribution rank analysis.
+"""Detection report, ROC/AP, attribution rank analysis and error histograms.
 
 Positive class = adversarial throughout. Threshold metrics come straight
-from confusion counts; ROC AUC is trapezoidal over the score sweep and
-average precision is the step sum AP = sum_n (R_n - R_{n-1}) * P_n.
+from one set of confusion counts; ROC AUC is trapezoidal over the score
+sweep and average precision is the step sum AP = sum_n (R_n - R_{n-1}) * P_n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Counts with adversarial as the positive class."""
-
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self) -> None:
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-def confusion(
-    true_labels: Sequence[int] | np.ndarray, predicted_labels: Sequence[int] | np.ndarray
-) -> ConfusionCounts:
-    """Counts by definition; labels are clean=0, adversarial=1."""
-    t = np.asarray(true_labels)
-    p = np.asarray(predicted_labels)
-    if t.size == 0:
-        raise ValueError("empty inputs")
-    if t.shape != p.shape:
-        raise ValueError(f"label length mismatch: {t.shape} vs {p.shape}")
-    if not (np.isin(t, (0, 1)).all() and np.isin(p, (0, 1)).all()):
-        raise ValueError("labels must be 0 (clean) or 1 (adversarial)")
-    return ConfusionCounts(
-        tp=int(np.sum((t == 1) & (p == 1))),
-        tn=int(np.sum((t == 0) & (p == 0))),
-        fp=int(np.sum((t == 0) & (p == 1))),
-        fn=int(np.sum((t == 1) & (p == 0))),
-    )
 
 
 def _score_sweep(scores: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,37 +51,34 @@ def average_precision(scores: np.ndarray, truths: np.ndarray) -> float | None:
     return float(np.sum((recall - prev) * precision))
 
 
-def classification_metrics(
-    counts: ConfusionCounts,
-    scores: np.ndarray | None = None,
-    truths: np.ndarray | None = None,
+def detection_report(
+    errors_clean: np.ndarray, errors_adv: np.ndarray, tau: float
 ) -> dict:
-    """Threshold metrics from counts plus score-based AUC/AP when given, in
-    report order: accuracy ... fnr, then the counts tp, tn, fp, fn.
+    """The report of a detector on clean and adversarial scores, in report
+    order: accuracy ... fnr, the counts tp, tn, fp, fn, then ca, aa, asr.
 
-    Zero-denominator conventions: precision = 0 when tp+fp = 0, recall = 0
-    when tp+fn = 0, f1 = 0 when precision+recall = 0 (and likewise 0 for
-    the other ratios). AUC/AP are None for single-class truths.
+    A score above tau is flagged adversarial. The scores are thresholded
+    and counted once; every rate is a ratio of those counts. ca (clean
+    accuracy), aa (adversarial accuracy) and asr (attack success rate) are
+    specificity, recall and fnr under their robustness names. Precision is 0
+    when nothing is flagged, npv 0 when everything is, and f1 0 when
+    precision + recall = 0. AUC/AP rank all the scores, clean first.
     """
-    tp, tn, fp, fn = counts.tp, counts.tn, counts.fp, counts.fn
-    if counts.total == 0:
-        raise ValueError("empty confusion counts")
-
-    def ratio(num: int, den: int) -> float:
-        return num / den if den else 0.0
-
-    precision = ratio(tp, tp + fp)
-    recall = ratio(tp, tp + fn)
-    auc = ap = None
-    if scores is not None and truths is not None:
-        scores = np.asarray(scores, dtype=np.float64)
-        truths = np.asarray(truths)
-        if scores.shape != truths.shape:
-            raise ValueError("scores/truths length mismatch")
-        auc = roc_auc(scores, truths)
-        ap = average_precision(scores, truths)
+    clean = np.asarray(errors_clean, dtype=np.float64)
+    adv = np.asarray(errors_adv, dtype=np.float64)
+    if clean.ndim != 1 or adv.ndim != 1 or clean.size == 0 or adv.size == 0:
+        raise ValueError("need non-empty vectors of clean and adversarial scores")
+    fp = int(np.count_nonzero(clean > tau))
+    tp = int(np.count_nonzero(adv > tau))
+    tn, fn = clean.size - fp, adv.size - tp
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn)
+    specificity = tn / (tn + fp)
+    fnr = fn / (fn + tp)
+    scores = np.concatenate([clean, adv])
+    truths = np.concatenate([np.zeros(clean.size, int), np.ones(adv.size, int)])
     return {
-        "accuracy": (tp + tn) / counts.total,
+        "accuracy": (tp + tn) / (tp + tn + fp + fn),
         "precision": precision,
         "recall": recall,
         "f1": (
@@ -128,32 +86,19 @@ def classification_metrics(
             if precision + recall > 0
             else 0.0
         ),
-        "roc_auc": auc,
-        "average_precision": ap,
-        "specificity": ratio(tn, tn + fp),
-        "npv": ratio(tn, tn + fn),
-        "fpr": ratio(fp, fp + tn),
-        "fnr": ratio(fn, fn + tp),
+        "roc_auc": roc_auc(scores, truths),
+        "average_precision": average_precision(scores, truths),
+        "specificity": specificity,
+        "npv": tn / (tn + fn) if tn + fn else 0.0,
+        "fpr": fp / (fp + tn),
+        "fnr": fnr,
         "tp": tp,
         "tn": tn,
         "fp": fp,
         "fn": fn,
-    }
-
-
-def robustness_metrics(
-    clean_results: Sequence[bool] | np.ndarray,
-    adv_results: Sequence[bool] | np.ndarray,
-) -> dict:
-    """CA/AA from correctness flags; ASR = misclassified adv / total adv."""
-    clean = np.asarray(clean_results, dtype=bool)
-    adv = np.asarray(adv_results, dtype=bool)
-    if clean.size == 0 or adv.size == 0:
-        raise ValueError("empty correctness flags")
-    return {
-        "ca": float(np.count_nonzero(clean) / clean.size),
-        "aa": float(np.count_nonzero(adv) / adv.size),
-        "asr": float(np.count_nonzero(~adv) / adv.size),
+        "ca": specificity,
+        "aa": recall,
+        "asr": fnr,
     }
 
 

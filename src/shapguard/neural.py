@@ -176,17 +176,6 @@ def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     return h, ForwardTrace(inputs=batch, pre=pre_list, post=post_list)
 
 
-def logit(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Final pre-activation per row, the last axis squeezed for 1-unit outputs.
-
-    For a sigmoid classifier this is the pre-sigmoid score g(x) whose sign
-    gives the decision boundary at g = 0.
-    """
-    _, trace = forward(model, _as_batch(X))
-    z = trace.pre[-1]
-    return z[:, 0] if model.output_size == 1 else z
-
-
 def loss_value(outputs: np.ndarray, targets: np.ndarray, loss: str) -> float:
     """mse: mean over samples of squared l2 error; bce: mean binary CE."""
     o = np.asarray(outputs, dtype=np.float64)

@@ -361,9 +361,16 @@ def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
         syn = dict(cfg["synthetic"])
         ds = data.synth_generate(m=syn.pop("n_features"), **syn)
     splits = data.split(ds, data.SplitSpec(**cfg["split"]))
+    names = ("train", "val", "test")
+    for name, part in zip(names, splits):
+        # the fingerprint stage explains each split's malicious rows
+        if not part.y.any():
+            raise data.EmptyDatasetError(
+                f"split {name!r} has no malicious rows ({part.n} benign, 0 malicious)"
+            )
     scaler = data.fit_scaler(splits[0])
     paths, summary = [], {"rows": ds.n, "features": ds.m}
-    for name, part in zip(("train", "val", "test"), splits):
+    for name, part in zip(names, splits):
         paths.append(ws.path(f"data/{name}.csv"))
         data.save_dataset(data.apply_scaler(part, scaler), paths[-1])
         summary[name] = part.n
@@ -531,10 +538,11 @@ def cmd_train_detector(ws: Workspace) -> tuple[list[Path], dict, dict]:
     return [det_path, history_path], summary, {"detector": cfg}
 
 
-def _detector_checks(metrics: dict, robustness: dict) -> list[str]:
-    """Recompute every threshold metric from counts; return failures."""
+def _detector_checks(report: dict) -> list[str]:
+    """Recompute every threshold metric from the report's counts; return
+    failures."""
     failures = []
-    tp, tn, fp, fn = metrics["tp"], metrics["tn"], metrics["fp"], metrics["fn"]
+    tp, tn, fp, fn = report["tp"], report["tn"], report["fp"], report["fn"]
     expected = {
         "accuracy": (tp + tn) / (tp + tn + fp + fn),
         "precision": tp / (tp + fp) if tp + fp else 0.0,
@@ -547,9 +555,9 @@ def _detector_checks(metrics: dict, robustness: dict) -> list[str]:
     p, r = expected["precision"], expected["recall"]
     expected["f1"] = 2 * p * r / (p + r) if p + r else 0.0
     for name, value in expected.items():
-        if abs(metrics[name] - value) > 1e-12:
+        if abs(report[name] - value) > 1e-12:
             failures.append(f"{name} mismatch")
-    if abs(robustness["aa"] + robustness["asr"] - 1.0) > 1e-12:
+    if abs(report["aa"] + report["asr"] - 1.0) > 1e-12:
         failures.append("aa + asr != 1")
     return failures
 
@@ -582,31 +590,20 @@ def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
         Z_adv, errors_adv = scored(f"fingerprints/{kind}.csv")
         importance_by_condition[kind] = evaluation.importance(Z_adv)
 
-        scores = np.concatenate([errors_clean, errors_adv])
-        truths = np.concatenate(
-            [np.zeros(errors_clean.size, int), np.ones(errors_adv.size, int)]
-        )
-        preds = (scores > det.tau).astype(int)
-        counts = evaluation.confusion(truths, preds)
-        metrics = evaluation.classification_metrics(counts, scores, truths)
-        robustness = evaluation.robustness_metrics(
-            clean_results=errors_clean <= det.tau,
-            adv_results=errors_adv > det.tau,
-        )
-        failures.extend(f"{kind}: {msg}" for msg in _detector_checks(metrics, robustness))
+        report = evaluation.detection_report(errors_clean, errors_adv, det.tau)
+        failures.extend(f"{kind}: {msg}" for msg in _detector_checks(report))
 
         paths.append(data.write_json(
-            ws.path(f"reports/metrics_{kind}.json"),
-            {"attack": kind, **metrics, **robustness},
+            ws.path(f"reports/metrics_{kind}.json"), {"attack": kind, **report}
         ))
         paths.append(data.write_json(
             ws.path(f"reports/error_distribution_{kind}.json"),
             evaluation.error_distribution_report(errors_clean, errors_adv, det.tau),
         ))
         summary[kind] = {
-            "accuracy": metrics["accuracy"],
-            "roc_auc": metrics["roc_auc"],
-            "aa": robustness["aa"],
+            "accuracy": report["accuracy"],
+            "roc_auc": report["roc_auc"],
+            "aa": report["aa"],
         }
 
     rows = evaluation.build_rank_table(schema.names, importance_by_condition)
@@ -648,12 +645,9 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     outside = ~np.isfinite(X) | (X < -data.BOX_TOL) | (X > 1.0 + data.BOX_TOL)
     if outside.any():
         row, col = np.argwhere(outside)[0]
-        # Name the row by its file line, as read_table does: blank lines hold no row.
-        with open(input_path, newline="", encoding="utf-8") as fh:
-            line = [n for n, text in enumerate(fh, start=1) if text.strip()][row + 1]
         raise data.ArtifactError(
-            f"{input_path}: row {line}, column {schema.names[col]!r}: "
-            f"{float(X[row, col])!r} is not a finite value in [0, 1]"
+            f"{input_path}: row {data.file_line(input_path, row)}, "
+            f"column {schema.names[col]!r}: {float(X[row, col])!r} is not a finite value in [0, 1]"
         )
     fps = attribution.fingerprint_batch(nids, X, background)
     decisions, scores = detector.detect(det, fps.phi)

@@ -47,14 +47,29 @@ def desk_run(tmp_path_factory):
 
 
 # ---------------------------------------------------------------------------
+# criteria 1 and 2 drive detection_report with score vectors that reproduce
+# the published counts: under tau 0.5, a clean score of 1.5 is a false
+# positive and an adversarial score of 0.5 (equal to tau) a miss.
+
+TAU = 0.5
+
+
+def _published_scores(n_below: int, n_above: int) -> np.ndarray:
+    return np.repeat([TAU, TAU + 1.0], [n_below, n_above])
+
+
+FGSM_CLEAN = _published_scores(9955, 45)     # tn 9955, fp 45
+FGSM_ADV = _published_scores(52, 9948)       # fn 52, tp 9948
+
+
+# ---------------------------------------------------------------------------
 # criterion 1: metric oracle vs published detection rows
 
 
 def test_criterion_01_metric_oracle_matches_published_rows():
     tol = 5e-5 + 1e-9
-    fgsm = evaluation.classification_metrics(
-        evaluation.ConfusionCounts(tp=9948, tn=9955, fp=45, fn=52)
-    )
+    fgsm = evaluation.detection_report(FGSM_CLEAN, FGSM_ADV, TAU)
+    assert (fgsm["tp"], fgsm["tn"], fgsm["fp"], fgsm["fn"]) == (9948, 9955, 45, 52)
     published = {
         "accuracy": 0.9952, "precision": 0.9955, "recall": 0.9948,
         "f1": 0.9951, "fpr": 0.0045, "fnr": 0.0052,
@@ -62,8 +77,11 @@ def test_criterion_01_metric_oracle_matches_published_rows():
     for name, value in published.items():
         assert abs(fgsm[name] - value) <= tol, name
 
-    deepfool = evaluation.classification_metrics(
-        evaluation.ConfusionCounts(tp=6649, tn=9735, fp=265, fn=3351)
+    deepfool = evaluation.detection_report(
+        _published_scores(9735, 265), _published_scores(3351, 6649), TAU
+    )
+    assert (deepfool["tp"], deepfool["tn"], deepfool["fp"], deepfool["fn"]) == (
+        6649, 9735, 265, 3351
     )
     assert abs(deepfool["recall"] - 0.6649) <= tol
     assert abs(deepfool["fnr"] - 0.3351) <= tol
@@ -75,13 +93,11 @@ def test_criterion_01_metric_oracle_matches_published_rows():
 
 
 def test_criterion_02_robustness_oracle_matches_published_rows():
-    fgsm = evaluation.robustness_metrics(
-        [True] * 9955 + [False] * 45, [True] * 9948 + [False] * 52
-    )
+    fgsm = evaluation.detection_report(FGSM_CLEAN, FGSM_ADV, TAU)
     assert fgsm["ca"] == 0.9955
     assert fgsm["aa"] == 0.9948
     assert fgsm["asr"] == 0.0052
-    pgd = evaluation.robustness_metrics([True] * 9955 + [False] * 45, [True] * 10000)
+    pgd = evaluation.detection_report(FGSM_CLEAN, _published_scores(0, 10000), TAU)
     assert pgd["aa"] == 1.0
     assert pgd["asr"] == 0.0
     _report("criterion 2 (robustness oracle, exact)")
@@ -291,7 +307,7 @@ def test_criterion_06_attack_invariants_fuzz():
             attacks.AttackConfig(kind="deepfool", max_iter=50, overshoot=0.0),
         )
         assert iters <= 1
-        assert abs(neural.logit(lin, x_adv)[0]) <= 1e-9
+        assert abs(neural.forward(lin, x_adv)[1].pre[-1][0, 0]) <= 1e-9
         checked += 1
     _report("criterion 6 (attack invariants fuzz)",
             "[10,000 samples; pgd(1)=fgsm bitwise; deepfool linear 1-step]")

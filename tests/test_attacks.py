@@ -11,6 +11,11 @@ def _linear_sigmoid(w, b):
     return neural.MlpModel(spec=spec, weights=[w], biases=[np.atleast_1d(float(b))])
 
 
+def _logit(model, X):
+    """g(x) per row of X: the final pre-activation."""
+    return neural.forward(model, X)[1].pre[-1][:, 0]
+
+
 def _trained_toy(seed=21, m=10, n=600):
     ds = data.synth_generate(n, m, class_separation=0.4, noise=0.1, seed=seed)
     model = neural.init(neural.MlpSpec((m, 32, 16, 1), seed=5))
@@ -118,11 +123,11 @@ def test_deepfool_linear_single_step_lands_on_hyperplane():
     w = np.array([1.5, -2.0, 0.5])
     model = _linear_sigmoid(w, 0.4)
     X = np.array([[0.8, 0.2, 0.6]])
-    g0 = float(neural.logit(model, X)[0])
+    g0 = float(_logit(model, X)[0])
     cfg = AttackConfig(kind="deepfool", max_iter=50, overshoot=0.0)
     x_adv, iters, _ = attacks.deepfool(model, X, _predicted(model, X), cfg)
     assert iters == 1
-    assert abs(neural.logit(model, x_adv)[0]) <= 1e-9
+    assert abs(_logit(model, x_adv)[0]) <= 1e-9
     assert np.linalg.norm(x_adv - X) == pytest.approx(abs(g0) / np.linalg.norm(w), abs=1e-12)
 
 
@@ -186,7 +191,7 @@ def _deepfool_per_row(model, x, cfg, y_true=None):
     if y_true is not None and label0 != int(y_true):
         return x.copy(), 0
 
-    g0 = float(neural.logit(model, x[None, :])[0])
+    g0 = float(_logit(model, x[None, :])[0])
     tol = attacks._BOUNDARY_TOL * max(1.0, abs(g0))
 
     def crossed(g: float) -> bool:
@@ -195,7 +200,7 @@ def _deepfool_per_row(model, x, cfg, y_true=None):
     xt = x.copy()
     iters = 0
     while iters < cfg.max_iter:
-        g = g0 if iters == 0 else float(neural.logit(model, xt[None, :])[0])
+        g = g0 if iters == 0 else float(_logit(model, xt[None, :])[0])
         if crossed(g):
             break
         grad = neural.grad_logit_input(model, xt[None, :])[0]

@@ -11,6 +11,11 @@ def _linear_logit(w, b):
     return neural.MlpModel(spec=spec, weights=[w], biases=[np.atleast_1d(float(b))])
 
 
+def _logit(model, X):
+    """g(x) per row of X: the final pre-activation."""
+    return neural.forward(model, X)[1].pre[-1][:, 0]
+
+
 def _random_relu_net(seed, m=6, hidden=(10, 5)):
     rng = np.random.default_rng(seed)
     model = neural.init(neural.MlpSpec((m, *hidden, 1), seed=int(rng.integers(1e6))))
@@ -57,7 +62,7 @@ def test_phi0_singleton_background():
     b = np.array([[0.3, 0.4]])
     bg = BackgroundSet(B=b)
     assert _phi0(model, bg) == pytest.approx(
-        float(neural.logit(model, b)[0]), abs=0
+        float(_logit(model, b)[0]), abs=0
     )
 
 
@@ -103,7 +108,7 @@ def test_deeplift_summation_to_delta_on_random_nets():
         x = rng.uniform(0, 1, 6)
         b = rng.uniform(0, 1, 6)
         phi, _, _ = _fingerprint(model, x, BackgroundSet(B=b[None, :]))
-        delta = float(neural.logit(model, x[None, :])[0] - neural.logit(model, b[None, :])[0])
+        delta = float(_logit(model, x[None, :])[0] - _logit(model, b[None, :])[0])
         assert abs(phi.sum() - delta) <= 1e-8
 
 
@@ -117,7 +122,7 @@ def test_fingerprint_singleton_background_equals_deeplift():
     b = rng.uniform(0, 1, 6)
     phi, phi0, _ = _fingerprint(model, x, BackgroundSet(B=b[None, :]))
     assert np.allclose(phi, _rescale_oracle(model, x, b), atol=0)
-    assert phi0 == pytest.approx(float(neural.logit(model, b[None, :])[0]), abs=0)
+    assert phi0 == pytest.approx(float(_logit(model, b[None, :])[0]), abs=0)
 
 
 def test_fingerprint_linear_model_closed_form():
@@ -186,11 +191,11 @@ def test_batch_row_equals_single_fingerprint():
         phi, logit = attribution.shap_fingerprint(model, X[k : k + 1], bg, trace_b)
         assert phi.shape == (1, 6) and logit.shape == (1,)
         assert np.array_equal(fps.phi[k], phi[0])
-        assert fps.model_output[k] == logit[0] == neural.logit(model, X[k : k + 1])[0]
+        assert fps.model_output[k] == logit[0] == _logit(model, X[k : k + 1])[0]
     phi, logit = attribution.shap_fingerprint(model, X, bg, trace_b)
     assert np.array_equal(fps.phi, phi)
     assert np.array_equal(fps.model_output, logit)
-    assert fps.phi0 == float(np.mean(neural.logit(model, bg.B)))
+    assert fps.phi0 == float(np.mean(_logit(model, bg.B)))
 
 
 def _per_row_fingerprint(model, x, background, trace_b):

@@ -470,16 +470,18 @@ def test_ingest_rejects_a_malformed_raw_csv_naming_the_file(tmp_path, capsys, te
     assert f"ingest: {path}: {message}" in capsys.readouterr().err
 
 
-def test_a_split_without_malicious_rows_is_a_fingerprint_failure_naming_it(tmp_path, capsys):
+def test_a_split_without_malicious_rows_is_an_ingest_failure_naming_it(tmp_path, capsys):
     """60 benign rows and 2 malicious ones leave the test split with no
-    malicious row to fingerprint; the attacks, on every row, still run."""
+    malicious row to fingerprint: ingest refuses it before it writes any
+    split, naming the split and its class counts."""
     rows = "".join(f"0.{i:02d},0.{i % 7},0.{i % 5},BenignTraffic\n" for i in range(60))
     text = f"a,b,c,label\n{rows}0.9,0.9,0.9,x\n0.8,0.95,0.85,y\n"
     with pytest.warns(UserWarning, match="split 'test' received no rows of class 1"):
         code, _ = _ingest_raw_csv(tmp_path, text, command="run-all")
     assert code == cli.EXIT_STAGE
     err = capsys.readouterr().err
-    assert "shapguard: fingerprint: data/test.csv has no malicious rows to fingerprint" in err
+    assert "shapguard: ingest: split 'test' has no malicious rows (12 benign, 0 malicious)" in err
+    assert not (tmp_path / "run/data").exists()
 
 
 def test_detect_command_scores_a_dataset(tiny_run, tmp_path):
@@ -680,9 +682,9 @@ def test_empty_artifact_is_a_stage_failure_naming_it(tiny_run, tmp_path, capsys,
     "argv, message",
     [
         (["attack", "--attack", "fgsm"], "attack-fgsm: input has 10 features, model expects 8"),
-        (["fingerprint"], "fingerprint: X and the background must match the model input"),
+        (["fingerprint"], "fingerprint: X has 10 features, the background 10, the model 8"),
         (["detect", "--input", "data/test.csv"],
-         "detect: X and the background must match the model input"),
+         "detect: X has 10 features, the background 8, the model 8"),
         (["detect", "--input", "data"], "detect: {out}/data: Is a directory"),
     ],
     ids=["attack", "fingerprint", "detect", "detect-a-directory"],
@@ -729,6 +731,24 @@ def test_unparsable_fingerprint_cell_is_a_stage_failure_naming_its_line(tiny_run
     assert cli.main(["train-detector", "--config", cfg_path]) == cli.EXIT_STAGE
     err = capsys.readouterr().err
     assert "fingerprints/clean_val.csv: row 3, column 'phi_2': cannot parse 'oops'" in err
+
+
+@pytest.mark.parametrize("column, value", [("phi_2", "nan"), ("model_output", "-inf")])
+def test_non_finite_fingerprint_cell_is_a_stage_failure_naming_its_line(
+    tiny_run, tmp_path, capsys, column, value
+):
+    """A NaN would otherwise score as clean and leave NaN in the error
+    histogram, which is not valid JSON."""
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+
+    def corrupt(rows):
+        rows[2][rows[0].index(column)] = value
+        return rows
+    _rewrite_csv(out / "fingerprints/fgsm.csv", corrupt)
+    assert cli.main(["evaluate", "--config", cfg_path]) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert (f"shapguard: evaluate: {out / 'fingerprints/fgsm.csv'}: row 3, column {column!r}: "
+            f"{value} is not a finite value") in err
 
 
 @pytest.mark.parametrize("source", ["clean_test", "deepfool"])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from shapguard import evaluation
-from shapguard.evaluation import ConfusionCounts
 
 
 def _brute_force_ap(scores, truths):
@@ -30,63 +29,76 @@ def _brute_force_auc(scores, truths):
     return wins / (len(pos) * len(neg))
 
 
+def _scores(below, above, tau=0.5):
+    """Scores with ``below`` entries at or under tau and ``above`` over it."""
+    return np.repeat([tau, tau + 1.0], [below, above])
+
+
 # ---------------------------------------------------------------------------
-# confusion
+# confusion counts
 
 
 def test_confusion_enumeration():
-    counts = evaluation.confusion([1, 1, 0, 0], [1, 0, 0, 1])
-    assert (counts.tp, counts.fn, counts.tn, counts.fp) == (1, 1, 1, 1)
+    report = evaluation.detection_report([0.1, 0.9], [0.9, 0.1], 0.5)
+    assert (report["tp"], report["fn"], report["tn"], report["fp"]) == (1, 1, 1, 1)
 
 
 def test_confusion_all_correct():
-    counts = evaluation.confusion([1, 0, 1], [1, 0, 1])
-    assert counts.fp == counts.fn == 0
+    """A score equal to tau is clean: only a score above it is flagged."""
+    report = evaluation.detection_report([0.5, 0.2], [0.6, 3.0, 0.51], 0.5)
+    assert report["fp"] == report["fn"] == 0
+    assert (report["tn"], report["tp"]) == (2, 3)
 
 
 def test_confusion_empty_and_mismatch():
     with pytest.raises(ValueError):
-        evaluation.confusion([], [])
+        evaluation.detection_report([], [1.0], 0.5)
     with pytest.raises(ValueError):
-        evaluation.confusion([1, 0], [1])
-    with pytest.raises(ValueError):
-        evaluation.confusion([2, 0], [1, 0])
+        evaluation.detection_report([[0.1, 0.2]], [1.0], 0.5)
 
 
 # ---------------------------------------------------------------------------
-# classification metrics
+# the detection report
 
 
 def test_metrics_zero_denominator_conventions():
-    report = evaluation.classification_metrics(ConfusionCounts(tp=0, tn=5, fp=0, fn=0))
-    assert report["precision"] == 0.0 and report["recall"] == 0.0 and report["f1"] == 0.0
+    nothing_flagged = evaluation.detection_report(_scores(5, 0), _scores(3, 0), 0.5)
+    assert nothing_flagged["tp"] == nothing_flagged["fp"] == 0
+    assert nothing_flagged["precision"] == 0.0
+    assert nothing_flagged["recall"] == 0.0 and nothing_flagged["f1"] == 0.0
+    everything_flagged = evaluation.detection_report(_scores(0, 4), _scores(0, 2), 0.5)
+    assert everything_flagged["tn"] == everything_flagged["fn"] == 0
+    assert everything_flagged["npv"] == 0.0
 
 
 def test_metrics_identities():
-    report = evaluation.classification_metrics(ConfusionCounts(tp=7, tn=11, fp=3, fn=2))
+    report = evaluation.detection_report(_scores(11, 3), _scores(2, 7), 0.5)
+    assert (report["tp"], report["tn"], report["fp"], report["fn"]) == (7, 11, 3, 2)
     assert report["fpr"] + report["specificity"] == pytest.approx(1.0, abs=1e-12)
     assert report["fnr"] + report["recall"] == pytest.approx(1.0, abs=1e-12)
     p, r = report["precision"], report["recall"]
     assert report["f1"] == pytest.approx(2 * p * r / (p + r), abs=1e-12)
     assert report["accuracy"] == pytest.approx(18 / 23, abs=1e-12)
+    assert (report["ca"], report["aa"], report["asr"]) == (
+        report["specificity"], report["recall"], report["fnr"]
+    )
+    assert list(report) == [
+        "accuracy", "precision", "recall", "f1", "roc_auc", "average_precision",
+        "specificity", "npv", "fpr", "fnr", "tp", "tn", "fp", "fn", "ca", "aa", "asr",
+    ]
 
 
 def test_metrics_perfect_separation_scores():
-    scores = np.array([0.9, 0.8, 0.2, 0.1])
-    truths = np.array([1, 1, 0, 0])
-    counts = evaluation.confusion(truths, (scores > 0.5).astype(int))
-    report = evaluation.classification_metrics(counts, scores, truths)
+    report = evaluation.detection_report([0.2, 0.1], [0.9, 0.8], 0.5)
     assert report["roc_auc"] == 1.0
     assert report["average_precision"] == 1.0
 
 
 def test_metrics_single_class_truths_leave_auc_undefined():
     scores = np.array([0.9, 0.1])
-    truths = np.array([1, 1])
-    counts = ConfusionCounts(tp=2, tn=0, fp=0, fn=0)
-    report = evaluation.classification_metrics(counts, scores, truths)
-    assert report["roc_auc"] is None and report["average_precision"] is None
-    assert report["accuracy"] == 1.0
+    for truths in ([1, 1], [0, 0]):
+        assert evaluation.roc_auc(scores, np.array(truths)) is None
+        assert evaluation.average_precision(scores, np.array(truths)) is None
 
 
 def test_auc_invariant_under_monotone_transform():
@@ -127,12 +139,14 @@ def test_ap_matches_exhaustive_oracle_small_sets():
 
 
 # ---------------------------------------------------------------------------
-# published detection-metric rows as oracles
+# published rows as oracles: score vectors that reproduce the published
+# counts (tau 0.5; a clean score above it is a false positive, an
+# adversarial one at or under it a miss)
 
 
 def test_published_shap_fgsm_detection_row():
-    counts = ConfusionCounts(tp=9948, tn=9955, fp=45, fn=52)
-    report = evaluation.classification_metrics(counts)
+    report = evaluation.detection_report(_scores(9955, 45), _scores(52, 9948), 0.5)
+    assert (report["tp"], report["tn"], report["fp"], report["fn"]) == (9948, 9955, 45, 52)
     tol = 5e-5 + 1e-9
     assert abs(report["accuracy"] - 0.9952) <= tol
     assert abs(report["precision"] - 0.9955) <= tol
@@ -143,39 +157,32 @@ def test_published_shap_fgsm_detection_row():
 
 
 def test_published_adversarially_trained_deepfool_row():
-    counts = ConfusionCounts(tp=6649, tn=9735, fp=265, fn=3351)
-    report = evaluation.classification_metrics(counts)
+    report = evaluation.detection_report(_scores(9735, 265), _scores(3351, 6649), 0.5)
     assert report["recall"] == pytest.approx(0.6649, abs=1e-12)
     assert report["fnr"] == pytest.approx(0.3351, abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# robustness metrics vs published rows
-
-
 def test_published_shap_fgsm_robustness_row():
-    clean = [True] * 9955 + [False] * 45
-    adv = [True] * 9948 + [False] * 52
-    report = evaluation.robustness_metrics(clean, adv)
+    report = evaluation.detection_report(_scores(9955, 45), _scores(52, 9948), 0.5)
     assert report["ca"] == 0.9955
     assert report["aa"] == 0.9948
     assert report["asr"] == 0.0052
 
 
 def test_published_shap_pgd_row_perfect_detection():
-    report = evaluation.robustness_metrics([True] * 9955 + [False] * 45, [True] * 10000)
+    report = evaluation.detection_report(_scores(9955, 45), _scores(0, 10000), 0.5)
     assert report["aa"] == 1.0 and report["asr"] == 0.0
 
 
 def test_robustness_asr_complement_and_sum():
-    report = evaluation.robustness_metrics([True, False], [False, False, False])
+    report = evaluation.detection_report([0.1, 0.9], [0.1, 0.2, 0.3], 0.5)
     assert report["asr"] == 1.0
     assert report["aa"] + report["asr"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_robustness_empty_rejected():
     with pytest.raises(ValueError):
-        evaluation.robustness_metrics([], [True])
+        evaluation.detection_report([0.1], [], 0.5)
 
 
 # ---------------------------------------------------------------------------

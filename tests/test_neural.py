@@ -178,13 +178,12 @@ def test_forward_stack_rejects_wrong_shapes():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda model, X, y: neural.logit(model, X),
         lambda model, X, y: neural.predict(model, X),
         lambda model, X, y: neural.train(model, X, y, TrainConfig(epochs=1)),
         lambda model, X, y: neural.grad_params(model, X, y, "bce"),
         lambda model, X, y: neural.grad_input_batch(model, X, y),
     ],
-    ids=["logit", "predict", "train", "grad_params", "grad_input_batch"],
+    ids=["predict", "train", "grad_params", "grad_input_batch"],
 )
 def test_only_forward_takes_a_stack(call):
     model = neural.init(MlpSpec((6, 4, 1), seed=0))
@@ -465,6 +464,6 @@ def test_save_load_reproduces_outputs_bit_exactly(tmp_path):
 def test_logit_matches_inverse_sigmoid():
     model = neural.init(MlpSpec((3, 4, 1), seed=6))
     x = np.array([[0.2, 0.5, 0.9]])
-    g = neural.logit(model, x)[0]
-    out, _ = neural.forward(model, x)
+    out, trace = neural.forward(model, x)
+    g = trace.pre[-1][0, 0]
     assert 1.0 / (1.0 + math.exp(-g)) == pytest.approx(out[0, 0], abs=1e-12)
