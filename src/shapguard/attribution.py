@@ -30,10 +30,6 @@ COMPLETENESS_RTOL = 1e-5
 BLOCK_ROWS = 4
 
 
-class EmptySelectionError(ValueError):
-    """No fingerprint rows: a record or file has none."""
-
-
 @dataclass(frozen=True)
 class BackgroundSet:
     """Clean, preprocessed reference samples plus their provenance."""
@@ -79,7 +75,7 @@ class Fingerprints:
         model_output = np.asarray(self.model_output, dtype=np.float64)
         sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
         if phi.ndim != 2 or phi.shape[0] == 0:
-            raise EmptySelectionError("no fingerprints")
+            raise ValueError("no fingerprints")
         if model_output.shape != (phi.shape[0],) or sample_ids.shape != model_output.shape:
             raise ValueError("model_output and sample_ids need one entry per phi row")
         object.__setattr__(self, "phi", phi)
@@ -101,7 +97,8 @@ class Fingerprints:
 
     def count_violations(self, rtol: float = COMPLETENESS_RTOL) -> int:
         allowed = rtol * np.maximum(1.0, np.abs(self.model_output))
-        return int(np.count_nonzero(self.completeness_gaps > allowed))
+        # a NaN gap is a violation too
+        return int(np.count_nonzero(~(self.completeness_gaps <= allowed)))
 
 
 def sample_background(
@@ -222,19 +219,11 @@ def save_fingerprints(fps: Fingerprints, path: str | Path) -> None:
 
 
 def load_fingerprints(path: str | Path) -> Fingerprints:
-    """Read a file written by :func:`save_fingerprints`; its numeric cells
-    must be finite, its phi0 and origin columns constant."""
+    """Read a file written by :func:`save_fingerprints`; its phi0 and origin
+    columns must be constant."""
     header, values, text = data.read_table(path, text=("origin",))
     if not len(values):
-        raise EmptySelectionError(f"{path}: no fingerprints")
-    bad = ~np.isfinite(values)
-    bad[:, header.index("origin")] = False  # a text column, held as NaN
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise data.ArtifactError(
-            f"{path}: row {data.file_line(path, row)}, column {header[col]!r}: "
-            f"{float(values[row, col])!r} is not a finite value"
-        )
+        raise ValueError(f"{path}: no fingerprints")
     m = len(header) - 4
     if np.unique(values[:, 1]).size != 1:
         raise ValueError(f"{path}: the phi0 column is not constant")

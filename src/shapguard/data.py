@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,26 +74,6 @@ LABEL_COLUMN = "label"
 BOX_TOL = 1e-12
 
 
-class SchemaError(ValueError):
-    """A CSV header or matrix dimension does not match the expected schema."""
-
-
-class EmptyDatasetError(ValueError):
-    """No usable rows were found or selected."""
-
-
-class ArtifactError(ValueError):
-    """An artifact file is empty, truncated or malformed."""
-
-
-class ParseError(ArtifactError):
-    """A CSV cell could not be parsed as a number."""
-
-
-class EmptyFileError(ArtifactError, EmptyDatasetError):
-    """A CSV file has no header line."""
-
-
 @dataclass(frozen=True)
 class FeatureSchema:
     """Ordered, unique feature names; list position is the column index."""
@@ -104,9 +84,9 @@ class FeatureSchema:
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
         if len(names) < 1:
-            raise SchemaError("schema needs at least one feature")
+            raise ValueError("schema needs at least one feature")
         if len(set(names)) != len(names):
-            raise SchemaError("feature names must be unique")
+            raise ValueError("feature names must be unique")
 
     @property
     def m(self) -> int:
@@ -136,15 +116,11 @@ class FlowDataset:
         X = np.array(self.X, dtype=np.float64)
         y = np.array(self.y, dtype=np.int64)
         if X.ndim != 2:
-            raise SchemaError(f"X must be 2-d, got shape {X.shape}")
+            raise ValueError(f"X must be 2-d, got shape {X.shape}")
         if X.shape[1] != self.schema.m:
-            raise SchemaError(
-                f"X has {X.shape[1]} columns but schema has {self.schema.m} features"
-            )
+            raise ValueError(f"X has {X.shape[1]} columns but schema has {self.schema.m} features")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
-            raise SchemaError(
-                f"label count {y.shape} does not match row count {X.shape[0]}"
-            )
+            raise ValueError(f"label count {y.shape} does not match row count {X.shape[0]}")
         if y.size and not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 (benign) or 1 (malicious)")
         X.setflags(write=False)
@@ -172,7 +148,7 @@ class ScalerParams:
         lo = np.array(self.min, dtype=np.float64)
         hi = np.array(self.max, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise SchemaError("scaler min/max must be 1-d arrays of equal length")
+            raise ValueError("scaler min/max must be 1-d arrays of equal length")
         if np.any(hi < lo):
             raise ValueError("scaler max must be >= min per feature")
         lo.setflags(write=False)
@@ -216,16 +192,14 @@ def load_csv(
     ``benign_labels`` map to 0, everything else to 1. Rows with NaN/inf in a
     schema column are dropped with a counted warning.
 
-    Raises:
-        SchemaError: a schema column is missing from the header.
-        EmptyDatasetError: the file has no header or no usable data rows.
-        ArtifactError: as :func:`read_table`, e.g. the label column is missing.
+    Raises a ValueError naming the file, as :func:`read_table` does, when a
+    schema column is missing from the header or no usable data row is left.
     """
-    header, values, text = read_table(path, text=(label_column,))
+    header, values, text = read_table(path, text=(label_column,), finite=False)
     positions = {name: i for i, name in enumerate(header)}
     missing = [name for name in schema.names if name not in positions]
     if missing:
-        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+        raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
     X = values[:, [positions[name] for name in schema.names]]
     finite = np.isfinite(X).all(axis=1)
     dropped = int(np.count_nonzero(~finite))
@@ -235,7 +209,7 @@ def load_csv(
             stacklevel=2,
         )
     if not finite.any():
-        raise EmptyDatasetError(f"{path}: no usable data rows")
+        raise ValueError(f"{path}: no usable data rows")
     y = np.array([label.strip() not in benign_labels for label in text[label_column]])
     logger.info("loaded %d rows x %d features from %s", finite.sum(), schema.m, path)
     return FlowDataset(schema=schema, X=X[finite], y=y[finite])
@@ -244,16 +218,14 @@ def load_csv(
 def fit_scaler(ds: FlowDataset) -> ScalerParams:
     """Compute per-feature min/max from ``ds`` only (never from test data)."""
     if ds.n < 1:
-        raise EmptyDatasetError("cannot fit a scaler on an empty dataset")
+        raise ValueError("cannot fit a scaler on an empty dataset")
     return ScalerParams(min=ds.X.min(axis=0), max=ds.X.max(axis=0))
 
 
 def apply_scaler(ds: FlowDataset, s: ScalerParams) -> FlowDataset:
     """Min-max scale into [0, 1], clamping; constant features map to 0."""
     if s.m != ds.m:
-        raise SchemaError(
-            f"scaler has {s.m} features but dataset has {ds.m}"
-        )
+        raise ValueError(f"scaler has {s.m} features but dataset has {ds.m}")
     span = s.max - s.min
     safe = np.where(span > 0, span, 1.0)
     scaled = np.clip((ds.X - s.min) / safe, 0.0, 1.0)
@@ -285,7 +257,7 @@ def split(
     seed) always yields identical row assignments.
     """
     if ds.n < 3:
-        raise EmptyDatasetError("need at least 3 rows to split")
+        raise ValueError("need at least 3 rows to split")
     rng = np.random.default_rng(spec.seed)
     fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
     parts: list[list[np.ndarray]] = [[], [], []]
@@ -371,9 +343,9 @@ def load_dataset(path: str | Path) -> FlowDataset:
     """Read back a table written by :func:`save_dataset`."""
     header, values, _ = read_table(path)
     if header[-1] != LABEL_COLUMN:
-        raise SchemaError(f"{path}: not a saved dataset (missing label column)")
+        raise ValueError(f"{path}: not a saved dataset (missing label column)")
     if not len(values):
-        raise EmptyDatasetError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return FlowDataset(
         schema=FeatureSchema(tuple(header[:-1])), X=values[:, :-1], y=values[:, -1]
     )
@@ -390,7 +362,7 @@ def load_scaler(path: str | Path) -> tuple[ScalerParams, FeatureSchema]:
     schema = FeatureSchema(tuple(payload["schema"]))
     params = ScalerParams(min=np.array(payload["min"]), max=np.array(payload["max"]))
     if params.m != schema.m:
-        raise SchemaError(f"{path}: scaler/schema dimension mismatch")
+        raise ValueError(f"{path}: scaler/schema dimension mismatch")
     return params, schema
 
 
@@ -416,7 +388,7 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Iterable
 
 
 def read_table(
-    path: str | Path, text: Sequence[str] = ()
+    path: str | Path, text: Sequence[str] = (), finite: bool = True
 ) -> tuple[list[str], np.ndarray, dict[str, list[str]]]:
     """Read a CSV file in the dialect :func:`write_table` writes.
 
@@ -424,26 +396,26 @@ def read_table(
     per non-blank line and one column per header cell, and the cells of the
     columns named in ``text`` as lists of str (their matrix columns hold NaN).
 
-    Raises:
-        ArtifactError: the file is empty (EmptyFileError), a text column is
-            missing, a row's width differs from the header's or a cell is
-            not a number (ParseError); a bad row is named by its file line.
+    Raises a ValueError naming the file when it is empty, a text column is
+    missing, a row's width differs from the header's, a cell is not a
+    number or, unless ``finite`` is False, a number is NaN or infinite; a
+    bad row is named by its file line.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         header = [name.strip() for name in next(csv.reader([fh.readline()]), [])]
         if not header:
-            raise EmptyFileError(f"{path}: file is empty")
+            raise ValueError(f"{path}: file is empty")
         missing = [name for name in text if name not in header]
         if missing:
-            raise ArtifactError(f"{path}: missing column(s): {', '.join(missing)}")
+            raise ValueError(f"{path}: missing column(s): {', '.join(missing)}")
         cells: dict[str, list[str]] = {name: [] for name in text}
         # list.append returns None, which numpy stores as NaN
         converters = {header.index(name): cells[name].append for name in text}
         values = np.empty((0, len(header)))
-        # np.loadtxt streams the non-blank lines; it is handed the first one
-        # apart because it warns on input without any.
-        lines = (line for line in fh if line.strip())
+        # np.loadtxt streams the data lines; it is handed the first one apart
+        # because it warns on input without any.
+        lines = (line for _, line in _data_lines(fh))
         first = next(lines, None)
         try:
             if first is not None:
@@ -455,29 +427,40 @@ def read_table(
                 raise ValueError(f"rows have {values.shape[1]} cells, the header {len(header)}")
         except ValueError as exc:
             # numpy counts rows from the first data line: scan the lines
-            # again to name the first bad one as a line of the file.
-            fh.seek(0)
-            fh.readline()
-            for line_no, line in enumerate(fh, start=2):
-                row = next(csv.reader([line])) if line.strip() else []
-                if row and len(row) != len(header):
-                    raise ArtifactError(f"{path}: row {line_no} has {len(row)} cells "
-                                        f"but the header has {len(header)}") from None
+            # again to name the first bad one by its file line.
+            for line_no, line in _data_lines(fh):
+                row = next(csv.reader([line]))
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: row {line_no} has {len(row)} cells "
+                                     f"but the header has {len(header)}") from None
                 for j, cell in enumerate(row):
                     if j not in converters and not _parses_as_float64(cell):
-                        raise ParseError(f"{path}: row {line_no}, column {header[j]!r}: "
+                        raise ValueError(f"{path}: row {line_no}, column {header[j]!r}: "
                                          f"cannot parse {cell!r} as a number") from None
-            raise ArtifactError(f"{path}: malformed table: {exc}") from None
+            raise ValueError(f"{path}: malformed table: {exc}") from None
+    if finite:
+        bad = ~np.isfinite(values)
+        bad[:, list(converters)] = False
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise ValueError(f"{path}: row {file_line(path, row)}, column {header[col]!r}: "
+                             f"{float(values[row, col])!r} is not a finite value")
     return header, values, cells
+
+
+def _data_lines(fh) -> Iterator[tuple[int, str]]:
+    """(file line, text) of each non-blank line below the header of an open
+    table, one per data row; the header is line 1, and blank lines count."""
+    fh.seek(0)
+    fh.readline()
+    return ((line_no, line) for line_no, line in enumerate(fh, start=2) if line.strip())
 
 
 def file_line(path: str | Path, row: int) -> int:
     """The file line holding data row ``row`` (from 0) of a table
-    :func:`read_table` read: the header is line 1, and blank lines, which
-    hold no row, are counted."""
+    :func:`read_table` read."""
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = (n for n, text in enumerate(fh, start=1) if text.strip())
-        return next(itertools.islice(lines, row + 1, None))
+        return next(itertools.islice(_data_lines(fh), row, None))[0]
 
 
 def _parses_as_float64(cell: str) -> bool:
@@ -503,9 +486,10 @@ def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
 
 
 def read_json(path: str | Path):
-    """Read a JSON artifact; ArtifactError names a file that does not parse."""
+    """Read a JSON artifact; a file that does not parse is a ValueError
+    naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ArtifactError(f"{path}: not valid JSON: {exc}") from None
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None

@@ -20,14 +20,6 @@ CALIBRATION_METHODS = ("percentile", "sigma")
 SIGMA_MULTIPLIERS = (2.0, 3.0)
 
 
-class CalibrationError(ValueError):
-    """Threshold calibration got unusable inputs."""
-
-
-class NotCalibratedError(RuntimeError):
-    """detect() was called before a threshold was calibrated."""
-
-
 @dataclass(frozen=True)
 class CalibrationMethod:
     """percentile: empirical percentile in (0, 100); sigma: mean + k * std."""
@@ -109,9 +101,9 @@ def calibrate_threshold(
     """Percentile with linear interpolation, or mean + k * population std."""
     e = np.asarray(errors_clean_val, dtype=np.float64)
     if e.size < 10:
-        raise CalibrationError(f"need at least 10 calibration errors, got {e.size}")
+        raise ValueError(f"need at least 10 calibration errors, got {e.size}")
     if not np.isfinite(e).all() or (e < 0).any():
-        raise CalibrationError("calibration errors must be finite and >= 0")
+        raise ValueError("calibration errors must be finite and >= 0")
     if method.method == "percentile":
         return float(np.percentile(e, method.parameter))
     return float(e.mean() + method.parameter * e.std())
@@ -144,7 +136,7 @@ def detect(
     boundary included). One vector gives (decision, score); a matrix gives
     an array of decisions and an array of scores."""
     if not det.is_calibrated:
-        raise NotCalibratedError("detector has no calibrated threshold")
+        raise ValueError("detector has no calibrated threshold")
     s = reconstruction_errors(det.autoencoder, Z)
     if isinstance(s, float):
         return ("adversarial" if s > det.tau else "clean"), s
@@ -153,7 +145,7 @@ def detect(
 
 def save_detector(det: DetectorModel, path: str | Path) -> None:
     if not det.is_calibrated:
-        raise NotCalibratedError("refusing to save an uncalibrated detector")
+        raise ValueError("refusing to save an uncalibrated detector")
     payload = {
         "autoencoder": neural.to_dict(det.autoencoder),
         "tau": det.tau,
@@ -166,7 +158,7 @@ def load_detector(path: str | Path) -> DetectorModel:
     payload = data.read_json(path)
     tau = payload["tau"]
     if type(tau) not in (int, float) or not np.isfinite(tau):
-        raise data.ArtifactError(f"{path}: tau must be a finite number, got {tau!r}")
+        raise ValueError(f"{path}: tau must be a finite number, got {tau!r}")
     calibration = payload.get("calibration")
     if calibration:
         # rejects a stored method or parameter that calibrate cannot use
@@ -174,5 +166,5 @@ def load_detector(path: str | Path) -> DetectorModel:
     try:
         autoencoder = neural.from_dict(payload["autoencoder"])
     except ValueError as exc:
-        raise data.ArtifactError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     return DetectorModel(autoencoder=autoencoder, tau=tau, calibration=calibration)

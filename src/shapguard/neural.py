@@ -24,10 +24,6 @@ LOSSES = ("bce", "mse")
 BCE_CLIP = 1e-7
 
 
-class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
-
-
 @dataclass(frozen=True)
 class MlpSpec:
     """Architecture: layer sizes (input first), output activation tag, init
@@ -217,10 +213,9 @@ def _output_delta(
             raise ValueError("bce loss requires a sigmoid output")
         return out - targets
     if loss == "mse":
-        delta = 2.0 * (out - targets)
-        if act == "sigmoid":
-            delta = delta * out * (1.0 - out)
-        return delta
+        if act != "linear":
+            raise ValueError("mse loss requires a linear output")
+        return 2.0 * (out - targets)
     raise ValueError(f"unsupported loss {loss!r}")
 
 
@@ -258,18 +253,6 @@ def grad_params(
     out, trace = forward(model, batch)
     delta = _output_delta(model, trace, t, loss) / batch.shape[0]
     return (loss_value(out, t, loss), *_param_grads(model, trace, delta))
-
-
-def grad_input_batch(
-    model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str = "bce"
-) -> np.ndarray:
-    """Per-row input gradients of each row's own (unaveraged) loss."""
-    batch = _as_batch(X)
-    t = _normalize_targets(model, batch.shape[0], targets)
-    _, trace = forward(model, batch)
-    delta = _output_delta(model, trace, t, loss)
-    _, dX = _backward(model, trace, delta)
-    return dX
 
 
 def grad_logit_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -319,8 +302,8 @@ def train(
     """Mini-batch Adam training; returns a new model and per-epoch mean loss.
 
     Each epoch visits the rows in a fresh random order; deterministic under
-    cfg.seed (the order is the only randomness). Raises
-    TrainingDivergedError naming the epoch if any batch loss is non-finite.
+    cfg.seed (the order is the only randomness). Raises a ValueError naming
+    the epoch if any batch loss is non-finite.
     """
     batch_X = _as_batch(X)
     n = batch_X.shape[0]
@@ -340,9 +323,7 @@ def train(
             idx = order[start : start + cfg.batch_size]
             batch_loss, dWs, dbs = grad_params(work, batch_X[idx], t_all[idx], cfg.loss)
             if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch + 1}"
-                )
+                raise ValueError(f"non-finite loss at epoch {epoch + 1}")
             opt.step(params, [*dWs, *dbs])
             total += batch_loss * idx.size
         history.append(total / n)
@@ -398,4 +379,4 @@ def load(path: str | Path) -> MlpModel:
     try:
         return from_dict(payload)
     except ValueError as exc:
-        raise data.ArtifactError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None

@@ -248,17 +248,17 @@ class Workspace:
     def load(self, rel: str, loader: Callable[[Path], Any]) -> Any:
         """Read artifact ``rel`` with ``loader``. A missing file, or JSON that
         lacks a field (KeyError) or holds one of the wrong type (TypeError),
-        is an ArtifactError naming the file; the stage runner makes it, like
-        any ValueError, a stage failure (exit 2) naming the stage."""
+        is a ValueError naming the file; the stage runner makes it, like any
+        ValueError, a stage failure (exit 2) naming the stage."""
         target = self.path(rel)
         if not target.exists():
-            raise data.ArtifactError(f"missing artifact {rel!r}; run the producing stage first")
+            raise ValueError(f"missing artifact {rel!r}; run the producing stage first")
         try:
             return loader(target)
         except KeyError as exc:
-            raise data.ArtifactError(f"{rel}: missing field {exc}") from exc
+            raise ValueError(f"{rel}: missing field {exc}") from exc
         except TypeError as exc:
-            raise data.ArtifactError(f"{rel}: malformed field: {exc}") from exc
+            raise ValueError(f"{rel}: malformed field: {exc}") from exc
 
     def finish(
         self, name: str, started: float, paths: list[Path], summary: dict,
@@ -321,9 +321,9 @@ def _stage(name: str) -> Callable:
     """Run a ``cmd_*`` body, which returns (paths, summary, config part), as
     the stage ``name`` formatted with its arguments (``"attack-{kind}"``):
     time it and record it with Workspace.finish. This is the one place a
-    stage failure is made: a ValueError (a bad, missing or mismatched input
-    or a check that depends on the data), an OSError or a diverged training
-    run becomes a StageError naming the stage. A summary listing failed
+    stage failure is made: a ValueError (a bad, missing or mismatched input,
+    a check that depends on the data or a diverged training run) or an
+    OSError becomes a StageError naming the stage. A summary listing failed
     checks is recorded, then raised as an InvariantError."""
     def wrap(body: Callable[..., tuple[list[Path], dict, dict | None]]) -> Callable[..., None]:
         @functools.wraps(body)
@@ -337,7 +337,7 @@ def _stage(name: str) -> Callable:
             except OSError as exc:
                 where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
                 raise StageError(f"{stage}: {where}") from exc
-            except (ValueError, neural.TrainingDivergedError) as exc:
+            except ValueError as exc:
                 raise StageError(f"{stage}: {exc}") from exc
             if summary.get("checks_failed"):
                 raise InvariantError(f"{stage}: " + "; ".join(summary["checks_failed"]))
@@ -365,9 +365,7 @@ def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
     for name, part in zip(names, splits):
         # the fingerprint stage explains each split's malicious rows
         if not part.y.any():
-            raise data.EmptyDatasetError(
-                f"split {name!r} has no malicious rows ({part.n} benign, 0 malicious)"
-            )
+            raise ValueError(f"split {name!r} has no malicious rows ({part.n} benign, 0 malicious)")
     scaler = data.fit_scaler(splits[0])
     paths, summary = [], {"rows": ds.n, "features": ds.m}
     for name, part in zip(names, splits):
@@ -450,9 +448,7 @@ def _fingerprint_sources(
                 ds = train if source == "clean_train" else ws.load(rel, data.load_dataset)
                 rows = np.flatnonzero(ds.y == 1)
                 if not rows.size:
-                    raise attribution.EmptySelectionError(
-                        f"{rel} has no malicious rows to fingerprint"
-                    )
+                    raise ValueError(f"{rel} has no malicious rows to fingerprint")
                 yield source, attribution.fingerprint_batch(
                     model, ds.X[rows], background, sample_ids=rows
                 )
@@ -479,8 +475,8 @@ def cmd_fingerprint(ws: Workspace, source: str = "all") -> tuple[list[Path], dic
     config = {"background": ws.cfg["background"]}
     recorded = _manifest(ws)["stages"].get("fingerprint", {}).get("config", config)
     if source != "all" and recorded != config:
-        raise data.ArtifactError(f"{BACKGROUND} was sampled under {recorded}, not "
-                                 f"{config}; rerun with --source all")
+        raise ValueError(f"{BACKGROUND} was sampled under {recorded}, not "
+                         f"{config}; rerun with --source all")
     model = ws.load("models/nids.json", neural.load)
     train = ws.load("data/train.csv", data.load_dataset)
     background = attribution.sample_background(train.X, **ws.cfg["background"])
@@ -573,7 +569,7 @@ def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
     def scored(rel: str) -> tuple[np.ndarray, np.ndarray]:
         Z = ws.load(rel, attribution.load_fingerprints).phi
         if not Z.shape[1] == det.autoencoder.spec.input_size == schema.m:
-            raise data.SchemaError(
+            raise ValueError(
                 f"{rel}: {Z.shape[1]} fingerprint features, but the detector "
                 f"takes {det.autoencoder.spec.input_size} and data/scaler.json has {schema.m}"
             )
@@ -635,17 +631,17 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     header, values, _ = data.read_table(input_path, text=(data.LABEL_COLUMN,))
     expected = [*schema.names, data.LABEL_COLUMN]
     if header != expected:
-        raise data.SchemaError(
+        raise ValueError(
             f"{input_path}: columns {header} do not match the trained "
             f"schema in data/scaler.json plus the label column: {expected}"
         )
     if not len(values):
-        raise data.EmptyDatasetError(f"{input_path}: no data rows")
-    X = values[:, :-1]
-    outside = ~np.isfinite(X) | (X < -data.BOX_TOL) | (X > 1.0 + data.BOX_TOL)
+        raise ValueError(f"{input_path}: no data rows")
+    X = values[:, :-1]  # finite, as read_table checks
+    outside = (X < -data.BOX_TOL) | (X > 1.0 + data.BOX_TOL)
     if outside.any():
         row, col = np.argwhere(outside)[0]
-        raise data.ArtifactError(
+        raise ValueError(
             f"{input_path}: row {data.file_line(input_path, row)}, "
             f"column {schema.names[col]!r}: {float(X[row, col])!r} is not a finite value in [0, 1]"
         )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shapguard import attacks, data, neural
-from shapguard.attacks import AttackConfig, EmptyBatchError
+from shapguard.attacks import AttackConfig
 
 
 def _linear_sigmoid(w, b):
@@ -75,8 +75,25 @@ def test_pgd_single_step_equals_fgsm_bitwise():
     model, ds = _trained_toy()
     X, y = ds.X[:50], ds.y[:50]
     cfg = _one_step(0.1)
-    fgsm = np.clip(X + 0.1 * np.sign(neural.grad_input_batch(model, X, y)), 0.0, 1.0)
+    ascent = (1 - 2 * y)[:, None]
+    fgsm = np.clip(X + 0.1 * (ascent * np.sign(neural.grad_logit_input(model, X))), 0.0, 1.0)
     assert np.array_equal(attacks.pgd(model, X, y, cfg), fgsm)
+
+
+def test_fgsm_and_pgd_step_a_row_whose_sigmoid_saturates():
+    """At g(x) = 60 the sigmoid rounds to 1, so the bce input gradient
+    (p - y) * grad g is exactly 0 for y = 1; the step still moves the row
+    along -sign(grad g), as it does where p < 1."""
+    model = _linear_sigmoid([2.0, -2.0], 60.0)
+    x = np.array([[0.5, 0.5]])
+    assert neural.predict(model, x)[0][0] == 1.0
+    fgsm = attacks.pgd(model, x, np.array([1]), _one_step(0.1))
+    assert np.allclose(fgsm, [[0.4, 0.6]], atol=1e-15)
+    cfg = AttackConfig(kind="pgd", epsilon=0.05, alpha=0.02, steps=3)
+    assert np.allclose(attacks.pgd(model, x, np.array([1]), cfg), [[0.45, 0.55]], atol=1e-15)
+    # a benign label steps the other way
+    assert np.allclose(attacks.pgd(model, x, np.array([0]), _one_step(0.1)), [[0.6, 0.4]],
+                       atol=1e-15)
 
 
 def test_pgd_every_iterate_stays_in_ball_and_box():
@@ -336,7 +353,7 @@ def test_attack_batch_empty_selection():
         data.FeatureSchema.synthetic(2), np.random.default_rng(0).uniform(0, 1, (5, 2)), [0] * 5
     )
     model = _linear_sigmoid([1.0, 1.0], 0.0)
-    with pytest.raises(EmptyBatchError):
+    with pytest.raises(ValueError, match="filter 'malicious_only' selected no rows"):
         attacks.attack_batch(model, ds, AttackConfig(kind="fgsm"), "malicious_only")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shapguard import attribution, neural
-from shapguard.attribution import BackgroundSet, EmptySelectionError, Fingerprints
+from shapguard.attribution import BackgroundSet, Fingerprints
 
 
 def _linear_logit(w, b):
@@ -271,7 +271,7 @@ def test_batch_empty_selection_raises():
     X = rng.uniform(0, 1, (3, 6))
     bg = BackgroundSet(B=rng.uniform(0, 1, (5, 6)))
     labels = np.zeros(3, int)
-    with pytest.raises(EmptySelectionError):
+    with pytest.raises(ValueError, match="^no fingerprints$"):
         attribution.fingerprint_batch(model, X[labels == 1], bg)
 
 
@@ -337,8 +337,16 @@ def test_completeness_violation_counter():
     assert fps.max_completeness_gap == 5.5
 
 
+def test_a_nan_completeness_gap_is_a_violation():
+    fps = Fingerprints(
+        phi=np.array([[1.0, np.nan], [1.0, 2.0]]), phi0=0.5,
+        model_output=np.array([3.5, 3.5]), sample_ids=np.array([0, 1]),
+    )
+    assert fps.count_violations() == 1
+
+
 def test_fingerprints_record_rejects_empty_and_ragged_columns():
-    with pytest.raises(EmptySelectionError):
+    with pytest.raises(ValueError, match="^no fingerprints$"):
         Fingerprints(phi=np.empty((0, 3)), phi0=0.0, model_output=[], sample_ids=[])
     with pytest.raises(ValueError, match="one entry per phi row"):
         Fingerprints(phi=np.ones((2, 3)), phi0=0.0, model_output=[1.0], sample_ids=[0, 1])

@@ -751,6 +751,31 @@ def test_non_finite_fingerprint_cell_is_a_stage_failure_naming_its_line(
             f"{value} is not a finite value") in err
 
 
+@pytest.mark.parametrize(
+    "artifact, column, argv",
+    [
+        ("attacks/pgd.csv", "adv_f3", ["fingerprint", "--source", "pgd"]),
+        ("data/train.csv", "f3", ["train-nids"]),
+    ],
+    ids=["fingerprint", "train-nids"],
+)
+def test_non_finite_cell_in_an_upstream_artifact_is_a_stage_failure_naming_its_line(
+    tiny_run, tmp_path, capsys, artifact, column, argv
+):
+    """A NaN in an attacked row would otherwise be fingerprinted into a NaN
+    phi row whose completeness gap passes every comparison."""
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+
+    def corrupt(rows):
+        rows[2][rows[0].index(column)] = "nan"
+        return rows
+    _rewrite_csv(out / artifact, corrupt)
+    assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert (f"shapguard: {argv[0]}: {out / artifact}: row 3, column {column!r}: "
+            "nan is not a finite value") in err
+
+
 @pytest.mark.parametrize("source", ["clean_test", "deepfool"])
 def test_evaluate_rejects_fingerprints_wider_than_the_detector(tiny_run, tmp_path, capsys, source):
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)

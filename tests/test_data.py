@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 
 from shapguard import data
-from shapguard.data import (
-    EmptyDatasetError,
-    FeatureSchema,
-    FlowDataset,
-    ParseError,
-    ScalerParams,
-    SchemaError,
-    SplitSpec,
-)
+from shapguard.data import FeatureSchema, FlowDataset, ScalerParams, SplitSpec
 
 
 def _write_csv(path, header, rows):
@@ -43,7 +35,7 @@ def test_cic_schema_has_39_features_with_table_indices():
 
 
 def test_schema_rejects_duplicates():
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValueError, match="feature names must be unique"):
         FeatureSchema(("x", "x"))
 
 
@@ -68,7 +60,7 @@ def test_load_csv_missing_column_names_it(tmp_path):
     path = tmp_path / "flows.csv"
     header = [n for n in schema.names if n != "IAT"] + ["label"]
     _write_csv(path, header, [[0] * 38 + ["BenignTraffic"]])
-    with pytest.raises(SchemaError, match="IAT"):
+    with pytest.raises(ValueError, match=r"flows.csv: missing required column\(s\): IAT$"):
         data.load_csv(path, schema)
 
 
@@ -86,18 +78,18 @@ def test_load_csv_shape_preserved(tmp_path):
 def test_load_csv_non_numeric_cell_reports_row_and_column(tmp_path):
     path = tmp_path / "flows.csv"
     _write_csv(path, ["a", "b", "c", "label"], [[1, "oops", 3, "x"]])
-    with pytest.raises(ParseError, match=r"row 2.*'b'"):
+    with pytest.raises(ValueError, match=r"row 2, column 'b': cannot parse 'oops' as a number"):
         data.load_csv(path, _small_schema())
 
 
 def test_load_csv_empty_file_and_header_only(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(ValueError, match="empty.csv: file is empty"):
         data.load_csv(empty, _small_schema())
     header_only = tmp_path / "header.csv"
     header_only.write_text("a,b,c,label\n", encoding="utf-8")
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(ValueError, match="header.csv: no usable data rows"):
         data.load_csv(header_only, _small_schema())
 
 
@@ -126,13 +118,13 @@ def _reference_load_csv(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise EmptyDatasetError(f"{path}: file is empty")
+            raise ValueError(f"{path}: file is empty")
         header = [cell.strip() for cell in header]
         positions = {name: i for i, name in enumerate(header)}
 
         missing = [n for n in (*schema.names, label_column) if n not in positions]
         if missing:
-            raise SchemaError(
+            raise ValueError(
                 f"{path}: missing required column(s): {', '.join(missing)}"
             )
         feat_idx = [positions[n] for n in schema.names]
@@ -146,7 +138,7 @@ def _reference_load_csv(
             if not raw or all(not cell.strip() for cell in raw):
                 continue
             if len(raw) <= max_idx:
-                raise ParseError(
+                raise ValueError(
                     f"{path}: row {line_no}: expected at least {max_idx + 1} cells, "
                     f"got {len(raw)}"
                 )
@@ -156,7 +148,7 @@ def _reference_load_csv(
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    raise ParseError(
+                    raise ValueError(
                         f"{path}: row {line_no}, column {name!r}: "
                         f"cannot parse {cell!r} as a number"
                     ) from None
@@ -172,7 +164,7 @@ def _reference_load_csv(
             stacklevel=2,
         )
     if not rows:
-        raise EmptyDatasetError(f"{path}: no usable data rows")
+        raise ValueError(f"{path}: no usable data rows")
     X = np.array(rows, dtype=np.float64)
     logging.getLogger(__name__).info(
         "loaded %d rows x %d features from %s", X.shape[0], X.shape[1], path
@@ -258,7 +250,7 @@ def test_apply_scaler_midpoint_clamp_and_degenerate():
 def test_apply_scaler_dimension_mismatch():
     s = ScalerParams(min=np.zeros(2), max=np.ones(2))
     ds = FlowDataset(_small_schema(), np.zeros((1, 3)), [0])
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValueError, match="scaler has 2 features but dataset has 3"):
         data.apply_scaler(ds, s)
 
 
@@ -326,7 +318,7 @@ def test_split_warns_when_class_missing_from_split():
 
 def test_split_preconditions():
     ds = _toy_dataset(2)
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(ValueError, match="need at least 3 rows to split"):
         data.split(ds, SplitSpec(seed=0))
     with pytest.raises(ValueError):
         SplitSpec(0.5, 0.2, 0.2, seed=0)
@@ -405,30 +397,38 @@ def test_table_roundtrip_with_a_text_column(tmp_path):
 def test_read_table_rejects_empty_and_ragged_files(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("")
-    with pytest.raises(data.ArtifactError, match="t.csv: file is empty"):
+    with pytest.raises(ValueError, match="t.csv: file is empty"):
         data.read_table(path)
     path.write_text("a,b\n")
     assert data.read_table(path)[1].shape == (0, 2)
     for body in ("1,2\n3\n", "1,2,3\n", "1\n"):
         path.write_text("a,b\n" + body)
-        with pytest.raises(data.ArtifactError, match="t.csv"):
+        with pytest.raises(ValueError, match=r"t.csv: row \d has \d cells but the header has 2"):
             data.read_table(path)
     path.write_text("a,b\n1,x\n")
-    with pytest.raises(data.ArtifactError, match="t.csv"):
+    with pytest.raises(ValueError, match="t.csv: row 2, column 'b': cannot parse 'x'"):
         data.read_table(path)
-    with pytest.raises(data.ArtifactError, match="missing column"):
+    with pytest.raises(ValueError, match=r"t.csv: missing column\(s\): c"):
         data.read_table(path, text=("c",))
 
 
 def test_read_table_names_the_file_line_of_a_bad_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n\n  \n3,x\n")
-    with pytest.raises(ParseError, match=r"t.csv: row 5, column 'b': cannot parse 'x'"):
+    with pytest.raises(ValueError, match=r"t.csv: row 5, column 'b': cannot parse 'x'"):
         data.read_table(path)
     path.write_text("a,b\r\n1,2\r\n\r\n3,4,5\r\n")
-    with pytest.raises(data.ArtifactError, match=r"t.csv: row 4 has 3 cells but the header has 2"):
+    with pytest.raises(ValueError, match=r"t.csv: row 4 has 3 cells but the header has 2"):
         data.read_table(path)
-    assert issubclass(ParseError, data.ArtifactError)
+
+
+def test_read_table_rejects_a_non_finite_number_unless_asked_not_to(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,name,b\n1,x,2\n\n3,y,inf\n")
+    with pytest.raises(ValueError, match=r"t.csv: row 4, column 'b': inf is not a finite value$"):
+        data.read_table(path, text=("name",))
+    _, values, _ = data.read_table(path, text=("name",), finite=False)
+    assert values[1, 2] == np.inf
 
 
 @pytest.mark.parametrize(
@@ -447,7 +447,7 @@ def test_read_table_locates_exactly_the_cells_numpy_rejects(tmp_path, cell):
     path = tmp_path / "t.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([["a", "b"], [1, 2], [3, cell], [4, 5, 6]])
-    with pytest.raises(data.ArtifactError, match=message):
+    with pytest.raises(ValueError, match=message):
         data.read_table(path)
 
 
@@ -456,7 +456,7 @@ def test_json_artifact_rejects_truncated_file(tmp_path):
     assert path.read_text() == '{\n  "a": [\n    1.5,\n    null\n  ]\n}\n'
     assert data.read_json(path) == {"a": [1.5, None]}
     path.write_text(path.read_text()[:-5])
-    with pytest.raises(data.ArtifactError, match="p.json"):
+    with pytest.raises(ValueError, match="p.json: not valid JSON"):
         data.read_json(path)
 
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from shapguard import attribution, detector, neural
-from shapguard.detector import (
-    CalibrationError,
-    CalibrationMethod,
-    DetectorModel,
-    NotCalibratedError,
-)
+from shapguard.detector import CalibrationMethod, DetectorModel
 
 
 def _trained_constant_ae(seed=2):
@@ -119,9 +114,9 @@ def test_sigma_calibration_uses_population_std():
 
 
 def test_calibration_input_validation():
-    with pytest.raises(CalibrationError):
+    with pytest.raises(ValueError, match="need at least 10 calibration errors, got 9"):
         detector.calibrate_threshold(np.ones(9), CalibrationMethod("percentile", 99.0))
-    with pytest.raises(CalibrationError):
+    with pytest.raises(ValueError, match="calibration errors must be finite and >= 0"):
         detector.calibrate_threshold(np.array([1.0] * 9 + [-0.1]), CalibrationMethod("percentile", 99.0))
     with pytest.raises(ValueError):
         CalibrationMethod("percentile", 100.0)
@@ -184,7 +179,7 @@ def test_detect_strictly_above_tau_is_adversarial():
 def test_detect_requires_calibration():
     spec = neural.MlpSpec((3, 3), output_activation="linear", seed=0)
     ae = neural.MlpModel(spec=spec, weights=[np.eye(3)], biases=[np.zeros(3)])
-    with pytest.raises(NotCalibratedError):
+    with pytest.raises(ValueError, match="detector has no calibrated threshold"):
         detector.detect(DetectorModel(autoencoder=ae), np.zeros(3))
 
 
@@ -253,5 +248,5 @@ def test_detector_json_roundtrip(tmp_path):
 def test_save_uncalibrated_detector_refused(tmp_path):
     spec = neural.MlpSpec((3, 3), output_activation="linear", seed=0)
     ae = neural.MlpModel(spec=spec, weights=[np.eye(3)], biases=[np.zeros(3)])
-    with pytest.raises(NotCalibratedError):
+    with pytest.raises(ValueError, match="refusing to save an uncalibrated detector"):
         detector.save_detector(DetectorModel(autoencoder=ae), tmp_path / "d.json")

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from shapguard import neural
-from shapguard.neural import (
-    Adam,
-    MlpModel,
-    MlpSpec,
-    TrainConfig,
-    TrainingDivergedError,
-)
+from shapguard.neural import Adam, MlpModel, MlpSpec, TrainConfig
 
 
 def _linear_model(w, b, output="linear"):
@@ -21,18 +15,15 @@ def _linear_model(w, b, output="linear"):
     return MlpModel(spec=spec, weights=[w], biases=[b])
 
 
-def _fd_loss_grad_input(model, x, target, loss, h=1e-5):
-    """Independent central-difference oracle for input gradients."""
+def _fd_logit_grad_input(model, x, h=1e-5):
+    """Independent central-difference oracle for the logit's input gradient."""
     grad = np.empty_like(x)
     for j in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        op, _ = neural.forward(model, xp[None, :])
-        om, _ = neural.forward(model, xm[None, :])
-        lp = neural.loss_value(op[0], np.atleast_1d(target), loss)
-        lm = neural.loss_value(om[0], np.atleast_1d(target), loss)
-        grad[j] = (lp - lm) / (2 * h)
+        gp, gm = (neural.forward(model, v[None, :])[1].pre[-1][0, 0] for v in (xp, xm))
+        grad[j] = (gp - gm) / (2 * h)
     return grad
 
 
@@ -181,9 +172,8 @@ def test_forward_stack_rejects_wrong_shapes():
         lambda model, X, y: neural.predict(model, X),
         lambda model, X, y: neural.train(model, X, y, TrainConfig(epochs=1)),
         lambda model, X, y: neural.grad_params(model, X, y, "bce"),
-        lambda model, X, y: neural.grad_input_batch(model, X, y),
     ],
-    ids=["predict", "train", "grad_params", "grad_input_batch"],
+    ids=["predict", "train", "grad_params"],
 )
 def test_only_forward_takes_a_stack(call):
     model = neural.init(MlpSpec((6, 4, 1), seed=0))
@@ -271,21 +261,19 @@ def test_grad_params_finite_difference_oracle():
 
 
 def test_grad_input_logistic_analytic_form():
+    # g(x) = w.x + b, so grad g = w at every x, the sigmoid saturated or not
     w = np.array([2.0, -2.0])
-    model = _linear_model([w], [0.0], output="sigmoid")
-    x = np.array([0.5, 0.5])
-    p = neural.predict(model, x[None, :])[0][0]
-    grad = neural.grad_input_batch(model, x[None, :], np.array([1]), "bce")[0]
-    assert np.allclose(grad, (p - 1.0) * w, atol=1e-14)
+    for b in (0.0, 60.0):
+        model = _linear_model([w], [b], output="sigmoid")
+        grad = neural.grad_logit_input(model, np.array([[0.5, 0.5], [0.1, 0.9]]))
+        assert np.array_equal(grad, [w, w])
 
 
 def test_grad_input_finite_difference_oracle():
     for trial in range(5):
-        model, X, rng = _random_net_away_from_kinks(trial + 50, (4, 6, 3, 1), 1)
-        x = X[0]
-        y = int(rng.integers(0, 2))
-        grad = neural.grad_input_batch(model, x[None, :], np.array([y]), "bce")[0]
-        fd = _fd_loss_grad_input(model, x, y, "bce")
+        model, X, _ = _random_net_away_from_kinks(trial + 50, (4, 6, 3, 1), 1)
+        grad = neural.grad_logit_input(model, X)[0]
+        fd = _fd_logit_grad_input(model, X[0])
         assert _rel_err(grad, fd) <= 1e-4
 
 
@@ -296,8 +284,18 @@ def test_grad_input_dead_relu_path_is_zero():
         weights=[np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0]])],
         biases=[np.array([-10.0, -10.0]), np.zeros(1)],
     )
-    grad = neural.grad_input_batch(model, np.array([[0.5, 0.5]]), np.array([1]), "bce")[0]
+    grad = neural.grad_logit_input(model, np.array([[0.5, 0.5]]))[0]
     assert np.all(grad == 0.0)
+
+
+def test_each_loss_requires_its_output_activation():
+    X = np.array([[0.5, 0.5]])
+    sigmoid = _linear_model([[2.0, -2.0]], [0.0], output="sigmoid")
+    linear = _linear_model([[2.0, -2.0]], [0.0], output="linear")
+    with pytest.raises(ValueError, match="bce loss requires a sigmoid output"):
+        neural.grad_params(linear, X, np.array([1.0]), "bce")
+    with pytest.raises(ValueError, match="mse loss requires a linear output"):
+        neural.grad_params(sigmoid, X, np.array([1.0]), "mse")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +343,7 @@ def test_train_divergence_names_epoch():
     # mse on astronomically scaled targets overflows on the first batch
     Z = np.full((8, 2), 1e200)
     model = neural.init(MlpSpec((2, 2), output_activation="linear", seed=0))
-    with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError, match="epoch 1"):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite loss at epoch 1$"):
         neural.train(model, Z, Z, TrainConfig(epochs=3, loss="mse", seed=0))
 
 

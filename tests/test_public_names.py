@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import shapguard
@@ -24,3 +25,27 @@ def test_every_public_function_and_class_is_used_by_the_program():
                 referenced.add(node.attr)
     assert defined
     assert [where for name, where in defined if name not in referenced] == []
+
+
+def test_every_exception_class_is_caught_by_the_program():
+    """An exception class earns its place only where the package catches it
+    by name: each one the package defines is named in an except clause of
+    the package (the CLI maps each to its exit code). Every other failure
+    is a ValueError whose message says what went wrong."""
+    defined, caught = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = shapguard if path.stem == "__init__" else importlib.import_module(
+            f"shapguard.{path.stem}")
+        defined += [
+            f"{path.stem}.{top.name}" for top in tree.body
+            if isinstance(top, ast.ClassDef)
+            and issubclass(getattr(module, top.name), BaseException)
+        ]
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                caught |= {node.id if isinstance(node, ast.Name) else node.attr
+                           for node in ast.walk(handler.type)
+                           if isinstance(node, (ast.Name, ast.Attribute))}
+    assert defined
+    assert [where for where in defined if where.split(".")[1] not in caught] == []
