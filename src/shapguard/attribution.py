@@ -32,11 +32,9 @@ BLOCK_ROWS = 4
 
 @dataclass(frozen=True)
 class BackgroundSet:
-    """Clean, preprocessed reference samples plus their provenance."""
+    """Clean, preprocessed reference samples."""
 
     B: np.ndarray
-    seed: int | None = None
-    source: str = ""
 
     def __post_init__(self) -> None:
         B = np.array(self.B, dtype=np.float64)
@@ -54,9 +52,6 @@ class BackgroundSet:
     @property
     def m(self) -> int:
         return self.B.shape[1]
-
-    def describe(self) -> str:
-        return f"{self.source} (k={self.size}, seed={self.seed})"
 
 
 @dataclass(frozen=True)
@@ -101,10 +96,9 @@ class Fingerprints:
         return int(np.count_nonzero(~(self.completeness_gaps <= allowed)))
 
 
-def sample_background(
-    X: np.ndarray, size: int = 100, seed: int = 0, source: str = "clean-train"
-) -> BackgroundSet:
-    """Uniform sample without replacement from clean rows, recorded seed."""
+def sample_background(X: np.ndarray, size: int = 100, seed: int = 0) -> BackgroundSet:
+    """Uniform sample of min(size, len(X)) rows without replacement, in
+    row order; a warning when there are fewer than size rows."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 1:
@@ -117,7 +111,7 @@ def sample_background(
         )
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=k, replace=False))
-    return BackgroundSet(B=X[idx], seed=seed, source=source)
+    return BackgroundSet(B=X[idx])
 
 
 def shap_fingerprint(

@@ -59,7 +59,7 @@ def _build_parser() -> _Parser:
         if name == "fingerprint":
             cmd.add_argument(
                 "--source",
-                choices=["clean", *pipeline.ATTACK_KINDS, "all"],
+                choices=[*pipeline.FINGERPRINT_SOURCES, "all"],
                 default="all",
                 help="which fingerprints to compute",
             )
@@ -102,7 +102,9 @@ def main(argv: list[str] | None = None) -> int:
             for kind in kinds:
                 pipeline.cmd_attack(ws, kind)
         elif args.command == "fingerprint":
-            pipeline.cmd_fingerprint(ws, args.source)
+            sources = pipeline.FINGERPRINT_SOURCES if args.source == "all" else (args.source,)
+            for source in sources:
+                pipeline.cmd_fingerprint(ws, source)
         elif args.command == "train-detector":
             pipeline.cmd_train_detector(ws)
         elif args.command == "evaluate":

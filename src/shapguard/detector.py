@@ -159,10 +159,9 @@ def load_detector(path: str | Path) -> DetectorModel:
     tau = payload["tau"]
     if type(tau) not in (int, float) or not np.isfinite(tau):
         raise ValueError(f"{path}: tau must be a finite number, got {tau!r}")
-    calibration = payload.get("calibration")
-    if calibration:
-        # rejects a stored method or parameter that calibrate cannot use
-        CalibrationMethod(calibration["method"], calibration["parameter"])
+    calibration = payload["calibration"]
+    # rejects a stored method or parameter that calibrate cannot use
+    CalibrationMethod(calibration["method"], calibration["parameter"])
     try:
         autoencoder = neural.from_dict(payload["autoencoder"])
     except ValueError as exc:

@@ -17,7 +17,7 @@ import logging
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import __version__, attacks, attribution, data, detector, evaluation, neu
 logger = logging.getLogger(__name__)
 
 ATTACK_KINDS = attacks.ATTACK_KINDS
-CLEAN_SOURCES = ("clean_train", "clean_val", "clean_test")
+FINGERPRINT_SOURCES = ("clean", *ATTACK_KINDS)
 MANIFEST_NAME = "manifest.json"
 # Not under fingerprints/: every CSV there is a fingerprint table.
 BACKGROUND = "models/background.csv"
@@ -272,11 +272,8 @@ class Workspace:
         }
         seconds = time.perf_counter() - started
         manifest = _manifest(self)
-        # A stage run again on part of its outputs (fingerprint --source fgsm)
-        # keeps the digests of the files it did not rewrite.
-        earlier = manifest["stages"].get(name, {}).get("artifacts", {})
         entry = {"seconds": round(seconds, 3), "config": config,
-                 "artifacts": {**earlier, **artifacts}, "summary": summary}
+                 "artifacts": artifacts, "summary": summary}
         manifest["stages"][name] = {k: v for k, v in entry.items() if v is not None}
         data.write_json(self.path(MANIFEST_NAME), manifest)
         logger.info("stage %s finished in %.2fs: %s", name, seconds, summary)
@@ -308,9 +305,9 @@ def _manifest(ws: Workspace) -> dict:
 
 
 def _load_background(path: Path) -> attribution.BackgroundSet:
-    """Read the background rows the fingerprint stage sampled and saved."""
+    """Read the background rows the train-nids stage sampled and saved."""
     _, values, _ = data.read_table(path)
-    return attribution.BackgroundSet(B=values, source=BACKGROUND)
+    return attribution.BackgroundSet(B=values)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +360,7 @@ def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
     splits = data.split(ds, data.SplitSpec(**cfg["split"]))
     names = ("train", "val", "test")
     for name, part in zip(names, splits):
-        # the fingerprint stage explains each split's malicious rows
+        # fingerprint-clean explains each split's malicious rows
         if not part.y.any():
             raise ValueError(f"split {name!r} has no malicious rows ({part.n} benign, 0 malicious)")
     scaler = data.fit_scaler(splits[0])
@@ -379,10 +376,13 @@ def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
 
 @_stage("train-nids")
 def cmd_train_nids(ws: Workspace) -> tuple[list[Path], dict, dict]:
-    """Train the reference classifier; persist model and loss history.
+    """Train the reference classifier and sample the background its
+    fingerprints are explained against from the train split; persist model,
+    loss history and background.
 
-    The accuracies go into the stage summary; the final loss and the epoch
-    count are the last row and the length of the history.
+    The accuracies and the background's row count go into the stage
+    summary; the final loss and the epoch count are the last row and the
+    length of the history.
     """
     cfg = ws.cfg["classifier"]
     train = ws.load("data/train.csv", data.load_dataset)
@@ -402,15 +402,21 @@ def cmd_train_nids(ws: Workspace) -> tuple[list[Path], dict, dict]:
     history_path = data.write_table(
         ws.path("models/nids_history.csv"), ["epoch", "loss"], enumerate(history, start=1)
     )
-    summary = {"train_accuracy": train_acc, "test_accuracy": test_acc}
-    return [model_path, history_path], summary, {"classifier": cfg}
+    background = attribution.sample_background(train.X, **ws.cfg["background"])
+    background_path = data.write_table(
+        ws.path(BACKGROUND), train.schema.names, background.B.tolist()
+    )
+    summary = {"train_accuracy": train_acc, "test_accuracy": test_acc,
+               "background_rows": background.size}
+    config = {"classifier": cfg, "background": ws.cfg["background"]}
+    return [model_path, history_path, background_path], summary, config
 
 
 @_stage("attack-{kind}")
 def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
     """Craft adversarial rows from the test split for one attack kind."""
     if kind not in ATTACK_KINDS:
-        raise ConfigError(f"unknown attack kind {kind!r}")
+        raise ValueError(f"unknown attack kind {kind!r}")
     model = ws.load("models/nids.json", neural.load)
     test = ws.load("data/test.csv", data.load_dataset)
     cfg = {"filter": ws.cfg["attacks"]["filter"], kind: ws.cfg["attacks"][kind]}
@@ -431,76 +437,40 @@ def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
     return [csv_path], summary, {"attacks": cfg}
 
 
-def _fingerprint_sources(
-    ws: Workspace,
-    model: neural.MlpModel,
-    background: attribution.BackgroundSet,
-    sources: list[str],
-    train: data.FlowDataset,
-) -> Iterator[tuple[str, attribution.Fingerprints]]:
-    """Yield (artifact name, fingerprints) for each clean split or attack;
-    ``train`` is the already loaded train split. The clean fingerprints are
-    those of each split's malicious rows, the rows the attacks start from."""
-    for item in sources:
-        if item == "clean":
-            for source in CLEAN_SOURCES:
-                rel = f"data/{source.removeprefix('clean_')}.csv"
-                ds = train if source == "clean_train" else ws.load(rel, data.load_dataset)
-                rows = np.flatnonzero(ds.y == 1)
-                if not rows.size:
-                    raise ValueError(f"{rel} has no malicious rows to fingerprint")
-                yield source, attribution.fingerprint_batch(
-                    model, ds.X[rows], background, sample_ids=rows
-                )
-        else:
-            batch = ws.load(f"attacks/{item}.csv", attacks.load_adv_batch)
-            yield item, attribution.fingerprint_batch(
-                model, batch.X_adv, background, sample_ids=batch.sample_index, origin=item
-            )
-
-
-@_stage("fingerprint")
-def cmd_fingerprint(ws: Workspace, source: str = "all") -> tuple[list[Path], dict, dict]:
-    """Compute attribution fingerprints for clean splits and/or attacks.
-
-    source is 'clean', an attack kind, or 'all'. A partial rerun must use
-    the background config the saved background was sampled with, since the
-    fingerprint files it leaves alone were computed against it. Completeness
-    violations abort the stage; the largest completeness gap goes into the
-    summary.
+@_stage("fingerprint-{source}")
+def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]:
+    """Fingerprint one source against the background train-nids saved:
+    'clean' is each split's malicious rows, the rows the attacks start
+    from, an attack kind its adversarial rows. Completeness violations
+    abort the stage; the largest completeness gap goes into the summary.
     """
-    if source not in ("all", "clean", *ATTACK_KINDS):
-        raise ConfigError(f"unknown fingerprint source {source!r}")
-    sources = ["clean", *ATTACK_KINDS] if source == "all" else [source]
-    config = {"background": ws.cfg["background"]}
-    recorded = _manifest(ws)["stages"].get("fingerprint", {}).get("config", config)
-    if source != "all" and recorded != config:
-        raise ValueError(f"{BACKGROUND} was sampled under {recorded}, not "
-                         f"{config}; rerun with --source all")
+    if source not in FINGERPRINT_SOURCES:
+        raise ValueError(f"unknown fingerprint source {source!r}")
     model = ws.load("models/nids.json", neural.load)
-    train = ws.load("data/train.csv", data.load_dataset)
-    background = attribution.sample_background(train.X, **ws.cfg["background"])
+    background = ws.load(BACKGROUND, _load_background)
     paths: list[Path] = []
     rows: dict[str, int] = {}
     max_gap = 0.0
-    for name, fps in _fingerprint_sources(ws, model, background, sources, train):
+    for name in ["clean_train", "clean_val", "clean_test"] if source == "clean" else [source]:
+        if source == "clean":
+            rel = f"data/{name.removeprefix('clean_')}.csv"
+            ds = ws.load(rel, data.load_dataset)
+            ids = np.flatnonzero(ds.y == 1)
+            if not ids.size:
+                raise ValueError(f"{rel} has no malicious rows to fingerprint")
+            X = ds.X[ids]
+        else:
+            batch = ws.load(f"attacks/{source}.csv", attacks.load_adv_batch)
+            X, ids = batch.X_adv, batch.sample_index
+        fps = attribution.fingerprint_batch(model, X, background, sample_ids=ids, origin=source)
         violations = fps.count_violations()
         if violations:
-            raise InvariantError(
-                f"fingerprint {name}: {violations} completeness violation(s)"
-            )
-        target = ws.path(f"fingerprints/{name}.csv")
-        attribution.save_fingerprints(fps, target)
-        paths.append(target)
+            raise InvariantError(f"fingerprint {name}: {violations} completeness violation(s)")
+        paths.append(ws.path(f"fingerprints/{name}.csv"))
+        attribution.save_fingerprints(fps, paths[-1])
         rows[name] = fps.n
         max_gap = max(max_gap, fps.max_completeness_gap)
-    paths.append(data.write_table(ws.path(BACKGROUND), train.schema.names, background.B.tolist()))
-    summary = {
-        "rows": rows,
-        "background": background.describe(),
-        "max_completeness_gap": max_gap,
-    }
-    return paths, summary, config
+    return paths, {"rows": rows, "max_completeness_gap": max_gap}, None
 
 
 @_stage("train-detector")
@@ -620,7 +590,7 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     the feature columns of data/scaler.json in the same order, every value
     finite and inside the [0, 1] box, then a last column named label whose
     cells may hold any text and are ignored. The background is the one the
-    fingerprint stage saved. Decisions and scores are written to
+    train-nids stage saved. Decisions and scores are written to
     reports/detections.json.
     """
     input_path = Path(input_path)
@@ -668,6 +638,7 @@ def cmd_run_all(ws: Workspace) -> None:
     cmd_train_nids(ws)
     for kind in ATTACK_KINDS:
         cmd_attack(ws, kind)
-    cmd_fingerprint(ws, "all")
+    for source in FINGERPRINT_SOURCES:
+        cmd_fingerprint(ws, source)
     cmd_train_detector(ws)
     cmd_evaluate(ws)

@@ -300,7 +300,7 @@ def test_sample_background_warns_when_source_small():
 def test_fingerprints_csv_roundtrip(tmp_path):
     model, rng = _random_relu_net(70)
     X = rng.uniform(0, 1, (6, 6))
-    bg = BackgroundSet(B=rng.uniform(0, 1, (9, 6)), seed=1, source="unit")
+    bg = BackgroundSet(B=rng.uniform(0, 1, (9, 6)))
     fps = attribution.fingerprint_batch(model, X, bg, origin="fgsm")
     path = tmp_path / "fps.csv"
     attribution.save_fingerprints(fps, path)

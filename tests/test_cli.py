@@ -213,6 +213,35 @@ def test_stage_failures_are_made_by_the_stage_runner_alone():
     assert bookkeeping == []
 
 
+class _RecordingConfig(dict):
+    """A resolved config that records which of its sections are read."""
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_each_stage_reads_only_the_config_sections_it_records(tmp_path):
+    out = tmp_path / "run"
+    cfg = _RecordingConfig(pipeline.resolve_config(_tiny_config(out)))
+    ws = pipeline.Workspace(out, cfg)
+    calls = [
+        (pipeline.cmd_ingest, (), "ingest"),
+        (pipeline.cmd_train_nids, (), "train-nids"),
+        *((pipeline.cmd_attack, (kind,), f"attack-{kind}") for kind in pipeline.ATTACK_KINDS),
+        *((pipeline.cmd_fingerprint, (source,), f"fingerprint-{source}")
+          for source in pipeline.FINGERPRINT_SOURCES),
+        (pipeline.cmd_train_detector, (), "train-detector"),
+        (pipeline.cmd_evaluate, (), "evaluate"),
+        (pipeline.cmd_detect, (out / "data/test.csv",), "detect"),
+    ]
+    for stage, args, name in calls:
+        cfg.read = set()
+        stage(ws, *args)
+        entry = json.loads((out / "manifest.json").read_text())["stages"][name]
+        assert cfg.read == set(entry.get("config", {})), name
+
+
 # ---------------------------------------------------------------------------
 # full run artifacts
 
@@ -267,7 +296,8 @@ def test_manifest_lists_every_artifact_with_correct_digest(tiny_run):
     assert manifest["tool"] == "shapguard"
     assert set(manifest["stages"]) >= {
         "ingest", "train-nids", "attack-fgsm", "attack-pgd", "attack-deepfool",
-        "fingerprint", "train-detector", "evaluate",
+        "fingerprint-clean", "fingerprint-fgsm", "fingerprint-pgd", "fingerprint-deepfool",
+        "train-detector", "evaluate",
     }
     _assert_manifest_lists_every_file_once(tiny_run)
 
@@ -282,14 +312,16 @@ def test_each_stage_records_the_config_part_it_read(tiny_run):
     stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
     cfg = pipeline.resolve_config(_tiny_config(tiny_run))
     assert stages["ingest"]["config"] == {"data": cfg["data"]}
-    assert stages["train-nids"]["config"] == {"classifier": cfg["classifier"]}
+    assert stages["train-nids"]["config"] == {
+        "classifier": cfg["classifier"], "background": cfg["background"]
+    }
     for kind in pipeline.ATTACK_KINDS:
         assert stages[f"attack-{kind}"]["config"] == {
             "attacks": {"filter": cfg["attacks"]["filter"], kind: cfg["attacks"][kind]}
         }
-    assert stages["fingerprint"]["config"] == {"background": cfg["background"]}
     assert stages["train-detector"]["config"] == {"detector": cfg["detector"]}
-    assert "config" not in stages["evaluate"]
+    for name in ("evaluate", *(f"fingerprint-{s}" for s in pipeline.FINGERPRINT_SOURCES)):
+        assert "config" not in stages[name], name
     for entry in stages.values():
         assert list(entry) in (["seconds", "config", "artifacts", "summary"],
                                ["seconds", "artifacts", "summary"])
@@ -338,19 +370,23 @@ def test_metrics_reports_have_robustness_identity(tiny_run):
 
 
 def test_fingerprint_summary_reports_measured_completeness_gap(tiny_run):
-    summary = json.loads((tiny_run / "manifest.json").read_text())["stages"]["fingerprint"]["summary"]
-    gaps, rows = [], {}
-    for path in sorted((tiny_run / "fingerprints").glob("*.csv")):
-        with open(path, newline="", encoding="utf-8") as fh:
-            body = list(csv.reader(fh))[1:]
-        phi = np.array([[float(v) for v in row[2:-2]] for row in body])
-        phi0 = np.array([float(row[1]) for row in body])
-        output = np.array([float(row[-2]) for row in body])
-        gaps.append(np.abs(phi0 + phi.sum(axis=1) - output).max())
-        rows[path.stem] = len(body)
-    assert summary["rows"] == rows
-    assert summary["max_completeness_gap"] == max(gaps)
-    assert "completeness_violations" not in summary
+    """Each fingerprint-<source> summary holds the row count of every file
+    its run wrote and the largest completeness gap measured in them."""
+    stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
+    names = {"clean": ["clean_train", "clean_val", "clean_test"],
+             **{kind: [kind] for kind in pipeline.ATTACK_KINDS}}
+    for source in pipeline.FINGERPRINT_SOURCES:
+        summary = stages[f"fingerprint-{source}"]["summary"]
+        gaps, rows = [], {}
+        for name in names[source]:
+            with open(tiny_run / f"fingerprints/{name}.csv", newline="", encoding="utf-8") as fh:
+                body = list(csv.reader(fh))[1:]
+            phi = np.array([[float(v) for v in row[2:-2]] for row in body])
+            phi0 = np.array([float(row[1]) for row in body])
+            output = np.array([float(row[-2]) for row in body])
+            gaps.append(np.abs(phi0 + phi.sum(axis=1) - output).max())
+            rows[name] = len(body)
+        assert summary == {"rows": rows, "max_completeness_gap": max(gaps)}, source
 
 
 # ---------------------------------------------------------------------------
@@ -602,37 +638,56 @@ def _copy_of_run(tiny_run, tmp_path):
     return out, _write_config(tmp_path, _tiny_config(out))
 
 
-def test_stage_rerun_on_one_source_keeps_the_other_digests(tiny_run, tmp_path):
+def test_each_fingerprint_entry_lists_exactly_the_files_its_run_wrote(tiny_run, tmp_path):
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
-    assert cli.main(["fingerprint", "--config", cfg_path, "--source", "clean"]) == 0
-    assert cli.main(["fingerprint", "--config", cfg_path, "--source", "fgsm"]) == 0
-    stage = json.loads((out / "manifest.json").read_text())["stages"]["fingerprint"]
-    listed = set(stage["artifacts"])
-    assert listed == {
-        str(p.relative_to(out)) for p in (out / "fingerprints").glob("*.csv")
-    } | {"models/background.csv"}
-    for rel, digest in stage["artifacts"].items():
-        assert digest == f"sha256:{_digest(out / rel)}", rel
-    assert stage["summary"]["rows"].keys() == {"fgsm"}
+    shutil.rmtree(out / "fingerprints")
+
+    def files():
+        return {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    written = {}
+    for source in ("clean", "fgsm"):
+        before = files()
+        assert cli.main(["fingerprint", "--config", cfg_path, "--source", source]) == 0
+        written[source] = files() - before
+    assert written == {
+        "clean": {f"fingerprints/clean_{split}.csv" for split in ("train", "val", "test")},
+        "fgsm": {"fingerprints/fgsm.csv"},
+    }
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    for source, files in written.items():
+        entry = stages[f"fingerprint-{source}"]
+        assert set(entry["artifacts"]) == files, source
+        for rel, digest in entry["artifacts"].items():
+            assert digest == f"sha256:{_digest(out / rel)}", rel
+            assert digest == f"sha256:{_digest(tiny_run / rel)}", rel
+        assert entry["summary"]["rows"].keys() == {Path(rel).stem for rel in files}
 
 
-def test_partial_fingerprint_rerun_under_another_background_is_refused(tiny_run, tmp_path, capsys):
-    """The fingerprint files a partial rerun leaves alone were computed
-    against the saved background, so it may not resample it under another
-    seed; --source all may."""
+def test_fingerprint_rerun_under_another_seed_rewrites_the_same_bytes(tiny_run, tmp_path):
+    """The background belongs to the NIDS: fingerprint reads the one
+    train-nids saved and no config, so a --seed flag changes no file and
+    no other entry, and the rerun's entry records no config."""
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
     before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-    argv = ["fingerprint", "--config", cfg_path, "--seed", "8"]
-    assert cli.main([*argv, "--source", "fgsm"]) == cli.EXIT_STAGE
-    err = capsys.readouterr().err
-    assert "shapguard: fingerprint: models/background.csv was sampled under" in err
-    assert "{'size': 30, 'seed': 13}" in err and "{'size': 30, 'seed': 14}" in err
-    assert "--source all" in err
-    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
-    assert cli.main([*argv, "--source", "all"]) == 0
-    assert cli.main([*argv, "--source", "fgsm"]) == 0
-    stage = json.loads((out / "manifest.json").read_text())["stages"]["fingerprint"]
-    assert stage["config"] == {"background": {"size": 30, "seed": 14}}
+    stages_before = json.loads((out / "manifest.json").read_text())["stages"]
+    (out / "fingerprints/fgsm.csv").unlink()
+    argv = ["fingerprint", "--config", cfg_path, "--seed", "8", "--source", "fgsm"]
+    assert cli.main(argv) == 0
+    after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    manifest = out / "manifest.json"
+    assert {p: b for p, b in after.items() if p != manifest} == {
+        p: b for p, b in before.items() if p != manifest
+    }
+    stages = json.loads(manifest.read_text())["stages"]
+    assert {n: e for n, e in stages.items() if n != "fingerprint-fgsm"} == {
+        n: e for n, e in stages_before.items() if n != "fingerprint-fgsm"
+    }
+    entry = stages["fingerprint-fgsm"]
+    assert "config" not in entry
+    assert entry["artifacts"] == {
+        "fingerprints/fgsm.csv": f"sha256:{_digest(tiny_run / 'fingerprints/fgsm.csv')}"
+    }
+    assert stages["train-nids"]["config"]["background"] == {"size": 30, "seed": 13}
 
 
 def test_detect_and_evaluate_leave_the_config_snapshot_alone(tiny_run, tmp_path):
@@ -682,7 +737,7 @@ def test_empty_artifact_is_a_stage_failure_naming_it(tiny_run, tmp_path, capsys,
     "argv, message",
     [
         (["attack", "--attack", "fgsm"], "attack-fgsm: input has 10 features, model expects 8"),
-        (["fingerprint"], "fingerprint: X has 10 features, the background 10, the model 8"),
+        (["fingerprint"], "fingerprint-clean: X has 10 features, the background 8, the model 8"),
         (["detect", "--input", "data/test.csv"],
          "detect: X has 10 features, the background 8, the model 8"),
         (["detect", "--input", "data"], "detect: {out}/data: Is a directory"),
@@ -752,15 +807,15 @@ def test_non_finite_fingerprint_cell_is_a_stage_failure_naming_its_line(
 
 
 @pytest.mark.parametrize(
-    "artifact, column, argv",
+    "artifact, column, argv, stage",
     [
-        ("attacks/pgd.csv", "adv_f3", ["fingerprint", "--source", "pgd"]),
-        ("data/train.csv", "f3", ["train-nids"]),
+        ("attacks/pgd.csv", "adv_f3", ["fingerprint", "--source", "pgd"], "fingerprint-pgd"),
+        ("data/train.csv", "f3", ["train-nids"], "train-nids"),
     ],
     ids=["fingerprint", "train-nids"],
 )
 def test_non_finite_cell_in_an_upstream_artifact_is_a_stage_failure_naming_its_line(
-    tiny_run, tmp_path, capsys, artifact, column, argv
+    tiny_run, tmp_path, capsys, artifact, column, argv, stage
 ):
     """A NaN in an attacked row would otherwise be fingerprinted into a NaN
     phi row whose completeness gap passes every comparison."""
@@ -772,7 +827,7 @@ def test_non_finite_cell_in_an_upstream_artifact_is_a_stage_failure_naming_its_l
     _rewrite_csv(out / artifact, corrupt)
     assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
     err = capsys.readouterr().err
-    assert (f"shapguard: {argv[0]}: {out / artifact}: row 3, column {column!r}: "
+    assert (f"shapguard: {stage}: {out / artifact}: row 3, column {column!r}: "
             "nan is not a finite value") in err
 
 
@@ -838,21 +893,41 @@ def test_evaluate_without_a_readable_scaler_is_a_stage_failure(tiny_run, tmp_pat
 
 def test_train_detector_records_the_background_the_fingerprints_used(tiny_run, tmp_path):
     """Each stage records the config part it ran with, so a rerun under
-    another seed leaves the fingerprint stage's background seed as it was."""
+    another seed leaves the background seed train-nids recorded as it was."""
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
     assert cli.main(["train-detector", "--config", cfg_path, "--seed", "8"]) == 0
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     used = stages["train-detector"]["config"]["detector"]
     assert used["init_seed"] == 15 and used["train"]["seed"] == 16
-    assert stages["fingerprint"]["config"] == {"background": {"size": 30, "seed": 13}}
-    assert stages["fingerprint"]["summary"]["background"] == "clean-train (k=30, seed=13)"
+    assert stages["train-nids"]["config"]["background"] == {"size": 30, "seed": 13}
+    assert stages["train-nids"]["summary"]["background_rows"] == 30
+    assert len((out / "models/background.csv").read_text().splitlines()) == 1 + 30
     assert "background_ref" not in json.loads((out / "detector/detector.json").read_text())
 
 
-def _drop_tau(path):
-    payload = json.loads(path.read_text())
-    del payload["tau"]
-    path.write_text(json.dumps(payload), encoding="utf-8")
+def test_train_nids_counts_the_background_rows_a_small_split_leaves(tiny_run, tmp_path):
+    """A train split with fewer rows than background.size gives a smaller
+    background, with a warning; the summary records the measured size."""
+    out, _ = _copy_of_run(tiny_run, tmp_path)
+    cfg_path = _write_config(tmp_path, _tiny_config(out, background={"size": 500}))
+    n_train = len((out / "data/train.csv").read_text().splitlines()) - 1
+    assert n_train < 500
+    with pytest.warns(UserWarning, match=f"background size reduced from 500 to {n_train}"):
+        assert cli.main(["train-nids", "--config", cfg_path]) == 0
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert stages["train-nids"]["summary"]["background_rows"] == n_train
+    assert stages["train-nids"]["config"]["background"]["size"] == 500
+    assert len((out / "models/background.csv").read_text().splitlines()) == 1 + n_train
+    # the draw does not touch the classifier
+    assert _digest(out / "models/nids.json") == _digest(tiny_run / "models/nids.json")
+
+
+def _drop(field):
+    def damage(path):
+        payload = json.loads(path.read_text())
+        del payload[field]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    return damage
 
 
 def _set_tanh(path):
@@ -880,8 +955,13 @@ def _set_tau(value):
          "models/nids.json: unsupported hidden activation 'tanh'"),
         ("detector/detector.json", _set_tanh, ["detect", "--input", "data/test.csv"],
          "detector/detector.json: unsupported hidden activation 'tanh'"),
-        ("detector/detector.json", _drop_tau, ["detect", "--input", "data/test.csv"],
+        ("detector/detector.json", _drop("tau"), ["detect", "--input", "data/test.csv"],
          "detector/detector.json: missing field 'tau'"),
+        *(
+            ("detector/detector.json", _drop("calibration"), argv,
+             "detector/detector.json: missing field 'calibration'")
+            for argv in (["detect", "--input", "data/test.csv"], ["evaluate"])
+        ),
         *(
             ("detector/detector.json", _set_tau(tau), argv,
              f"detector/detector.json: tau must be a finite number, got {tau!r}")
@@ -890,7 +970,7 @@ def _set_tau(value):
         ),
     ],
     ids=["nids-empty-object", "nids-tanh", "detector-tanh", "detector-without-tau",
-         "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string"],
+         "detect-without-calibration", "evaluate-without-calibration", "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, artifact, damage, argv, message

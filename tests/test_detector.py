@@ -213,7 +213,7 @@ def test_detect_matrix_matches_vector_decisions():
 def test_fingerprint_then_detect_composes_and_is_deterministic():
     rng = np.random.default_rng(6)
     nids = neural.init(neural.MlpSpec((6, 8, 1), seed=1))
-    bg = attribution.BackgroundSet(B=rng.uniform(0, 1, (12, 6)), seed=0, source="unit")
+    bg = attribution.BackgroundSet(B=rng.uniform(0, 1, (12, 6)))
     Z = attribution.fingerprint_batch(nids, rng.uniform(0, 1, (40, 6)), bg).phi
     ae, _ = detector.train_autoencoder(
         Z, neural.TrainConfig(epochs=30, learning_rate=0.01, loss="mse", seed=2),

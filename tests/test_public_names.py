@@ -49,3 +49,25 @@ def test_every_exception_class_is_caught_by_the_program():
                            if isinstance(node, (ast.Name, ast.Attribute))}
     assert defined
     assert [where for where in defined if where.split(".")[1] not in caught] == []
+
+
+def test_config_errors_come_from_the_config_gate_alone():
+    """ConfigError means exit code 1, a bad config caught before any stage
+    runs: only resolve_config and the helpers it calls raise it. A stage
+    that meets a bad argument raises a ValueError, which the stage runner
+    makes a stage failure."""
+    gate = {"resolve_config", "_leaf", "_merge", "_checked", "_schema_from_cfg"}
+    raised = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef) or function.name in gate:
+                continue
+            raised += [
+                f"{path.stem}.{function.name}: line {node.lineno}"
+                for node in ast.walk(function)
+                if isinstance(node, ast.Raise) and node.exc is not None
+                and any(getattr(n, "id", getattr(n, "attr", None)) == "ConfigError"
+                        for n in ast.walk(node.exc))
+            ]
+    assert raised == []
