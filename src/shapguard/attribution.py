@@ -134,18 +134,16 @@ def shap_fingerprint(
     B = background.B
     r, K = X_block.shape[0], B.shape[0]
     _, trace_x = neural.forward(model, X_block[:, None, :])
-    mult = np.ones((r * K, 1))
-    for i in reversed(range(len(model.weights))):
-        # mult is d(logit)/d(pre-activation of layer i), per row and reference
-        mult = mult @ model.weights[i]
-        if i == 0:
-            break
-        zx = trace_x.pre[i - 1]            # (r, 1, units)
-        delta = zx - trace_b.pre[i - 1]    # (r, K, units)
+    W_last = model.weights[-1]
+    mult = np.broadcast_to(W_last, (r * K, W_last.shape[1]))
+    for i in reversed(range(len(model.weights) - 1)):
+        # mult is d(logit)/d(post-activation of layer i), per row and reference
+        zx = trace_x.pre[i]            # (r, 1, units)
+        delta = zx - trace_b.pre[i]    # (r, K, units)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (trace_x.post[i - 1] - trace_b.post[i - 1]) / delta
+            ratio = (trace_x.post[i] - trace_b.post[i]) / delta
         np.copyto(ratio, zx > 0, where=np.abs(delta) <= NEAR_ZERO_DELTA)
-        mult = (mult.reshape(ratio.shape) * ratio).reshape(r * K, -1)
+        mult = (mult.reshape(ratio.shape) * ratio).reshape(r * K, -1) @ model.weights[i]
     phi = ((X_block[:, None, :] - B) * mult.reshape(r, K, -1)).sum(axis=1) / K
     return phi, trace_x.pre[-1][:, 0, 0]
 

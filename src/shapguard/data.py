@@ -371,19 +371,28 @@ def load_scaler(path: str | Path) -> tuple[ScalerParams, FeatureSchema]:
 # these four functions
 
 
-def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> Path:
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write a CSV artifact: the header, then one line per row.
 
     The default csv dialect writes a float (Python or numpy float64) as
     ``repr(float(v))``, which :func:`read_table` parses back bit-exactly,
-    and None as an empty cell. Pass bools as ints.
+    and None as an empty cell. Pass bools as ints. A row is written as its
+    cells' str joined by commas, which are the same bytes, unless the line
+    shows a cell the dialect writes otherwise; csv.writer writes that row.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in itertools.chain([header], rows):
+            line = ",".join(map(str, row))
+            # an empty line (no cell or one empty cell), a cell holding a
+            # comma (one comma too many), a quote or a line break, or None
+            if (line and line.count(",") == len(row) - 1
+                    and not any(special in line for special in ('"', "\r", "\n", "None"))):
+                fh.write(line + "\r\n")
+            else:
+                writer.writerow(row)
     return path
 
 

@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,13 +78,6 @@ class MlpModel:
     @property
     def output_size(self) -> int:
         return self.spec.output_size
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            spec=self.spec,
-            weights=[W.copy() for W in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
 
 
 @dataclass(frozen=True)
@@ -219,40 +213,53 @@ def _output_delta(
     raise ValueError(f"unsupported loss {loss!r}")
 
 
-def _backward(
-    model: MlpModel, trace: ForwardTrace, delta: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Backpropagate dL/d(pre_last) = delta; returns dL/d(pre_i) for every
-    layer i and dL/d(input). A stack trace gives stacked gradients."""
+def _backward(model: MlpModel, trace: ForwardTrace, delta: np.ndarray) -> list[np.ndarray]:
+    """Backpropagate dL/d(pre_last) = delta to dL/d(pre_i) for every layer
+    i. The input gradient, d_pres[0] @ W_0, is left to the caller that
+    needs it: training does not. A stack trace gives stacked gradients."""
     d_pres = [delta]
-    d_pre = delta
-    for i in reversed(range(len(model.weights))):
-        d_h = d_pre @ model.weights[i]
-        if i > 0:
-            d_pre = d_h * (trace.pre[i - 1] > 0)
-            d_pres.insert(0, d_pre)
-    return d_pres, d_h
+    for i in range(len(model.weights) - 1, 0, -1):
+        d_pres.insert(0, (d_pres[0] @ model.weights[i]) * (trace.pre[i - 1] > 0))
+    return d_pres
 
 
-def _param_grads(
-    model: MlpModel, trace: ForwardTrace, delta: np.ndarray
+def _param_views(
+    flat: np.ndarray, sizes: tuple[int, ...]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """dL/dW_i = d_pre_i^T h_(i-1) and dL/db_i = d_pre_i summed over rows."""
-    d_pres, _ = _backward(model, trace, delta)
-    h_prev = [trace.inputs, *trace.post[:-1]]
-    return [d.T @ h for d, h in zip(d_pres, h_prev)], [d.sum(axis=0) for d in d_pres]
+    """The weights and the biases of a network with these layer sizes as
+    views, in their shapes, of the one flat buffer that holds them all,
+    every weight before every bias."""
+    shapes = [*zip(sizes[1:], sizes), *((fan_out,) for fan_out in sizes[1:])]
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views[: len(sizes) - 1], views[len(sizes) - 1 :]
 
 
 def grad_params(
     model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """The mean loss of a batch and its exact gradients with respect to the
-    weights and biases; one training step's worth of work."""
+    weights and biases; one training step's worth of work.
+
+    The gradients are views, in the parameters' shapes, of one fresh flat
+    vector (their ``base``; every weight before every bias), which train
+    hands to Adam whole.
+    """
     batch = _as_batch(X)
     t = _normalize_targets(model, batch.shape[0], targets)
     out, trace = forward(model, batch)
     delta = _output_delta(model, trace, t, loss) / batch.shape[0]
-    return (loss_value(out, t, loss), *_param_grads(model, trace, delta))
+    flat = np.empty(sum(W.size + b.size for W, b in zip(model.weights, model.biases)))
+    dWs, dbs = _param_views(flat, model.spec.layer_sizes)
+    h_prev = [trace.inputs, *trace.post[:-1]]
+    for d, h, dW, db in zip(_backward(model, trace, delta), h_prev, dWs, dbs):
+        # dL/dW_i = d_pre_i^T h_(i-1) and dL/db_i = d_pre_i summed over rows
+        np.matmul(d.T, h, out=dW)
+        d.sum(axis=0, out=db)
+    return loss_value(out, t, loss), dWs, dbs
 
 
 def grad_logit_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -262,13 +269,12 @@ def grad_logit_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
     if model.output_size != 1:
         raise ValueError("logit gradient requires a single-output model")
     _, trace = forward(model, X)
-    _, dX = _backward(model, trace, np.ones(trace.pre[-1].shape))
-    return dX
+    return _backward(model, trace, np.ones(trace.pre[-1].shape))[0] @ model.weights[0]
 
 
 class Adam:
-    """Bias-corrected Adam with the constants of Kingma & Ba (ICLR 2015);
-    one instance per training run."""
+    """Bias-corrected Adam with the constants of Kingma & Ba (ICLR 2015)
+    over one flat parameter buffer; one instance per training run."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -277,23 +283,24 @@ class Adam:
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update the flat buffer params in place from the flat gradient
+        grads, every element by the same float ops in the same order."""
         if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * grads
+        v *= b2
+        v += (1.0 - b2) * grads * grads
+        m_hat = m / (1.0 - b1**self.t)
+        v_hat = v / (1.0 - b2**self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def train(
@@ -311,8 +318,10 @@ def train(
         raise ValueError("training set is empty")
     t_all = _normalize_targets(model, n, targets)
 
-    work = model.copy()
-    params = [*work.weights, *work.biases]
+    # One fresh buffer holds every parameter; the new model's weights and
+    # biases are views of it, so one Adam step updates the whole model.
+    params = np.concatenate([p.ravel() for p in (*model.weights, *model.biases)])
+    work = MlpModel(model.spec, *_param_views(params, model.spec.layer_sizes))
     opt = Adam(cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
@@ -321,10 +330,10 @@ def train(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch_loss, dWs, dbs = grad_params(work, batch_X[idx], t_all[idx], cfg.loss)
+            batch_loss, dWs, _ = grad_params(work, batch_X[idx], t_all[idx], cfg.loss)
             if not np.isfinite(batch_loss):
                 raise ValueError(f"non-finite loss at epoch {epoch + 1}")
-            opt.step(params, [*dWs, *dbs])
+            opt.step(params, dWs[0].base)  # the one flat gradient vector
             total += batch_loss * idx.size
         history.append(total / n)
     return work, history

@@ -441,8 +441,10 @@ def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
 def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]:
     """Fingerprint one source against the background train-nids saved:
     'clean' is each split's malicious rows, the rows the attacks start
-    from, an attack kind its adversarial rows. Completeness violations
-    abort the stage; the largest completeness gap goes into the summary.
+    from, an attack kind its adversarial rows. The largest completeness
+    gap goes into the summary. A table with completeness violations is
+    still written, and goes into the summary's checks_failed, which the
+    stage runner records and then raises as an InvariantError.
     """
     if source not in FINGERPRINT_SOURCES:
         raise ValueError(f"unknown fingerprint source {source!r}")
@@ -450,6 +452,7 @@ def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]
     background = ws.load(BACKGROUND, _load_background)
     paths: list[Path] = []
     rows: dict[str, int] = {}
+    failures: list[str] = []
     max_gap = 0.0
     for name in ["clean_train", "clean_val", "clean_test"] if source == "clean" else [source]:
         if source == "clean":
@@ -465,12 +468,15 @@ def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]
         fps = attribution.fingerprint_batch(model, X, background, sample_ids=ids, origin=source)
         violations = fps.count_violations()
         if violations:
-            raise InvariantError(f"fingerprint {name}: {violations} completeness violation(s)")
+            failures.append(f"{name}: {violations} completeness violation(s)")
         paths.append(ws.path(f"fingerprints/{name}.csv"))
         attribution.save_fingerprints(fps, paths[-1])
         rows[name] = fps.n
         max_gap = max(max_gap, fps.max_completeness_gap)
-    return paths, {"rows": rows, "max_completeness_gap": max_gap}, None
+    summary: dict = {"rows": rows, "max_completeness_gap": max_gap}
+    if failures:
+        summary["checks_failed"] = failures
+    return paths, summary, None
 
 
 @_stage("train-detector")

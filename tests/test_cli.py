@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapguard import attacks, cli, data, neural, pipeline
+from shapguard import attacks, attribution, cli, data, neural, pipeline
 from test_acceptance import DESK_OVERRIDES
 
 
@@ -661,6 +661,34 @@ def test_each_fingerprint_entry_lists_exactly_the_files_its_run_wrote(tiny_run, 
             assert digest == f"sha256:{_digest(out / rel)}", rel
             assert digest == f"sha256:{_digest(tiny_run / rel)}", rel
         assert entry["summary"]["rows"].keys() == {Path(rel).stem for rel in files}
+
+
+def test_a_failed_completeness_check_names_the_stage_and_records_its_files(
+    tiny_run, tmp_path, capsys, monkeypatch
+):
+    """A completeness violation is a failed check of the stage: every table
+    is still written and recorded with its digest, and the failure, in the
+    summary, exits 3 naming the stage."""
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    shutil.rmtree(out / "fingerprints")
+    calls = []
+
+    def count_violations(self):
+        calls.append(self.n)
+        return 1 if len(calls) == 2 else 0
+    monkeypatch.setattr(attribution.Fingerprints, "count_violations", count_violations)
+    assert cli.main(["fingerprint", "--config", cfg_path, "--source", "clean"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "shapguard: invariant check failed: fingerprint-clean: clean_val: 1 completeness"
+    )
+    entry = json.loads((out / "manifest.json").read_text())["stages"]["fingerprint-clean"]
+    assert entry["summary"]["checks_failed"] == ["clean_val: 1 completeness violation(s)"]
+    on_disk = {str(p.relative_to(out)) for p in (out / "fingerprints").iterdir()}
+    assert set(entry["artifacts"]) == on_disk == {
+        f"fingerprints/clean_{split}.csv" for split in ("train", "val", "test")
+    }
+    for rel, digest in entry["artifacts"].items():
+        assert digest == f"sha256:{_digest(out / rel)}", rel
 
 
 def test_fingerprint_rerun_under_another_seed_rewrites_the_same_bytes(tiny_run, tmp_path):

@@ -394,6 +394,35 @@ def test_table_roundtrip_with_a_text_column(tmp_path):
     assert text == {"name": ["a,b", 'say "hi"']}
 
 
+def test_write_table_writes_the_bytes_of_csv_writer(tmp_path):
+    bits = np.random.default_rng(4).integers(0, 2**64, 2000, dtype=np.uint64)
+    floats = bits.view(np.float64)  # every exponent, NaN and inf included
+    rows = [
+        [0.0, -0.0, 1e16, 1e-05, 5e-324, math.nan, math.inf, -math.inf, 1e15, 0.1],
+        [np.float64(v) for v in (0.0, -0.0, 1e16, 1e-05, 5e-324, math.nan, math.inf, 0.1)],
+        [3, -7, np.int64(12), True, False, np.float64(2.5)],
+        [1, None, 2.5],
+        [None],
+        # one str per row that sends the row to csv.writer, each on its own
+        *([cell, 0.5] for cell in ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "None")),
+        ["plain", " spaces ", "", "text"],
+        [""],
+        ["", ""],
+        [],
+        (4, 2.0),
+        list(floats),
+        floats.tolist(),
+    ]
+    header = ["id", "a name", "comma,name"]
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    written = data.write_table(tmp_path / "t.csv", header, iter(rows))
+    assert written.read_bytes() == expected.read_bytes()
+
+
 def test_read_table_rejects_empty_and_ragged_files(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("")

@@ -353,17 +353,32 @@ def test_train_does_not_mutate_input_model():
     y = rng.integers(0, 2, 30)
     model = neural.init(MlpSpec((2, 3, 1), seed=9))
     before = [W.copy() for W in model.weights]
-    neural.train(model, X, y, TrainConfig(epochs=2, seed=0))
+    trained, _ = neural.train(model, X, y, TrainConfig(epochs=2, seed=0))
     assert all(np.array_equal(a, b) for a, b in zip(before, model.weights))
+    inputs = [X, y, *model.weights, *model.biases]
+    for a in [*trained.weights, *trained.biases]:
+        assert not any(np.shares_memory(a, b) for b in inputs)
+
+
+def test_grad_params_are_views_of_one_flat_vector():
+    model = neural.init(MlpSpec((4, 3, 2, 1), seed=1))
+    X = np.random.default_rng(0).uniform(0, 1, (5, 4))
+    _, dWs, dbs = neural.grad_params(model, X, np.array([0, 1, 1, 0, 1]), "bce")
+    flat = dWs[0].base
+    assert flat.shape == (4 * 3 + 3 * 2 + 2 * 1 + 3 + 2 + 1,)
+    assert all(g.base is flat for g in dWs + dbs)
+    assert np.array_equal(flat, np.concatenate([g.ravel() for g in dWs + dbs]))
 
 
 def _inline_adam_training(model, X, targets, cfg):
-    """The training loop as it was before it called grad_params, with
-    Adam's constants (0.9, 0.999, 1e-8) spelled out; the bitwise oracle
-    for neural.train."""
+    """The training loop as it was before it called grad_params, with the
+    loss, the output delta, backpropagation and Adam's constants (0.9,
+    0.999, 1e-8) spelled out one parameter array at a time; the bitwise
+    oracle for neural.train."""
     t_all = np.asarray(targets, dtype=np.float64)
     t_all = t_all[:, None] if t_all.ndim == 1 else t_all
-    work = model.copy()
+    work = MlpModel(model.spec, [W.copy() for W in model.weights],
+                    [b.copy() for b in model.biases])
     params = [*work.weights, *work.biases]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     rng = np.random.default_rng(cfg.seed)
@@ -375,11 +390,23 @@ def _inline_adam_training(model, X, targets, cfg):
             idx = order[start : start + cfg.batch_size]
             xb, tb = X[idx], t_all[idx]
             out, trace = neural.forward(work, xb)
-            batch_loss = neural.loss_value(out, tb, cfg.loss)
-            delta = neural._output_delta(work, trace, tb, cfg.loss) / xb.shape[0]
-            dWs, dbs = neural._param_grads(work, trace, delta)
+            if cfg.loss == "bce":
+                prob = np.clip(out, 1e-7, 1.0 - 1e-7)
+                batch_loss = float(-np.mean(tb * np.log(prob) + (1.0 - tb) * np.log(1.0 - prob)))
+                delta = (out - tb) / xb.shape[0]
+            else:
+                batch_loss = float(np.mean(((out - tb) ** 2).sum(axis=1)))
+                delta = 2.0 * (out - tb) / xb.shape[0]
+            d_pres, d_pre = [delta], delta
+            for i in reversed(range(len(work.weights))):
+                d_h = d_pre @ work.weights[i]
+                if i > 0:
+                    d_pre = d_h * (trace.pre[i - 1] > 0)
+                    d_pres.insert(0, d_pre)
+            h_prev = [trace.inputs, *trace.post[:-1]]
+            grads = [d.T @ h for d, h in zip(d_pres, h_prev)] + [d.sum(axis=0) for d in d_pres]
             step += 1
-            for p, g, (m, v) in zip(params, [*dWs, *dbs], moments):
+            for p, g, (m, v) in zip(params, grads, moments):
                 m *= 0.9
                 m += (1.0 - 0.9) * g
                 v *= 0.999
@@ -393,16 +420,25 @@ def _inline_adam_training(model, X, targets, cfg):
 
 
 @pytest.mark.parametrize(
-    "sizes, output, loss",
-    [((12, 16, 8, 1), "sigmoid", "bce"), ((12, 8, 4, 8, 12), "linear", "mse")],
-    ids=["bce-classifier", "mse-autoencoder"],
+    "sizes, output, loss, n, batch_size, epochs",
+    [
+        ((12, 16, 8, 1), "sigmoid", "bce", 300, 64, 4),
+        ((12, 8, 4, 8, 12), "linear", "mse", 300, 64, 4),
+        # the benchmark's NIDS and autoencoder at CIC-IoT2023 width
+        ((39, 64, 32, 1), "sigmoid", "bce", 300, 64, 3),
+        ((39, 32, 16, 8, 16, 32, 39), "linear", "mse", 256, 64, 3),
+        ((12, 16, 8, 1), "sigmoid", "bce", 50, 64, 4),
+        ((12, 8, 4, 8, 12), "linear", "mse", 40, 1, 2),
+    ],
+    ids=["bce-classifier", "mse-autoencoder", "bce-cic39-nids", "mse-cic39-autoencoder",
+         "batch-larger-than-n", "batch-of-one"],
 )
-def test_train_is_bitwise_the_inline_adam_loop(sizes, output, loss):
+def test_train_is_bitwise_the_inline_adam_loop(sizes, output, loss, n, batch_size, epochs):
     rng = np.random.default_rng(17)
-    X = rng.uniform(0, 1, (300, 12))
-    targets = rng.integers(0, 2, 300) if loss == "bce" else X
+    X = rng.uniform(0, 1, (n, sizes[0]))
+    targets = rng.integers(0, 2, n) if loss == "bce" else X
     model = neural.init(MlpSpec(sizes, output_activation=output, seed=5))
-    cfg = TrainConfig(epochs=4, batch_size=64, learning_rate=0.01, loss=loss, seed=9)
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.01, loss=loss, seed=9)
     trained, history = neural.train(model, X, targets, cfg)
     oracle, oracle_history = _inline_adam_training(model, X, targets, cfg)
     assert history == oracle_history
@@ -411,11 +447,11 @@ def test_train_is_bitwise_the_inline_adam_loop(sizes, output, loss):
 
 
 def test_adam_zero_learning_rate_is_identity():
-    params = [np.array([1.0, -2.0]), np.array([[0.5]])]
-    snapshot = [p.copy() for p in params]
+    params = np.array([1.0, -2.0, 0.5])
+    snapshot = params.copy()
     opt = Adam(lr=0.0)
-    opt.step(params, [np.array([3.0, 4.0]), np.array([[5.0]])])
-    assert all(np.array_equal(p, s) for p, s in zip(params, snapshot))
+    opt.step(params, np.array([3.0, 4.0, 5.0]))
+    assert np.array_equal(params, snapshot)
 
 
 # ---------------------------------------------------------------------------
