@@ -178,7 +178,7 @@ def loss_value(outputs: np.ndarray, targets: np.ndarray, loss: str) -> float:
             return float(np.mean(sq))
         return float(np.mean(sq.sum(axis=1)))
     if loss == "bce":
-        if t.size and not np.isin(t, (0.0, 1.0)).all():
+        if not ((t == 0.0) | (t == 1.0)).all():
             raise ValueError("bce targets must be 0 or 1")
         p = np.clip(o, BCE_CLIP, 1.0 - BCE_CLIP)
         return float(-np.mean(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)))

@@ -10,12 +10,17 @@ timing and its summary.
 from __future__ import annotations
 
 import copy
+import fcntl
 import functools
 import hashlib
 import inspect
 import logging
+import os
+import pickle
+import signal
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Any, Callable
 
@@ -30,6 +35,12 @@ FINGERPRINT_SOURCES = ("clean", *ATTACK_KINDS)
 MANIFEST_NAME = "manifest.json"
 # Not under fingerprints/: every CSV there is a fingerprint table.
 BACKGROUND = "models/background.csv"
+# The order in which a serial run-all records its stages; the manifest keeps
+# it whichever of run-all's two processes finishes a stage first.
+_RUN_ALL_ORDER = (
+    "ingest", "train-nids", *(f"attack-{kind}" for kind in ATTACK_KINDS),
+    *(f"fingerprint-{source}" for source in FINGERPRINT_SOURCES), "train-detector", "evaluate",
+)
 
 
 class ConfigError(ValueError):
@@ -271,11 +282,21 @@ class Workspace:
             str(p.relative_to(self.root)): f"sha256:{_sha256(p)}" for p in paths
         }
         seconds = time.perf_counter() - started
-        manifest = _manifest(self)
         entry = {"seconds": round(seconds, 3), "config": config,
                  "artifacts": artifacts, "summary": summary}
-        manifest["stages"][name] = {k: v for k, v in entry.items() if v is not None}
-        data.write_json(self.path(MANIFEST_NAME), manifest)
+        entry = {k: v for k, v in entry.items() if v is not None}
+        # An exclusive lock on the directory itself, so that two processes
+        # finishing stages lose no entry and no lock file appears in it; the
+        # manifest is replaced whole, so a crash never leaves it truncated.
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            manifest = _manifest(self)
+            manifest["stages"] = _placed(manifest["stages"], name, entry)
+            scratch = data.write_json(self.path(MANIFEST_NAME + ".tmp"), manifest)
+            os.replace(scratch, self.path(MANIFEST_NAME))
+        finally:
+            os.close(fd)
         logger.info("stage %s finished in %.2fs: %s", name, seconds, summary)
 
 
@@ -302,6 +323,20 @@ def _manifest(ws: Workspace) -> dict:
     if ws.path(MANIFEST_NAME).exists():
         return ws.load(MANIFEST_NAME, _read_manifest)
     return {"tool": "shapguard", "version": __version__, "stages": {}}
+
+
+def _placed(stages: dict, name: str, entry: dict) -> dict:
+    """``stages`` with ``entry`` recorded as stage ``name``: in its place if
+    the stage ran before, else before the first recorded stage that a serial
+    run-all records after it, else last."""
+    rank = {stage: i for i, stage in enumerate(_RUN_ALL_ORDER)}
+    if name in stages or name not in rank:
+        return {**stages, name: entry}
+    items = list(stages.items())
+    at = next((i for i, (stage, _) in enumerate(items) if rank.get(stage, -1) > rank[name]),
+              len(items))
+    items.insert(at, (name, entry))
+    return dict(items)
 
 
 def _load_background(path: Path) -> attribution.BackgroundSet:
@@ -638,13 +673,75 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     return [target], summary, None
 
 
+def _beside(branch: Callable[[], None], own: Callable[[], None]) -> None:
+    """Run ``branch`` in a forked child while this process runs ``own``,
+    then reap the child, whatever ``own`` did.
+
+    The child never returns into its caller: it pickles None, its
+    StageError or InvariantError, or any other exception as a RuntimeError
+    carrying the child's traceback, over a pipe, and leaves through
+    os._exit. The child's failure is raised before a failure of ``own``,
+    since ``branch`` holds the earlier stages. A child that dies without a
+    report is a ChildProcessError naming its signal or exit status.
+    """
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                branch()
+                report = None
+            except (StageError, InvariantError) as exc:
+                report = exc
+            except BaseException as exc:
+                report = RuntimeError("".join(traceback.format_exception(exc)))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(report))
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    failure = None
+    try:
+        own()
+    except Exception as exc:
+        failure = exc
+    finally:
+        with os.fdopen(read_fd, "rb") as pipe:
+            payload = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not payload:
+        how = f"exited with status {code}"
+        if code < 0:
+            names = {sig.value: sig.name for sig in signal.Signals}
+            how = f"was killed by {names.get(-code, f'signal {-code}')}"
+        raise ChildProcessError(f"{branch.__name__} (pid {pid}) {how} before it reported")
+    report = pickle.loads(payload)
+    if report is not None:
+        raise report
+    if failure is not None:
+        raise failure
+
+
 def cmd_run_all(ws: Workspace) -> None:
-    """Execute every stage in pipeline order."""
+    """Execute every stage. After train-nids, a forked child runs the
+    attacks and their fingerprints while this process runs fingerprint-clean
+    and train-detector; evaluate runs once both are done."""
+    def attack_branch() -> None:
+        for kind in ATTACK_KINDS:
+            cmd_attack(ws, kind)
+        for kind in ATTACK_KINDS:
+            cmd_fingerprint(ws, kind)
+
+    def detector_branch() -> None:
+        cmd_fingerprint(ws, "clean")
+        cmd_train_detector(ws)
+
     cmd_ingest(ws)
     cmd_train_nids(ws)
-    for kind in ATTACK_KINDS:
-        cmd_attack(ws, kind)
-    for source in FINGERPRINT_SOURCES:
-        cmd_fingerprint(ws, source)
-    cmd_train_detector(ws)
+    _beside(attack_branch, detector_branch)
     cmd_evaluate(ws)

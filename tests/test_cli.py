@@ -2,13 +2,16 @@ import ast
 import csv
 import hashlib
 import json
+import os
 import shutil
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shapguard import attacks, attribution, cli, data, neural, pipeline
+from shapguard import attacks, attribution, cli, data, detector, neural, pipeline
 from test_acceptance import DESK_OVERRIDES
 
 
@@ -1039,3 +1042,145 @@ def test_single_stage_cli_commands(tmp_path):
     assert cli.main(["attack", "--config", cfg_path, "--attack", "all"]) == 0
     assert cli.main(["fingerprint", "--config", cfg_path, "--source", "all"]) == 0
     assert cli.main(["evaluate", "--config", cfg_path]) == 0
+
+
+# ---------------------------------------------------------------------------
+# run-all's two processes: after train-nids a forked child runs the attack
+# stages and their fingerprints beside fingerprint-clean and train-detector
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_attack(kind, exc):
+    """attacks.attack_batch, raising ``exc`` for attack ``kind``."""
+    real = attacks.attack_batch
+
+    def attack_batch(model, ds, config, **kwargs):
+        if config.kind == kind:
+            raise exc
+        return real(model, ds, config, **kwargs)
+    return attack_batch
+
+
+def test_run_all_records_its_stages_in_the_serial_order(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", _write_config(tmp_path, _tiny_config(out))]) == 0
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert list(stages) == [
+        "ingest", "train-nids", "attack-fgsm", "attack-pgd", "attack-deepfool",
+        "fingerprint-clean", "fingerprint-fgsm", "fingerprint-pgd", "fingerprint-deepfool",
+        "train-detector", "evaluate",
+    ]
+    _assert_no_child_left()
+
+
+def test_an_attack_failure_in_the_child_exits_2_naming_its_stage(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, _tiny_config(out))
+    monkeypatch.setattr(attacks, "attack_batch", _fail_attack("pgd", ValueError("no rows")))
+    assert cli.main(["run-all", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert capsys.readouterr().err == "shapguard: attack-pgd: no rows\n"
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert "attack-fgsm" in stages and "attack-pgd" not in stages and "evaluate" not in stages
+    _assert_no_child_left()
+
+
+def test_when_both_branches_fail_the_attack_branch_is_reported(tmp_path, capsys, monkeypatch):
+    cfg_path = _write_config(tmp_path, _tiny_config(tmp_path / "run"))
+    monkeypatch.setattr(attacks, "attack_batch", _fail_attack("fgsm", ValueError("no rows")))
+
+    def train_autoencoder(*args, **kwargs):
+        raise ValueError("diverged")
+    monkeypatch.setattr(detector, "train_autoencoder", train_autoencoder)
+    assert cli.main(["run-all", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert capsys.readouterr().err == "shapguard: attack-fgsm: no rows\n"
+    _assert_no_child_left()
+
+
+def test_an_invariant_failure_in_the_child_exits_3(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, _tiny_config(out))
+
+    def count_violations(self):
+        return 1 if self.origin == "deepfool" else 0
+    monkeypatch.setattr(attribution.Fingerprints, "count_violations", count_violations)
+    assert cli.main(["run-all", "--config", cfg_path]) == cli.EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "shapguard: invariant check failed: fingerprint-deepfool: "
+        "deepfool: 1 completeness violation(s)\n"
+    )
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert stages["fingerprint-deepfool"]["summary"]["checks_failed"]
+    _assert_no_child_left()
+
+
+def test_a_bug_in_the_child_is_raised_with_the_child_traceback(tmp_path, monkeypatch):
+    cfg = pipeline.resolve_config(_tiny_config(tmp_path / "run"))
+    monkeypatch.setattr(attacks, "attack_batch", _fail_attack("fgsm", TypeError("a bug")))
+    with pytest.raises(RuntimeError, match=r"(?s)Traceback.*cmd_attack.*TypeError: a bug"):
+        pipeline.cmd_run_all(pipeline.Workspace(cfg["out_dir"], cfg))
+    _assert_no_child_left()
+
+
+def test_a_child_killed_by_a_signal_is_raised_and_reaped(tmp_path, monkeypatch):
+    cfg = pipeline.resolve_config(_tiny_config(tmp_path / "run"))
+
+    def attack_batch(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+    monkeypatch.setattr(attacks, "attack_batch", attack_batch)
+    with pytest.raises(ChildProcessError, match="attack_branch .* was killed by SIGKILL"):
+        pipeline.cmd_run_all(pipeline.Workspace(cfg["out_dir"], cfg))
+    _assert_no_child_left()
+
+
+def test_an_interrupt_in_the_parent_still_reaps_the_child(tmp_path, monkeypatch):
+    cfg = pipeline.resolve_config(_tiny_config(tmp_path / "run"))
+
+    def train_autoencoder(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(detector, "train_autoencoder", train_autoencoder)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.cmd_run_all(pipeline.Workspace(cfg["out_dir"], cfg))
+    _assert_no_child_left()
+    stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
+    assert "fingerprint-deepfool" in stages  # the child ran its branch to the end
+
+
+def test_two_processes_finishing_stages_lose_no_entry(tmp_path):
+    ws = pipeline.Workspace(tmp_path / "run", {})
+    names = {side: [f"{side}-{i}" for i in range(20)] for side in ("parent", "child")}
+    pid = os.fork()
+    if pid == 0:
+        try:
+            for name in names["child"]:
+                ws.finish(name, time.perf_counter(), [], {})
+        finally:
+            os._exit(0)
+    for name in names["parent"]:
+        ws.finish(name, time.perf_counter(), [], {})
+    deadline = time.monotonic() + 60
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the child did not finish its 20 stages within 60 s")
+        time.sleep(0.01)
+    stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
+    assert sorted(stages) == sorted(names["parent"] + names["child"])
+    for side in names:  # each process records its own stages in its order
+        assert [name for name in stages if name.startswith(side)] == names[side]
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["manifest.json"]
+
+
+def test_a_stage_is_recorded_in_serial_order_and_a_rerun_keeps_its_place(tmp_path):
+    ws = pipeline.Workspace(tmp_path, {})
+    for name in ["train-detector", "detect", "fingerprint-fgsm", "ingest", "fingerprint-clean",
+                 "train-detector", "evaluate"]:
+        ws.finish(name, time.perf_counter(), [], {})
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    assert list(stages) == [
+        "ingest", "fingerprint-clean", "fingerprint-fgsm", "train-detector", "detect", "evaluate",
+    ]

@@ -219,6 +219,22 @@ def test_bce_rejects_non_binary_targets():
         neural.loss_value(np.array([0.5]), np.array([0.3]), "bce")
 
 
+@pytest.mark.parametrize("bad", [0.5, -1.0, 2.0, math.nan, math.inf, -math.inf])
+def test_bce_rejects_each_non_binary_target_value(bad):
+    with pytest.raises(ValueError, match="bce targets must be 0 or 1"):
+        neural.loss_value(np.array([0.5, 0.5]), np.array([1.0, bad]), "bce")
+
+
+def test_bce_accepts_negative_zero_and_is_the_mean_cross_entropy():
+    rng = np.random.default_rng(0)
+    outputs = rng.uniform(0.0, 1.0, size=(256, 1))
+    targets = (rng.uniform(size=(256, 1)) < 0.5).astype(np.float64)
+    targets[0, 0] = -0.0
+    p = np.clip(outputs, neural.BCE_CLIP, 1.0 - neural.BCE_CLIP)
+    expected = float(-np.mean(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p)))
+    assert neural.loss_value(outputs, targets, "bce") == expected
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
