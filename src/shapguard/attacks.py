@@ -211,8 +211,8 @@ def attack_batch(
 
 def save_adv_batch(
     batch: AdvBatch, feature_names: tuple[str, ...], path: str | Path
-) -> None:
-    """Write the adversarial rows as a table.
+) -> Path:
+    """Write the adversarial rows as a table; returns the path written.
 
     Columns: sample_index, success, linf, l2, adv_<feature>... The clean
     rows are not stored: they are the attacked split at sample_index.
@@ -226,7 +226,7 @@ def save_adv_batch(
             batch.linf.tolist(), batch.l2.tolist(), batch.X_adv,
         )
     )
-    data.write_table(path, header, rows)
+    return data.write_table(path, header, rows)
 
 
 def load_adv_batch(path: str | Path) -> AdvBatch:

@@ -90,8 +90,8 @@ class Fingerprints:
     def max_completeness_gap(self) -> float:
         return float(self.completeness_gaps.max())
 
-    def count_violations(self, rtol: float = COMPLETENESS_RTOL) -> int:
-        allowed = rtol * np.maximum(1.0, np.abs(self.model_output))
+    def count_violations(self) -> int:
+        allowed = COMPLETENESS_RTOL * np.maximum(1.0, np.abs(self.model_output))
         # a NaN gap is a violation too
         return int(np.count_nonzero(~(self.completeness_gaps <= allowed)))
 
@@ -192,10 +192,10 @@ def fingerprint_batch(
     )
 
 
-def save_fingerprints(fps: Fingerprints, path: str | Path) -> None:
+def save_fingerprints(fps: Fingerprints, path: str | Path) -> Path:
     """Table columns: sample_id, phi0, phi_1..phi_M, model_output, origin.
 
-    phi0 is repeated on every row.
+    phi0 is repeated on every row. Returns the path written.
     """
     header = [
         "sample_id", "phi0", *(f"phi_{j + 1}" for j in range(fps.phi.shape[1])),
@@ -207,7 +207,7 @@ def save_fingerprints(fps: Fingerprints, path: str | Path) -> None:
             fps.sample_ids.tolist(), fps.phi, fps.model_output.tolist()
         )
     )
-    data.write_table(path, header, rows)
+    return data.write_table(path, header, rows)
 
 
 def load_fingerprints(path: str | Path) -> Fingerprints:

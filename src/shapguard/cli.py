@@ -20,6 +20,10 @@ EXIT_USAGE = 1
 EXIT_STAGE = 2
 EXIT_INVARIANT = 3
 
+# The JSON name of each type json.load can return besides an object.
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
@@ -85,13 +89,22 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"shapguard: cannot read config {args.config}: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        if not isinstance(user_cfg, dict):
+            print(f"shapguard: config error: {args.config} must hold a JSON object, "
+                  f"got {_JSON_TYPES[type(user_cfg)]}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         cfg = pipeline.resolve_config(user_cfg, seed_override=args.seed, out_override=args.out)
     except pipeline.ConfigError as exc:
         print(f"shapguard: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    ws = pipeline.Workspace(cfg["out_dir"], cfg)
+    try:
+        ws = pipeline.Workspace(cfg["out_dir"], cfg)
+    except OSError as exc:
+        print(f"shapguard: cannot create output directory {cfg['out_dir']}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "ingest":
             pipeline.cmd_ingest(ws)

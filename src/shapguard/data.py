@@ -333,10 +333,11 @@ def synth_generate(
     return FlowDataset(schema=FeatureSchema.synthetic(m), X=X, y=y)
 
 
-def save_dataset(ds: FlowDataset, path: str | Path) -> None:
-    """Write a dataset as a table: the feature columns, then the int label."""
+def save_dataset(ds: FlowDataset, path: str | Path) -> Path:
+    """Write a dataset as a table: the feature columns, then the int label.
+    Returns the path written."""
     rows = (row.tolist() + [label] for row, label in zip(ds.X, ds.y.tolist()))
-    write_table(path, [*ds.schema.names, LABEL_COLUMN], rows)
+    return write_table(path, [*ds.schema.names, LABEL_COLUMN], rows)
 
 
 def load_dataset(path: str | Path) -> FlowDataset:
@@ -351,8 +352,8 @@ def load_dataset(path: str | Path) -> FlowDataset:
     )
 
 
-def save_scaler(s: ScalerParams, schema: FeatureSchema, path: str | Path) -> None:
-    write_json(
+def save_scaler(s: ScalerParams, schema: FeatureSchema, path: str | Path) -> Path:
+    return write_json(
         path, {"schema": list(schema.names), "min": s.min.tolist(), "max": s.max.tolist()}
     )
 

@@ -44,10 +44,6 @@ class DetectorModel:
     # written into detector.json.
     calibration: dict | None = None
 
-    @property
-    def is_calibrated(self) -> bool:
-        return self.tau is not None
-
 
 def autoencoder_spec(
     m: int,
@@ -78,21 +74,16 @@ def train_autoencoder(
     Z = np.asarray(Z_clean, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] < 2:
         raise ValueError("need a fingerprint matrix with at least 2 rows")
-    if cfg.loss != "mse":
-        raise ValueError("the autoencoder objective is mse")
     spec = autoencoder_spec(Z.shape[1], hidden_sizes, latent, seed=init_seed)
     model = neural.init(spec)
     return neural.train(model, Z, Z, cfg)
 
 
-def reconstruction_errors(
-    ae: neural.MlpModel, Z: np.ndarray
-) -> np.ndarray | float:
-    """s = ||z - A(z)||_2^2 per fingerprint row of Z; a float for one vector."""
+def reconstruction_errors(ae: neural.MlpModel, Z: np.ndarray) -> np.ndarray:
+    """s = ||z - A(z)||_2^2 per fingerprint row of Z; a scalar for one vector."""
     Z = np.asarray(Z, dtype=np.float64)
     out, _ = neural.forward(ae, np.atleast_2d(Z))
-    squared = (Z - out) ** 2
-    return float(squared.sum()) if Z.ndim == 1 else squared.sum(axis=1)
+    return ((Z - out.reshape(Z.shape)) ** 2).sum(axis=-1)
 
 
 def calibrate_threshold(
@@ -129,29 +120,26 @@ def calibrate(
     return DetectorModel(autoencoder=det.autoencoder, tau=tau, calibration=calibration)
 
 
-def detect(
-    det: DetectorModel, Z: np.ndarray
-) -> tuple[str, float] | tuple[np.ndarray, np.ndarray]:
+def detect(det: DetectorModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decisions and scores: adversarial iff s > tau (s <= tau is clean,
-    boundary included). One vector gives (decision, score); a matrix gives
-    an array of decisions and an array of scores."""
-    if not det.is_calibrated:
+    boundary included). A matrix gives an array of decisions and an array
+    of scores; one vector gives a scalar (str) decision and (float) score."""
+    if det.tau is None:
         raise ValueError("detector has no calibrated threshold")
     s = reconstruction_errors(det.autoencoder, Z)
-    if isinstance(s, float):
-        return ("adversarial" if s > det.tau else "clean"), s
-    return np.where(s > det.tau, "adversarial", "clean"), s
+    return np.where(s > det.tau, "adversarial", "clean")[()], s
 
 
-def save_detector(det: DetectorModel, path: str | Path) -> None:
-    if not det.is_calibrated:
+def save_detector(det: DetectorModel, path: str | Path) -> Path:
+    """Write the calibrated detector as JSON; returns the path written."""
+    if det.tau is None:
         raise ValueError("refusing to save an uncalibrated detector")
     payload = {
         "autoencoder": neural.to_dict(det.autoencoder),
         "tau": det.tau,
         "calibration": det.calibration,
     }
-    data.write_json(path, payload, indent=None)
+    return data.write_json(path, payload, indent=None)
 
 
 def load_detector(path: str | Path) -> DetectorModel:

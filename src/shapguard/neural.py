@@ -18,7 +18,8 @@ import numpy as np
 from . import data
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
-LOSSES = ("bce", "mse")
+# Each loss and the output activation it is paired with.
+LOSSES = {"bce": "sigmoid", "mse": "linear"}
 
 # Probabilities are clipped into [BCE_CLIP, 1 - BCE_CLIP] before the log in
 # the bce loss value; gradients go through the unclipped sigmoid.
@@ -173,10 +174,8 @@ def loss_value(outputs: np.ndarray, targets: np.ndarray, loss: str) -> float:
     if o.shape != t.shape:
         raise ValueError(f"outputs {o.shape} and targets {t.shape} differ in shape")
     if loss == "mse":
-        sq = (o - t) ** 2
-        if o.ndim <= 1:
-            return float(np.mean(sq))
-        return float(np.mean(sq.sum(axis=1)))
+        # each sample's error summed over every axis after the first
+        return float(np.mean(((o - t) ** 2).sum(axis=tuple(range(1, o.ndim)))))
     if loss == "bce":
         if not ((t == 0.0) | (t == 1.0)).all():
             raise ValueError("bce targets must be 0 or 1")
@@ -196,30 +195,15 @@ def _normalize_targets(model: MlpModel, n: int, targets: np.ndarray) -> np.ndarr
     return t
 
 
-def _output_delta(
-    model: MlpModel, trace: ForwardTrace, targets: np.ndarray, loss: str
-) -> np.ndarray:
-    """dL/d(final pre-activation), without the 1/n mean factor."""
-    out = trace.post[-1]
-    act = model.spec.output_activation
-    if loss == "bce":
-        if act != "sigmoid":
-            raise ValueError("bce loss requires a sigmoid output")
-        return out - targets
-    if loss == "mse":
-        if act != "linear":
-            raise ValueError("mse loss requires a linear output")
-        return 2.0 * (out - targets)
-    raise ValueError(f"unsupported loss {loss!r}")
-
-
 def _backward(model: MlpModel, trace: ForwardTrace, delta: np.ndarray) -> list[np.ndarray]:
     """Backpropagate dL/d(pre_last) = delta to dL/d(pre_i) for every layer
     i. The input gradient, d_pres[0] @ W_0, is left to the caller that
     needs it: training does not. A stack trace gives stacked gradients."""
     d_pres = [delta]
     for i in range(len(model.weights) - 1, 0, -1):
-        d_pres.insert(0, (d_pres[0] @ model.weights[i]) * (trace.pre[i - 1] > 0))
+        d = d_pres[0] @ model.weights[i]
+        np.multiply(d, trace.pre[i - 1] > 0, out=d)
+        d_pres.insert(0, d)
     return d_pres
 
 
@@ -246,12 +230,19 @@ def grad_params(
 
     The gradients are views, in the parameters' shapes, of one fresh flat
     vector (their ``base``; every weight before every bias), which train
-    hands to Adam whole.
+    hands to Adam whole. A loss that LOSSES does not pair with the model's
+    output activation is a ValueError.
     """
+    if loss not in LOSSES:
+        raise ValueError(f"unsupported loss {loss!r}")
+    if model.spec.output_activation != LOSSES[loss]:
+        raise ValueError(f"{loss} loss requires a {LOSSES[loss]} output")
     batch = _as_batch(X)
     t = _normalize_targets(model, batch.shape[0], targets)
     out, trace = forward(model, batch)
-    delta = _output_delta(model, trace, t, loss) / batch.shape[0]
+    # dL/d(final pre-activation): sigmoid+bce and linear+mse both reduce to
+    # a multiple of the output error
+    delta = (out - t if loss == "bce" else 2.0 * (out - t)) / batch.shape[0]
     flat = np.empty(sum(W.size + b.size for W, b in zip(model.weights, model.biases)))
     dWs, dbs = _param_views(flat, model.spec.layer_sizes)
     h_prev = [trace.inputs, *trace.post[:-1]]
@@ -378,9 +369,10 @@ def from_dict(payload: dict) -> MlpModel:
     )
 
 
-def save(model: MlpModel, path: str | Path) -> None:
-    """JSON serialization; load(save(m)) reproduces outputs bit-exactly."""
-    data.write_json(path, to_dict(model), indent=None)
+def save(model: MlpModel, path: str | Path) -> Path:
+    """JSON serialization; load(save(m)) reproduces outputs bit-exactly.
+    Returns the path written."""
+    return data.write_json(path, to_dict(model), indent=None)
 
 
 def load(path: str | Path) -> MlpModel:

@@ -401,11 +401,10 @@ def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
     scaler = data.fit_scaler(splits[0])
     paths, summary = [], {"rows": ds.n, "features": ds.m}
     for name, part in zip(names, splits):
-        paths.append(ws.path(f"data/{name}.csv"))
-        data.save_dataset(data.apply_scaler(part, scaler), paths[-1])
+        scaled = data.apply_scaler(part, scaler)
+        paths.append(data.save_dataset(scaled, ws.path(f"data/{name}.csv")))
         summary[name] = part.n
-    paths.append(ws.path("data/scaler.json"))
-    data.save_scaler(scaler, ds.schema, paths[-1])
+    paths.append(data.save_scaler(scaler, ds.schema, ws.path("data/scaler.json")))
     return paths, summary, {"data": cfg}
 
 
@@ -432,8 +431,7 @@ def cmd_train_nids(ws: Workspace) -> tuple[list[Path], dict, dict]:
     test_acc = float(np.mean(test_pred == test.y))
     logger.info("nids train accuracy %.4f, test accuracy %.4f", train_acc, test_acc)
 
-    model_path = ws.path("models/nids.json")
-    neural.save(model, model_path)
+    model_path = neural.save(model, ws.path("models/nids.json"))
     history_path = data.write_table(
         ws.path("models/nids_history.csv"), ["epoch", "loss"], enumerate(history, start=1)
     )
@@ -459,8 +457,7 @@ def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
         model, test, attacks.AttackConfig(kind, **cfg[kind]), row_filter=cfg["filter"]
     )
 
-    csv_path = ws.path(f"attacks/{kind}.csv")
-    attacks.save_adv_batch(batch, test.schema.names, csv_path)
+    csv_path = attacks.save_adv_batch(batch, test.schema.names, ws.path(f"attacks/{kind}.csv"))
     summary = {
         "rows": batch.n,
         "success_rate": batch.success_rate,
@@ -504,8 +501,7 @@ def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]
         violations = fps.count_violations()
         if violations:
             failures.append(f"{name}: {violations} completeness violation(s)")
-        paths.append(ws.path(f"fingerprints/{name}.csv"))
-        attribution.save_fingerprints(fps, paths[-1])
+        paths.append(attribution.save_fingerprints(fps, ws.path(f"fingerprints/{name}.csv")))
         rows[name] = fps.n
         max_gap = max(max_gap, fps.max_completeness_gap)
     summary: dict = {"rows": rows, "max_completeness_gap": max_gap}
@@ -535,8 +531,7 @@ def cmd_train_detector(ws: Workspace) -> tuple[list[Path], dict, dict]:
         detector.CalibrationMethod(**cfg["calibration"]),
     )
 
-    det_path = ws.path("detector/detector.json")
-    detector.save_detector(det, det_path)
+    det_path = detector.save_detector(det, ws.path("detector/detector.json"))
     history_path = data.write_table(
         ws.path("detector/ae_history.csv"), ["epoch", "loss"], enumerate(history, start=1)
     )

@@ -141,7 +141,7 @@ def test_fingerprint_completeness_on_random_nets():
         x = rng.uniform(0, 1, 6)
         B = rng.uniform(0, 1, (15, 6))
         fps = attribution.fingerprint_batch(model, x[None, :], BackgroundSet(B=B))
-        assert fps.count_violations(rtol=1e-5) == 0
+        assert fps.count_violations() == 0
         gap = abs(fps.phi0 + fps.phi[0].sum() - fps.model_output[0])
         assert gap <= 1e-5 * max(1.0, abs(fps.model_output[0]))
 

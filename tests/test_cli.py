@@ -1,5 +1,6 @@
 import ast
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -454,6 +455,33 @@ def test_exit_usage_on_bad_config_file(tmp_path, capsys):
 def test_exit_usage_on_unknown_config_key(tmp_path):
     cfg_path = _write_config(tmp_path, {"nonsense": True})
     assert cli.main(["ingest", "--config", cfg_path]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "text, got", [("[1, 2]", "array"), ('"x"', "string"), ("3", "number"), ("null", "null")]
+)
+def test_a_config_file_that_holds_no_object_is_a_config_error(tmp_path, capsys, text, got):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"shapguard: config error: {cfg_path} must hold a JSON object, got {got}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["the-file", "below-the-file"])
+def test_an_out_dir_that_cannot_be_made_is_a_usage_error(tmp_path, capsys, below):
+    afile = tmp_path / "afile"
+    afile.write_text("keep", encoding="utf-8")
+    out = afile / below if below else afile
+    reason = os.strerror(errno.ENOTDIR if below else errno.EEXIST)
+    assert cli.main(["ingest", "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"shapguard: cannot create output directory {out}: {reason}\n"
+    )
+    assert afile.read_text(encoding="utf-8") == "keep"
 
 
 def test_exit_usage_on_bad_flag(capsys):

@@ -47,7 +47,7 @@ def test_autoencoder_training_is_deterministic():
 
 def test_autoencoder_requires_mse():
     Z = np.random.default_rng(0).uniform(0, 1, (20, 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bce loss requires a sigmoid output"):
         detector.train_autoencoder(Z, neural.TrainConfig(epochs=1, loss="bce"), latent=2)
 
 
@@ -195,14 +195,18 @@ def test_decision_monotonicity():
 
 
 def test_detect_matrix_matches_vector_decisions():
-    det = _calibrated_detector(tau=0.5)
-    Z = np.random.default_rng(4).uniform(-1, 1, (20, 3))
+    ae = neural.init(detector.autoencoder_spec(6, (5,), 2, seed=1))
+    Z = np.random.default_rng(4).uniform(-1, 1, (20, 6))
+    det = DetectorModel(ae, tau=float(np.median(detector.reconstruction_errors(ae, Z))))
     decisions, scores = detector.detect(det, Z)
     assert decisions.shape == scores.shape == (20,)
+    assert set(decisions.tolist()) == {"adversarial", "clean"}
     assert decisions.tolist() == ["adversarial" if s > det.tau else "clean" for s in scores]
     for z, decision, score in zip(Z, decisions, scores):
         single = detector.detect(det, z)
+        assert isinstance(single[0], str) and isinstance(single[1], float)
         assert single[0] == decision
+        # a row alone goes through another 2-d product than in the batch
         assert single[1] == pytest.approx(score, abs=1e-12)
 
 

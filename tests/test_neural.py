@@ -312,6 +312,8 @@ def test_each_loss_requires_its_output_activation():
         neural.grad_params(linear, X, np.array([1.0]), "bce")
     with pytest.raises(ValueError, match="mse loss requires a linear output"):
         neural.grad_params(sigmoid, X, np.array([1.0]), "mse")
+    with pytest.raises(ValueError, match="unsupported loss 'hinge'"):
+        neural.grad_params(sigmoid, X, np.array([1.0]), "hinge")
 
 
 # ---------------------------------------------------------------------------
