@@ -17,7 +17,6 @@ from . import data, neural
 from .data import FlowDataset
 
 ATTACK_KINDS = ("fgsm", "pgd", "deepfool")
-FILTERS = ("all", "malicious_only")
 
 # |logit| at or below this (relative) level counts as boundary reached.
 _BOUNDARY_TOL = 1e-11
@@ -165,23 +164,16 @@ def deepfool(
     return X_adv, iters, degenerate
 
 
-def attack_batch(
-    model: neural.MlpModel,
-    ds: FlowDataset,
-    cfg: AttackConfig,
-    row_filter: str = "malicious_only",
-) -> AdvBatch:
-    """Attack every selected row of a preprocessed dataset.
+def attack_batch(model: neural.MlpModel, ds: FlowDataset, cfg: AttackConfig) -> AdvBatch:
+    """Attack every malicious (y == 1) row of a preprocessed dataset, in row
+    order: the evasion setting, and the rows fingerprint-clean explains.
 
-    malicious_only restricts to y == 1 rows (the evasion setting). Success
-    is strict model-label change f(x') != f(x) at the 0.5 cutoff. The
-    result is deterministic under cfg.seed.
+    Success is strict model-label change f(x') != f(x) at the 0.5 cutoff.
+    The result is deterministic under cfg.seed.
     """
-    if row_filter not in FILTERS:
-        raise ValueError(f"unknown filter {row_filter!r}")
-    rows = np.flatnonzero(ds.y == 1) if row_filter == "malicious_only" else np.arange(ds.n)
+    rows = np.flatnonzero(ds.y == 1)
     if rows.size == 0:
-        raise ValueError(f"filter {row_filter!r} selected no rows")
+        raise ValueError("no malicious rows to attack")
 
     X = ds.X[rows]
     y = ds.y[rows]

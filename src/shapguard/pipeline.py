@@ -91,7 +91,6 @@ DEFAULT_CONFIG: dict = {
         },
     },
     "attacks": {
-        "filter": "malicious_only",
         "fgsm": {"epsilon": 0.1},
         "pgd": {
             "epsilon": 0.1,
@@ -200,6 +199,8 @@ def resolve_config(
     defaults or cast a value, so a run is reproducible from the config
     parts its stages record in the manifest.
     """
+    if not isinstance(user, (dict, type(None))):
+        raise ConfigError(f"config must be a mapping, got {type(user).__name__}")
     flags = {"seed": seed_override, "out_dir": out_override}
     cfg = _merge(DEFAULT_CONFIG, user or {})
     cfg = _merge(cfg, {key: value for key, value in flags.items() if value is not None})
@@ -216,8 +217,6 @@ def resolve_config(
         raise ConfigError(f"unknown data source {source!r}")
     if source == "csv" and not cfg["data"]["csv"]["path"]:
         raise ConfigError("data.csv.path is required for the csv source")
-    if cfg["attacks"]["filter"] not in attacks.FILTERS:
-        raise ConfigError(f"unknown attacks.filter {cfg['attacks']['filter']!r}")
     schema = _checked("data.csv", _schema_from_cfg, cfg["data"]["csv"])
     m = schema.m if source == "csv" else cfg["data"]["synthetic"]["n_features"]
     _checked("data.split", data.SplitSpec, **cfg["data"]["split"])
@@ -447,15 +446,13 @@ def cmd_train_nids(ws: Workspace) -> tuple[list[Path], dict, dict]:
 
 @_stage("attack-{kind}")
 def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
-    """Craft adversarial rows from the test split for one attack kind."""
+    """Craft adversarial rows from the malicious test rows for one attack kind."""
     if kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {kind!r}")
     model = ws.load("models/nids.json", neural.load)
     test = ws.load("data/test.csv", data.load_dataset)
-    cfg = {"filter": ws.cfg["attacks"]["filter"], kind: ws.cfg["attacks"][kind]}
-    batch = attacks.attack_batch(
-        model, test, attacks.AttackConfig(kind, **cfg[kind]), row_filter=cfg["filter"]
-    )
+    cfg = ws.cfg["attacks"][kind]
+    batch = attacks.attack_batch(model, test, attacks.AttackConfig(kind, **cfg))
 
     csv_path = attacks.save_adv_batch(batch, test.schema.names, ws.path(f"attacks/{kind}.csv"))
     summary = {
@@ -466,7 +463,7 @@ def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
     }
     if kind == "deepfool":
         summary["degenerate_rows"] = batch.degenerate_rows
-    return [csv_path], summary, {"attacks": cfg}
+    return [csv_path], summary, {"attacks": {kind: cfg}}
 
 
 @_stage("fingerprint-{source}")

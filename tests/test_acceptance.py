@@ -268,22 +268,26 @@ def test_criterion_06_attack_invariants_fuzz():
     ds = data.FlowDataset(data.FeatureSchema.synthetic(12), X, y)
 
     eps = 0.1
-    fgsm_batch = attacks.attack_batch(model, ds, attacks.AttackConfig(kind="fgsm", epsilon=eps), "all")
-    pgd_batch = attacks.attack_batch(
-        model, ds,
-        attacks.AttackConfig(kind="pgd", epsilon=eps, alpha=0.02, steps=10), "all",
-    )
+    fgsm_batch = attacks.attack_batch(model, ds, attacks.AttackConfig(kind="fgsm", epsilon=eps))
+    pgd_cfg = attacks.AttackConfig(kind="pgd", epsilon=eps, alpha=0.02, steps=10)
+    pgd_batch = attacks.attack_batch(model, ds, pgd_cfg)
     for batch in (fgsm_batch, pgd_batch):
-        assert batch.n == 10_000
+        assert batch.n == int(y.sum())
+        assert np.array_equal(batch.sample_index, np.flatnonzero(y == 1))
         assert np.all(batch.linf <= eps + 1e-12)
         assert batch.X_adv.min() >= 0.0 and batch.X_adv.max() <= 1.0
 
     single_step = attacks.attack_batch(
         model, ds,
         attacks.AttackConfig(kind="pgd", epsilon=eps, alpha=eps, steps=1, random_start=False),
-        "all",
     )
     assert np.array_equal(single_step.X_adv, fgsm_batch.X_adv)
+
+    # attack_batch starts from malicious rows only; pgd itself takes any
+    # labels, so the benign-label step direction is fuzzed on every row.
+    every_row = attacks.pgd(model, X, y, pgd_cfg)
+    assert np.all(np.abs(every_row - X).max(axis=1) <= eps + 1e-12)
+    assert every_row.min() >= 0.0 and every_row.max() <= 1.0
 
     # DeepFool on linear models: one iteration to the hyperplane. Cases whose
     # hyperplane projection leaves the box are redrawn (the clamp would then

@@ -172,9 +172,10 @@ def test_deepfool_degenerate_gradient_row_is_kept_and_counted():
     assert np.array_equal(x_adv, X)
     assert iters == 0
     ds = data.FlowDataset(data.FeatureSchema.synthetic(2), X, y)
-    batch = attacks.attack_batch(model, ds, AttackConfig(kind="deepfool"), "all")
+    batch = attacks.attack_batch(model, ds, AttackConfig(kind="deepfool"))
+    assert batch.sample_index.tolist() == [0, 1]
     assert batch.degenerate_rows == 2
-    assert np.array_equal(batch.X_adv, x_adv)
+    assert np.array_equal(batch.X_adv, x_adv[:2])
 
 
 def test_deepfool_beats_fgsm_on_trained_net():
@@ -318,15 +319,15 @@ def test_batched_deepfool_is_bitwise_the_per_row_oracle(kind, cfg):
 
 def test_attack_batch_malicious_filter():
     model, ds = _trained_toy(seed=3, n=30)
-    batch = attacks.attack_batch(model, ds, AttackConfig(kind="fgsm"), "malicious_only")
-    assert batch.n == int(ds.y.sum())
-    assert np.all(ds.y[batch.sample_index] == 1)
+    batch = attacks.attack_batch(model, ds, AttackConfig(kind="fgsm"))
+    assert 0 < batch.n < ds.n
+    assert np.array_equal(batch.sample_index, np.flatnonzero(ds.y == 1))
 
 
 def test_attack_batch_respects_epsilon_ball():
     model, ds = _trained_toy(seed=4, n=100)
     for kind in ("fgsm", "pgd"):
-        batch = attacks.attack_batch(model, ds, AttackConfig(kind=kind, seed=1), "all")
+        batch = attacks.attack_batch(model, ds, AttackConfig(kind=kind, seed=1))
         assert np.all(batch.linf <= 0.1 + 1e-12)
         assert batch.X_adv.min() >= 0.0 and batch.X_adv.max() <= 1.0
 
@@ -342,7 +343,7 @@ def test_attack_batch_deterministic():
 
 def test_attack_batch_success_is_model_label_change():
     model, ds = _trained_toy(seed=8, n=100)
-    batch = attacks.attack_batch(model, ds, AttackConfig(kind="fgsm"), "all")
+    batch = attacks.attack_batch(model, ds, AttackConfig(kind="fgsm"))
     _, before = neural.predict(model, ds.X[batch.sample_index])
     _, after = neural.predict(model, batch.X_adv)
     assert np.array_equal(batch.success, before != after)
@@ -353,13 +354,13 @@ def test_attack_batch_empty_selection():
         data.FeatureSchema.synthetic(2), np.random.default_rng(0).uniform(0, 1, (5, 2)), [0] * 5
     )
     model = _linear_sigmoid([1.0, 1.0], 0.0)
-    with pytest.raises(ValueError, match="filter 'malicious_only' selected no rows"):
-        attacks.attack_batch(model, ds, AttackConfig(kind="fgsm"), "malicious_only")
+    with pytest.raises(ValueError, match="no malicious rows to attack"):
+        attacks.attack_batch(model, ds, AttackConfig(kind="fgsm"))
 
 
 def test_adv_batch_roundtrip(tmp_path):
     model, ds = _trained_toy(seed=9, n=30)
-    batch = attacks.attack_batch(model, ds, AttackConfig(kind="deepfool"), "malicious_only")
+    batch = attacks.attack_batch(model, ds, AttackConfig(kind="deepfool"))
     path = tmp_path / "adv.csv"
     attacks.save_adv_batch(batch, ds.schema.names, path)
     back = attacks.load_adv_batch(path)

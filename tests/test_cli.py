@@ -118,11 +118,14 @@ def test_resolve_config_is_a_fixed_point(user):
          "detector: latent size 20 must be smaller than input 20"),
         ({"data": {"split": {"test_frac": 0.1}}},
          "data.split: split fractions must sum to 1"),
+        # every attack starts from the malicious test rows; no key selects others
+        ({"attacks": {"filter": "all"}}, "unknown config key 'attacks.filter'"),
+        ({"attacks": {"filter": "malicious_only"}}, "unknown config key 'attacks.filter'"),
     ],
     ids=["epochs-string", "epochs-fraction", "random-start-string", "hidden-sizes-int",
          "epsilon-null", "epsilon-nan", "epsilon-beyond-float", "seed-string", "epochs-zero",
          "pgd-alpha-above-epsilon", "background-empty", "latent-not-below-m",
-         "split-sums-to-0.9"],
+         "split-sums-to-0.9", "attacks-filter-all", "attacks-filter-malicious-only"],
 )
 def test_bad_config_value_is_a_config_error_before_any_stage(tmp_path, capsys, user, message):
     out = tmp_path / "run"
@@ -320,9 +323,7 @@ def test_each_stage_records_the_config_part_it_read(tiny_run):
         "classifier": cfg["classifier"], "background": cfg["background"]
     }
     for kind in pipeline.ATTACK_KINDS:
-        assert stages[f"attack-{kind}"]["config"] == {
-            "attacks": {"filter": cfg["attacks"]["filter"], kind: cfg["attacks"][kind]}
-        }
+        assert stages[f"attack-{kind}"]["config"] == {"attacks": {kind: cfg["attacks"][kind]}}
     assert stages["train-detector"]["config"] == {"detector": cfg["detector"]}
     for name in ("evaluate", *(f"fingerprint-{s}" for s in pipeline.FINGERPRINT_SOURCES)):
         assert "config" not in stages[name], name
@@ -457,6 +458,13 @@ def test_exit_usage_on_unknown_config_key(tmp_path):
     assert cli.main(["ingest", "--config", cfg_path]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("user", [[], "", 0, [1], "x"], ids=repr)
+def test_resolve_config_rejects_a_config_that_is_not_a_mapping(user):
+    message = f"config must be a mapping, got {type(user).__name__}"
+    with pytest.raises(pipeline.ConfigError, match=message):
+        pipeline.resolve_config(user)
+
+
 @pytest.mark.parametrize(
     "text, got", [("[1, 2]", "array"), ('"x"', "string"), ("3", "number"), ("null", "null")]
 )
@@ -505,13 +513,12 @@ def test_exit_stage_failure_on_missing_csv(tmp_path):
 
 
 def _ingest_raw_csv(tmp_path, text, command="ingest"):
-    """Run ``command`` on a raw CSV holding ``text``, schema a, b, c, with
-    every test row attacked; return the exit code and the file's path."""
+    """Run ``command`` on a raw CSV holding ``text``, schema a, b, c; return
+    the exit code and the file's path."""
     path = tmp_path / "flows.csv"
     path.write_text(text, encoding="utf-8")
     cfg = _tiny_config(tmp_path / "run")
     cfg["data"] = {"source": "csv", "csv": {"path": str(path), "schema": ["a", "b", "c"]}}
-    cfg["attacks"]["filter"] = "all"
     cfg["detector"]["latent"] = 2  # the latent size must be below the schema's 3 features
     return cli.main([command, "--config", _write_config(tmp_path, cfg)]), path
 
@@ -936,6 +943,22 @@ def test_attack_summaries_and_rows_rebuild_from_the_test_split(tiny_run):
         assert summary["mean_linf"] == float(batch.linf.mean())
         assert summary["mean_l2"] == float(batch.l2.mean())
     assert stages["evaluate"]["summary"]["checks_failed"] == []
+
+
+def test_every_attack_starts_from_the_malicious_test_rows(tiny_run):
+    test = data.load_dataset(tiny_run / "data/test.csv")
+    for kind in pipeline.ATTACK_KINDS:
+        batch = attacks.load_adv_batch(tiny_run / f"attacks/{kind}.csv")
+        assert np.array_equal(batch.sample_index, np.flatnonzero(test.y == 1)), kind
+
+
+def test_every_adversarial_fingerprint_pairs_with_a_clean_test_fingerprint(tiny_run):
+    """The adversarial fingerprints are of the rows fingerprint-clean
+    explains, in the same order."""
+    clean = attribution.load_fingerprints(tiny_run / "fingerprints/clean_test.csv")
+    for kind in pipeline.ATTACK_KINDS:
+        adv = attribution.load_fingerprints(tiny_run / f"fingerprints/{kind}.csv")
+        assert np.array_equal(adv.sample_ids, clean.sample_ids), kind
 
 
 @pytest.mark.parametrize("damage", ["missing", "corrupt"])
