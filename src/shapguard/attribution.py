@@ -25,9 +25,16 @@ NEAR_ZERO_DELTA = 1e-9
 # Completeness gap allowed relative to max(1, |g(x)|).
 COMPLETENESS_RTOL = 1e-5
 
-# Rows per shap_fingerprint call in fingerprint_batch; at m=39, 100
-# references and a (64, 32) net, 4 measured fastest (1, 2, 8-32 slower).
+# Rows per shap_fingerprint call in fingerprint_batch. With 100 references,
+# 4 measured fastest on 7,165 rows at m=39 with a (64, 32) net, on 600 rows
+# at m=20 and on 200-row detect windows; 2, 3, 6, 8 and 16 were slower.
+# Smaller blocks pay numpy's per-call cost more often; larger ones make
+# (K, r * units) slabs that outgrow the cache.
 BLOCK_ROWS = 4
+
+# Blocks per forward pass in fingerprint_batch, so that the rows' traces
+# stay bounded whatever the number of rows.
+FORWARD_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,8 @@ class BackgroundSet:
         B = np.array(self.B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] < 1:
             raise ValueError("background must be a non-empty 2-d matrix")
+        if not np.isfinite(B).all():
+            raise ValueError("background entries must be finite")
         if B.min() < -data.BOX_TOL or B.max() > 1.0 + data.BOX_TOL:
             raise ValueError("background entries must lie in [0, 1]")
         B.setflags(write=False)
@@ -114,37 +123,77 @@ def sample_background(X: np.ndarray, size: int = 100, seed: int = 0) -> Backgrou
     return BackgroundSet(B=X[idx])
 
 
-def shap_fingerprint(
-    model: neural.MlpModel,
-    X_block: np.ndarray,
-    background: BackgroundSet,
-    trace_b: neural.ForwardTrace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean rescale-rule contributions (r, M) of each row of X_block over
-    the background set, plus the explained logits g(x) (r,) read from the
-    rows' own forward traces.
+class ReferenceSlabs:
+    """The background's half of the rescale chain, laid out reference-major
+    for blocks of up to ``rows`` rows.
 
-    trace_b is the forward trace of background.B. Against each reference
-    b_k a row's contributions sum to g(x) - g(b_k), so completeness
-    phi0 + sum(phi) = g(x) holds by linearity of the mean. The rows go
-    through one stacked forward pass and the chain runs over (rows,
-    references, units) with the same float ops per row, so each row's
-    result is bitwise that of the row alone, whatever rows share its block.
+    Each array has one row per reference and a block's rows side by side
+    along its columns: B and each hidden layer's background pre- and
+    post-activations are tiled to (K, rows * units), the top-layer weights
+    to (1, rows * units). The work buffers (delta, ratio, mult and the
+    fallback mask) hold a block's (K, r * units) slabs; every block of a
+    batch reuses them.
     """
-    B = background.B
-    r, K = X_block.shape[0], B.shape[0]
-    _, trace_x = neural.forward(model, X_block[:, None, :])
-    W_last = model.weights[-1]
-    mult = np.broadcast_to(W_last, (r * K, W_last.shape[1]))
+
+    def __init__(
+        self,
+        model: neural.MlpModel,
+        background: BackgroundSet,
+        trace_b: neural.ForwardTrace,
+        rows: int,
+    ) -> None:
+        self.K = background.size
+        self.B = np.tile(background.B, rows)
+        self.pre = [np.tile(z, rows) for z in trace_b.pre[:-1]]
+        self.post = [np.tile(h, rows) for h in trace_b.post[:-1]]
+        self.top = np.tile(model.weights[-1], rows)
+        size = self.K * rows * max(model.spec.layer_sizes[:-1])
+        self.delta, self.ratio, self.mult = np.empty(size), np.empty(size), np.empty(size)
+        self.fallback = np.empty(size, dtype=bool)
+
+    def work(self, buffer: np.ndarray, width: int) -> np.ndarray:
+        """A contiguous (K, width) view of the front of a work buffer."""
+        return buffer[: self.K * width].reshape(self.K, width)
+
+
+def shap_fingerprint(
+    model: neural.MlpModel, trace_x: neural.ForwardTrace, slabs: ReferenceSlabs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean rescale-rule contributions (r, M) of the r rows traced in
+    trace_x over the background set, plus their explained logits g(x) (r,).
+
+    trace_x is the forward trace of an (r, 1, M) stack of rows, r at most
+    the rows slabs was tiled for. Against each reference b_k a row's
+    contributions sum to g(x) - g(b_k), so completeness phi0 + sum(phi) =
+    g(x) holds by linearity of the mean. Every elementwise op runs on
+    (K, r * units) slabs with the same float op per row and reference, the
+    (K * r, units) products run row by row, and the sum over references
+    runs in reference order, so each row's result is bitwise that of the
+    row alone, whatever rows share its block.
+    """
+    r, K = trace_x.inputs.shape[0], slabs.K
+    mult = slabs.top[:, : r * model.weights[-1].shape[1]]
     for i in reversed(range(len(model.weights) - 1)):
-        # mult is d(logit)/d(post-activation of layer i), per row and reference
-        zx = trace_x.pre[i]            # (r, 1, units)
-        delta = zx - trace_b.pre[i]    # (r, K, units)
+        # mult is d(logit)/d(post-activation of layer i), per reference and row
+        W = model.weights[i]
+        width = r * W.shape[0]
+        zx = trace_x.pre[i].reshape(1, width)
+        delta = np.subtract(zx, slabs.pre[i][:, :width], out=slabs.work(slabs.delta, width))
+        ratio = np.subtract(trace_x.post[i].reshape(1, width), slabs.post[i][:, :width],
+                            out=slabs.work(slabs.ratio, width))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (trace_x.post[i] - trace_b.post[i]) / delta
-        np.copyto(ratio, zx > 0, where=np.abs(delta) <= NEAR_ZERO_DELTA)
-        mult = (mult.reshape(ratio.shape) * ratio).reshape(r * K, -1) @ model.weights[i]
-    phi = ((X_block[:, None, :] - B) * mult.reshape(r, K, -1)).sum(axis=1) / K
+            np.divide(ratio, delta, out=ratio)
+        fallback = np.less_equal(np.abs(delta, out=delta), NEAR_ZERO_DELTA,
+                                 out=slabs.work(slabs.fallback, width))
+        np.copyto(ratio, zx > 0, where=fallback)
+        np.multiply(mult, ratio, out=ratio)
+        mult = slabs.work(slabs.mult, r * W.shape[1])
+        np.matmul(ratio.reshape(K * r, -1), W, out=mult.reshape(K * r, -1))
+    width = r * model.input_size
+    terms = np.subtract(trace_x.inputs.reshape(1, width), slabs.B[:, :width],
+                        out=slabs.work(slabs.delta, width))
+    np.multiply(terms, mult, out=terms)
+    phi = terms.sum(axis=0).reshape(r, -1) / K
     return phi, trace_x.pre[-1][:, 0, 0]
 
 
@@ -175,14 +224,23 @@ def fingerprint_batch(
         raise ValueError("sample_ids length must match X")
 
     _, trace_b = neural.forward(model, background.B)
+    # numpy sums a lone column pairwise, not in reference order; one-row
+    # blocks keep a one-feature model's sums those of a row alone.
+    rows = BLOCK_ROWS if model.input_size > 1 else 1
+    slabs = ReferenceSlabs(model, background, trace_b, rows)
     phi = np.empty(X.shape)
     logits = np.empty(n)
-    for start in range(0, n, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        # a fresh, aligned copy per block, whatever the layout of X
-        phi[block], logits[block] = shap_fingerprint(
-            model, X[block].copy(), background, trace_b
-        )
+    chunk = rows * FORWARD_BLOCKS
+    for first in range(0, n, chunk):
+        part = slice(first, first + chunk)
+        # a fresh C-ordered copy, whatever the layout of X
+        _, trace = neural.forward(model, X[part, None, :].copy())
+        for start in range(0, len(trace.inputs), rows):
+            block = slice(start, start + rows)
+            block_trace = neural.ForwardTrace(
+                trace.inputs[block], [z[block] for z in trace.pre], [h[block] for h in trace.post]
+            )
+            phi[part][block], logits[part][block] = shap_fingerprint(model, block_trace, slabs)
     return Fingerprints(
         phi=phi,
         phi0=float(np.mean(trace_b.pre[-1][:, 0])),  # the mean background logit

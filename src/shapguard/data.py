@@ -489,9 +489,7 @@ def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
     trailing newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=indent)
-        fh.write("\n")
+    path.write_text(json.dumps(payload, indent=indent) + "\n", encoding="utf-8")
     return path
 
 

@@ -253,7 +253,7 @@ def test_files_are_parsed_and_written_by_the_codec_alone():
         ("data.write_table", "csv.writer"),
         ("data.read_table", "csv.reader"),
         ("data.read_table", "np.loadtxt"),
-        ("data.write_json", "json.dump"),
+        ("data.write_json", "json.dumps"),
         ("data.read_json", "json.load"),
         # the user's --config file is input, not an artifact
         ("cli.main", "json.load"),

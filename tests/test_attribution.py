@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -187,12 +189,15 @@ def test_batch_row_equals_single_fingerprint():
     bg = BackgroundSet(B=rng.uniform(0, 1, (10, 6)))
     fps = attribution.fingerprint_batch(model, X, bg)
     _, trace_b = neural.forward(model, bg.B)
+    slabs = attribution.ReferenceSlabs(model, bg, trace_b, rows=4)
     for k in range(4):
-        phi, logit = attribution.shap_fingerprint(model, X[k : k + 1], bg, trace_b)
+        phi, logit = attribution.shap_fingerprint(
+            model, neural.forward(model, X[k : k + 1, None, :])[1], slabs
+        )
         assert phi.shape == (1, 6) and logit.shape == (1,)
         assert np.array_equal(fps.phi[k], phi[0])
         assert fps.model_output[k] == logit[0] == _logit(model, X[k : k + 1])[0]
-    phi, logit = attribution.shap_fingerprint(model, X, bg, trace_b)
+    phi, logit = attribution.shap_fingerprint(model, neural.forward(model, X[:, None, :])[1], slabs)
     assert np.array_equal(fps.phi, phi)
     assert np.array_equal(fps.model_output, logit)
     assert fps.phi0 == float(np.mean(_logit(model, bg.B)))
@@ -266,6 +271,50 @@ def test_row_fingerprint_does_not_depend_on_its_block(hidden):
         assert alone.model_output[0] == fps.model_output[k], k
 
 
+@pytest.mark.parametrize(
+    "m, hidden", [(7, (9,)), (7, (10, 5)), (7, ()), (1, (9,))],
+    ids=["1-hidden", "2-hidden", "linear", "one-feature"],
+)
+def test_block_size_and_layout_of_x_change_no_bit(monkeypatch, m, hidden):
+    model, rng = _random_relu_net(95, m=m, hidden=hidden)
+    bg = BackgroundSet(B=rng.uniform(0, 1, (12, m)))
+    X = _rows_touching_the_background(rng, 13, bg.B)
+    # the feature columns of a table with a label column, as detect passes them
+    strided = np.hstack([X, np.ones((13, 1))])[:, :-1]
+    assert not strided.flags.c_contiguous
+    _, trace_b = neural.forward(model, bg.B)
+    oracle = [_per_row_fingerprint(model, x, bg, trace_b) for x in X]
+    for rows in (1, 3, 7, 64):
+        # one forward pass per block or per two blocks, and one for all of X
+        for forward_blocks in (1, 2, 64):
+            monkeypatch.setattr(attribution, "BLOCK_ROWS", rows)
+            monkeypatch.setattr(attribution, "FORWARD_BLOCKS", forward_blocks)
+            for layout in (X, strided, np.asfortranarray(X)):
+                fps = attribution.fingerprint_batch(model, layout, bg)
+                for k, (phi, logit) in enumerate(oracle):
+                    assert np.array_equal(fps.phi[k], phi), (rows, forward_blocks, k)
+                    assert fps.model_output[k] == logit, (rows, forward_blocks, k)
+
+
+def test_batch_calls_the_block_kernel_once_per_block(monkeypatch):
+    """fingerprint_batch looks the kernel up in the module namespace once per
+    block, so a wrapper set there (a tracer, say) sees every block."""
+    kernel, blocks = attribution.shap_fingerprint, []
+
+    def counted(*args, **kwargs):
+        blocks.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(attribution, "shap_fingerprint", counted)
+    model, rng = _random_relu_net(96)
+    bg = BackgroundSet(B=rng.uniform(0, 1, (5, 6)))
+    rows = attribution.BLOCK_ROWS
+    for n in (1, rows, rows + 1, rows * attribution.FORWARD_BLOCKS + 3):
+        blocks.clear()
+        attribution.fingerprint_batch(model, rng.uniform(0, 1, (n, 6)), bg)
+        assert len(blocks) == math.ceil(n / rows), n
+
+
 def test_batch_empty_selection_raises():
     model, rng = _random_relu_net(63)
     X = rng.uniform(0, 1, (3, 6))
@@ -277,6 +326,12 @@ def test_batch_empty_selection_raises():
 
 # ---------------------------------------------------------------------------
 # background sampling and persistence
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_background_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="background entries must be finite"):
+        BackgroundSet(B=[[0.1, bad], [0.2, 0.3]])
 
 
 def test_sample_background_deterministic_and_within_source():

@@ -489,6 +489,22 @@ def test_json_artifact_rejects_truncated_file(tmp_path):
         data.read_json(path)
 
 
+def test_write_json_pins_the_bytes_of_both_layouts(tmp_path):
+    payload = {"rows": [{"id": 0, "score": 0.1, "ok": True}], "tau": 2.5e-07,
+               "none": None, "name": "é", "empty": {}}
+    compact = data.write_json(tmp_path / "c.json", payload, indent=None)
+    assert compact.read_bytes() == (
+        b'{"rows": [{"id": 0, "score": 0.1, "ok": true}], "tau": 2.5e-07, '
+        b'"none": null, "name": "\\u00e9", "empty": {}}\n'
+    )
+    indented = data.write_json(tmp_path / "i.json", payload)
+    assert indented.read_bytes() == (
+        b'{\n  "rows": [\n    {\n      "id": 0,\n      "score": 0.1,\n      "ok": true\n'
+        b'    }\n  ],\n  "tau": 2.5e-07,\n  "none": null,\n  "name": "\\u00e9",\n'
+        b'  "empty": {}\n}\n'
+    )
+
+
 def test_scaler_json_roundtrip(tmp_path):
     schema = FeatureSchema.synthetic(3)
     s = ScalerParams(min=np.array([0.0, 1.5, -2.0]), max=np.array([1.0, 1.5, 4.0]))
