@@ -223,11 +223,11 @@ def save_adv_batch(
 
 def load_adv_batch(path: str | Path) -> AdvBatch:
     """Read a file written by :func:`save_adv_batch`."""
-    _, values, _ = data.read_table(path)
+    header, values, _ = data.read_table(path)
     return AdvBatch(
         X_adv=values[:, 4:].copy(),
-        success=values[:, 1].astype(bool),
+        success=data.int_column(path, header, values, 1, binary=True).astype(bool),
         linf=values[:, 2].copy(),
         l2=values[:, 3].copy(),
-        sample_index=values[:, 0].astype(np.int64),
+        sample_index=data.int_column(path, header, values, 0),
     )

@@ -283,6 +283,6 @@ def load_fingerprints(path: str | Path) -> Fingerprints:
         phi=values[:, 2 : 2 + m].copy(),
         phi0=values[0, 1],
         model_output=values[:, 2 + m].copy(),
-        sample_ids=values[:, 0].astype(np.int64),
+        sample_ids=data.int_column(path, header, values, 0),
         origin=text["origin"][0],
     )

@@ -114,15 +114,17 @@ class FlowDataset:
 
     def __post_init__(self) -> None:
         X = np.array(self.X, dtype=np.float64)
-        y = np.array(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-d, got shape {X.shape}")
         if X.shape[1] != self.schema.m:
             raise ValueError(f"X has {X.shape[1]} columns but schema has {self.schema.m} features")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError(f"label count {y.shape} does not match row count {X.shape[0]}")
+        # checked before the cast, which would truncate 0.7 to 0
         if y.size and not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 (benign) or 1 (malicious)")
+        y = np.array(y, dtype=np.int64)
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -348,7 +350,8 @@ def load_dataset(path: str | Path) -> FlowDataset:
     if not len(values):
         raise ValueError(f"{path}: no data rows")
     return FlowDataset(
-        schema=FeatureSchema(tuple(header[:-1])), X=values[:, :-1], y=values[:, -1]
+        schema=FeatureSchema(tuple(header[:-1])), X=values[:, :-1],
+        y=int_column(path, header, values, -1, binary=True),
     )
 
 
@@ -471,6 +474,26 @@ def file_line(path: str | Path, row: int) -> int:
     :func:`read_table` read."""
     with open(path, newline="", encoding="utf-8") as fh:
         return next(itertools.islice(_data_lines(fh), row, None))[0]
+
+
+def int_column(
+    path: str | Path, header: list[str], values: np.ndarray, j: int, binary: bool = False
+) -> np.ndarray:
+    """Column ``j`` of a table :func:`read_table` read, as int64: every cell
+    0 or 1 if ``binary``, else a whole number >= 0. Raises a ValueError
+    naming the file line and column of the first cell that is not, which a
+    plain cast would truncate."""
+    column = values[:, j]
+    if binary:
+        bad, what = (column != 0) & (column != 1), "0 or 1"
+    else:
+        bad = ~((column >= 0) & (column < 2.0**63) & (column % 1 == 0))
+        what = "a whole number >= 0"
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{path}: row {file_line(path, row)}, column {header[j]!r}: "
+                         f"{float(column[row])!r} is not {what}")
+    return column.astype(np.int64)
 
 
 def _parses_as_float64(cell: str) -> bool:

@@ -204,6 +204,8 @@ def resolve_config(
     flags = {"seed": seed_override, "out_dir": out_override}
     cfg = _merge(DEFAULT_CONFIG, user or {})
     cfg = _merge(cfg, {key: value for key, value in flags.items() if value is not None})
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     for keys, offset in _SEED_OFFSETS.items():
         node = cfg
         for key in keys[:-1]:
@@ -537,35 +539,11 @@ def cmd_train_detector(ws: Workspace) -> tuple[list[Path], dict, dict]:
     return [det_path, history_path], summary, {"detector": cfg}
 
 
-def _detector_checks(report: dict) -> list[str]:
-    """Recompute every threshold metric from the report's counts; return
-    failures."""
-    failures = []
-    tp, tn, fp, fn = report["tp"], report["tn"], report["fp"], report["fn"]
-    expected = {
-        "accuracy": (tp + tn) / (tp + tn + fp + fn),
-        "precision": tp / (tp + fp) if tp + fp else 0.0,
-        "recall": tp / (tp + fn) if tp + fn else 0.0,
-        "specificity": tn / (tn + fp) if tn + fp else 0.0,
-        "npv": tn / (tn + fn) if tn + fn else 0.0,
-        "fpr": fp / (fp + tn) if fp + tn else 0.0,
-        "fnr": fn / (fn + tp) if fn + tp else 0.0,
-    }
-    p, r = expected["precision"], expected["recall"]
-    expected["f1"] = 2 * p * r / (p + r) if p + r else 0.0
-    for name, value in expected.items():
-        if abs(report[name] - value) > 1e-12:
-            failures.append(f"{name} mismatch")
-    if abs(report["aa"] + report["asr"] - 1.0) > 1e-12:
-        failures.append("aa + asr != 1")
-    return failures
-
-
 @_stage("evaluate")
 def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
-    """Emit the JSON report bundle; the failed checks go into the stage
-    summary, which the stage runner records and then raises as an
-    InvariantError."""
+    """Emit the JSON report bundle: per attack the detection metrics and the
+    error distributions, and the feature rank table; the summary records tau,
+    the clean row count and each attack's accuracy, ROC AUC and AA."""
     det = ws.load("detector/detector.json", detector.load_detector)
     _, schema = ws.load("data/scaler.json", data.load_scaler)
 
@@ -581,7 +559,6 @@ def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
     Z_clean, errors_clean = scored("fingerprints/clean_test.csv")
 
     paths: list[Path] = []
-    failures: list[str] = []
     importance_by_condition = {"clean": evaluation.importance(Z_clean)}
     summary: dict = {"tau": det.tau, "clean_rows": int(errors_clean.size)}
 
@@ -590,8 +567,6 @@ def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
         importance_by_condition[kind] = evaluation.importance(Z_adv)
 
         report = evaluation.detection_report(errors_clean, errors_adv, det.tau)
-        failures.extend(f"{kind}: {msg}" for msg in _detector_checks(report))
-
         paths.append(data.write_json(
             ws.path(f"reports/metrics_{kind}.json"), {"attack": kind, **report}
         ))
@@ -606,11 +581,7 @@ def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
         }
 
     rows = evaluation.build_rank_table(schema.names, importance_by_condition)
-    for cond in importance_by_condition:
-        if sorted(row[f"rank_{cond}"] for row in rows) != list(range(1, schema.m + 1)):
-            failures.append(f"rank table: {cond} ranks are not a permutation")
     paths.append(data.write_json(ws.path("reports/rank_table.json"), {"rows": rows}))
-    summary["checks_failed"] = failures
     return paths, summary, None
 
 

@@ -221,7 +221,6 @@ def test_evaluate_report_bytes(tmp_path):
                  "aa": 0.6666666666666666},
         "pgd": {"accuracy": 0.8571428571428571, "roc_auc": 0.875, "aa": 1.0},
         "deepfool": {"accuracy": 0.5, "roc_auc": 0.4375, "aa": 0.0},
-        "checks_failed": [],
     }
     assert sorted(stage["artifacts"]) == sorted(
         f"reports/{p.name}" for p in reports.iterdir()

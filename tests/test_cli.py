@@ -110,10 +110,15 @@ def test_resolve_config_is_a_fixed_point(user):
         ({"attacks": {"fgsm": {"epsilon": 10**400}}},
          "config key 'attacks.fgsm.epsilon' must be number, got 1000"),
         ({"seed": "x"}, "config key 'seed' must be integer, got 'x'"),
+        ({"data": 3}, "config key 'data' must be a mapping"),
+        ({"data": {"source": "parquet"}}, "unknown data source 'parquet'"),
+        ({"data": {"csv": {"schema": "cic"}}}, "data.csv: unsupported schema spec 'cic'"),
         # the range the setting object checks
         ({"classifier": {"train": {"epochs": 0}}}, "classifier.train: epochs must be >= 1"),
         ({"attacks": {"pgd": {"alpha": 0.5}}}, "attacks.pgd: pgd needs 0 < alpha <= epsilon"),
         ({"background": {"size": 0}}, "background.size must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"background": {"seed": -3}}, "background.seed must be >= 0, got -3"),
         ({"detector": {"latent": 20}},
          "detector: latent size 20 must be smaller than input 20"),
         ({"data": {"split": {"test_frac": 0.1}}},
@@ -123,8 +128,10 @@ def test_resolve_config_is_a_fixed_point(user):
         ({"attacks": {"filter": "malicious_only"}}, "unknown config key 'attacks.filter'"),
     ],
     ids=["epochs-string", "epochs-fraction", "random-start-string", "hidden-sizes-int",
-         "epsilon-null", "epsilon-nan", "epsilon-beyond-float", "seed-string", "epochs-zero",
-         "pgd-alpha-above-epsilon", "background-empty", "latent-not-below-m",
+         "epsilon-null", "epsilon-nan", "epsilon-beyond-float", "seed-string", "data-not-mapping",
+         "data-source-unknown", "csv-schema-unknown", "epochs-zero",
+         "pgd-alpha-above-epsilon", "background-empty", "seed-negative",
+         "background-seed-negative", "latent-not-below-m",
          "split-sums-to-0.9", "attacks-filter-all", "attacks-filter-malicious-only"],
 )
 def test_bad_config_value_is_a_config_error_before_any_stage(tmp_path, capsys, user, message):
@@ -872,29 +879,50 @@ def test_non_finite_fingerprint_cell_is_a_stage_failure_naming_its_line(
             f"{value} is not a finite value") in err
 
 
+_FINGERPRINT_PGD = (["fingerprint", "--source", "pgd"], "fingerprint-pgd")
+_TRAIN_NIDS = (["train-nids"], "train-nids")
+_TRAIN_DETECTOR = (["train-detector"], "train-detector")
+
+
 @pytest.mark.parametrize(
-    "artifact, column, argv, stage",
+    "artifact, column, value, message, argv, stage",
     [
-        ("attacks/pgd.csv", "adv_f3", ["fingerprint", "--source", "pgd"], "fingerprint-pgd"),
-        ("data/train.csv", "f3", ["train-nids"], "train-nids"),
+        ("attacks/pgd.csv", "adv_f3", "nan", "row 3, column 'adv_f3': nan is not a finite value",
+         *_FINGERPRINT_PGD),
+        ("data/train.csv", "f3", "nan", "row 3, column 'f3': nan is not a finite value",
+         *_TRAIN_NIDS),
+        # an integer cell a cast would truncate
+        ("data/train.csv", "label", "0.5", "row 3, column 'label': 0.5 is not 0 or 1",
+         *_TRAIN_NIDS),
+        ("attacks/pgd.csv", "sample_index", "2.7",
+         "row 3, column 'sample_index': 2.7 is not a whole number >= 0", *_FINGERPRINT_PGD),
+        ("attacks/pgd.csv", "success", "0.5", "row 3, column 'success': 0.5 is not 0 or 1",
+         *_FINGERPRINT_PGD),
+        ("fingerprints/clean_val.csv", "sample_id", "1.5",
+         "row 3, column 'sample_id': 1.5 is not a whole number >= 0", *_TRAIN_DETECTOR),
+        # a column every row of a fingerprint table shares
+        ("fingerprints/clean_val.csv", "origin", "fgsm", "the origin column is not constant",
+         *_TRAIN_DETECTOR),
     ],
-    ids=["fingerprint", "train-nids"],
+    ids=["fingerprint", "train-nids", "label-fraction", "sample-index-fraction",
+         "success-fraction", "sample-id-fraction", "origin-not-constant"],
 )
 def test_non_finite_cell_in_an_upstream_artifact_is_a_stage_failure_naming_its_line(
-    tiny_run, tmp_path, capsys, artifact, column, argv, stage
+    tiny_run, tmp_path, capsys, artifact, column, value, message, argv, stage
 ):
     """A NaN in an attacked row would otherwise be fingerprinted into a NaN
-    phi row whose completeness gap passes every comparison."""
+    phi row whose completeness gap passes every comparison; a label of 0.5
+    would be read as benign and a sample index of 2.7 as row 2. A bad cell
+    is named by its file line; a column that must be constant, by name."""
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
 
     def corrupt(rows):
-        rows[2][rows[0].index(column)] = "nan"
+        rows[2][rows[0].index(column)] = value
         return rows
     _rewrite_csv(out / artifact, corrupt)
     assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
     err = capsys.readouterr().err
-    assert (f"shapguard: {stage}: {out / artifact}: row 3, column {column!r}: "
-            "nan is not a finite value") in err
+    assert f"shapguard: {stage}: {out / artifact}: {message}" in err
 
 
 @pytest.mark.parametrize("source", ["clean_test", "deepfool"])
@@ -942,7 +970,7 @@ def test_attack_summaries_and_rows_rebuild_from_the_test_split(tiny_run):
         assert summary["success_rate"] == batch.success_rate
         assert summary["mean_linf"] == float(batch.linf.mean())
         assert summary["mean_l2"] == float(batch.l2.mean())
-    assert stages["evaluate"]["summary"]["checks_failed"] == []
+    assert "checks_failed" not in stages["evaluate"]["summary"]
 
 
 def test_every_attack_starts_from_the_malicious_test_rows(tiny_run):
@@ -1020,10 +1048,10 @@ def _set_tanh(path):
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _set_tau(value):
+def _set(field, value):
     def damage(path):
         payload = json.loads(path.read_text())
-        payload["tau"] = value
+        payload[field] = value
         path.write_text(json.dumps(payload), encoding="utf-8")
     return damage
 
@@ -1035,6 +1063,8 @@ def _set_tau(value):
          "models/nids.json: missing field 'spec'"),
         ("models/nids.json", _set_tanh, ["attack", "--attack", "fgsm"],
          "models/nids.json: unsupported hidden activation 'tanh'"),
+        ("models/nids.json", _set("weights", 3), ["attack", "--attack", "fgsm"],
+         "models/nids.json: malformed field: 'int' object is not iterable"),
         ("detector/detector.json", _set_tanh, ["detect", "--input", "data/test.csv"],
          "detector/detector.json: unsupported hidden activation 'tanh'"),
         ("detector/detector.json", _drop("tau"), ["detect", "--input", "data/test.csv"],
@@ -1045,13 +1075,13 @@ def _set_tau(value):
             for argv in (["detect", "--input", "data/test.csv"], ["evaluate"])
         ),
         *(
-            ("detector/detector.json", _set_tau(tau), argv,
+            ("detector/detector.json", _set("tau", tau), argv,
              f"detector/detector.json: tau must be a finite number, got {tau!r}")
             for tau in (None, "0.5")
             for argv in (["detect", "--input", "data/test.csv"], ["evaluate"])
         ),
     ],
-    ids=["nids-empty-object", "nids-tanh", "detector-tanh", "detector-without-tau",
+    ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "detector-tanh", "detector-without-tau",
          "detect-without-calibration", "evaluate-without-calibration", "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
@@ -1068,8 +1098,9 @@ def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
 @pytest.mark.parametrize(
     "text, message",
     [('{"tool": "shapguard", "vers', "manifest.json: not valid JSON"),
-     ("{}", "manifest.json: missing field 'stages'")],
-    ids=["truncated", "empty-object"],
+     ("{}", "manifest.json: missing field 'stages'"),
+     ('{"stages": []}', "manifest.json: malformed field: 'stages' is not a mapping")],
+    ids=["truncated", "empty-object", "stages-list"],
 )
 def test_damaged_manifest_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, text, message, argv
@@ -1136,6 +1167,25 @@ def test_an_attack_failure_in_the_child_exits_2_naming_its_stage(tmp_path, capsy
     assert capsys.readouterr().err == "shapguard: attack-pgd: no rows\n"
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     assert "attack-fgsm" in stages and "attack-pgd" not in stages and "evaluate" not in stages
+    _assert_no_child_left()
+
+
+def test_a_detector_failure_in_the_parent_exits_2_after_the_child_finishes(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, _tiny_config(out))
+
+    def train_autoencoder(*args, **kwargs):
+        raise ValueError("diverged")
+    monkeypatch.setattr(detector, "train_autoencoder", train_autoencoder)
+    assert cli.main(["run-all", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert capsys.readouterr().err == "shapguard: train-detector: diverged\n"
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert list(stages) == [
+        "ingest", "train-nids", "attack-fgsm", "attack-pgd", "attack-deepfool",
+        "fingerprint-clean", "fingerprint-fgsm", "fingerprint-pgd", "fingerprint-deepfool",
+    ]
     _assert_no_child_left()
 
 

@@ -519,3 +519,9 @@ def test_dataset_is_immutable():
     ds = data.synth_generate(5, 4, 0.3, 0.1, seed=0)
     with pytest.raises(ValueError):
         ds.X[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("y", [[0.7, 1.0], [1.9, 0.0], [-0.5, 1.0], [2, 0]])
+def test_dataset_rejects_a_label_that_is_not_0_or_1_before_casting_it(y):
+    with pytest.raises(ValueError, match="labels must be 0"):
+        FlowDataset(FeatureSchema(("a",)), np.zeros((2, 1)), y)

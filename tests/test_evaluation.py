@@ -74,6 +74,10 @@ def test_metrics_zero_denominator_conventions():
 def test_metrics_identities():
     report = evaluation.detection_report(_scores(11, 3), _scores(2, 7), 0.5)
     assert (report["tp"], report["tn"], report["fp"], report["fn"]) == (7, 11, 3, 2)
+    assert report["precision"] == pytest.approx(7 / 10, abs=1e-12)
+    assert report["recall"] == pytest.approx(7 / 9, abs=1e-12)
+    assert report["specificity"] == pytest.approx(11 / 14, abs=1e-12)
+    assert report["npv"] == pytest.approx(11 / 13, abs=1e-12)
     assert report["fpr"] + report["specificity"] == pytest.approx(1.0, abs=1e-12)
     assert report["fnr"] + report["recall"] == pytest.approx(1.0, abs=1e-12)
     p, r = report["precision"], report["recall"]
@@ -82,6 +86,9 @@ def test_metrics_identities():
     assert (report["ca"], report["aa"], report["asr"]) == (
         report["specificity"], report["recall"], report["fnr"]
     )
+    nothing_flagged = evaluation.detection_report(_scores(5, 0), _scores(3, 0), 0.5)
+    for case in (report, nothing_flagged):
+        assert case["aa"] + case["asr"] == pytest.approx(1.0, abs=1e-12)
     assert list(report) == [
         "accuracy", "precision", "recall", "f1", "roc_auc", "average_precision",
         "specificity", "npv", "fpr", "fnr", "tp", "tn", "fp", "fn", "ca", "aa", "asr",

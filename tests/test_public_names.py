@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import shapguard
@@ -71,3 +72,26 @@ def test_config_errors_come_from_the_config_gate_alone():
                         for n in ast.walk(node.exc))
             ]
     assert raised == []
+
+
+def test_every_import_is_the_standard_library_a_declared_dependency_or_the_project():
+    """pyproject.toml declares numpy, and pytest for the tests: a module
+    that imports anything else (say a package that happens to be installed
+    where the tests last ran) fails on a clean install. Each import's first
+    name must be a standard-library module, numpy, pytest, shapguard or a
+    module beside the importing file."""
+    root = Path(__file__).resolve().parents[1]
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pytest", "shapguard"}
+    outside = []
+    for path in sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")):
+        siblings = {p.stem for p in path.parent.glob("*.py")}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.relative_to(root)}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in allowed | siblings]
+    assert outside == []
