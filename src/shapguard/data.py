@@ -363,10 +363,13 @@ def save_scaler(s: ScalerParams, schema: FeatureSchema, path: str | Path) -> Pat
 
 def load_scaler(path: str | Path) -> tuple[ScalerParams, FeatureSchema]:
     payload = read_json(path)
-    schema = FeatureSchema(tuple(payload["schema"]))
-    params = ScalerParams(min=np.array(payload["min"]), max=np.array(payload["max"]))
-    if params.m != schema.m:
-        raise ValueError(f"{path}: scaler/schema dimension mismatch")
+    try:
+        schema = FeatureSchema(tuple(payload["schema"]))
+        params = ScalerParams(min=np.array(payload["min"]), max=np.array(payload["max"]))
+        if params.m != schema.m:
+            raise ValueError("scaler/schema dimension mismatch")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return params, schema
 
 
@@ -494,6 +497,17 @@ def int_column(
         raise ValueError(f"{path}: row {file_line(path, row)}, column {header[j]!r}: "
                          f"{float(column[row])!r} is not {what}")
     return column.astype(np.int64)
+
+
+def check_box(path: str | Path, header: Sequence[str], X: np.ndarray) -> None:
+    """Raise a ValueError naming the file line and column of the first cell
+    of ``X``, the leading columns of a table :func:`read_table` read, that
+    lies outside the [0, 1] box by more than BOX_TOL."""
+    outside = (X < -BOX_TOL) | (X > 1.0 + BOX_TOL)
+    if outside.any():
+        row, col = np.argwhere(outside)[0]
+        raise ValueError(f"{path}: row {file_line(path, row)}, column {header[col]!r}: "
+                         f"{float(X[row, col])!r} is not a finite value in [0, 1]")
 
 
 def _parses_as_float64(cell: str) -> bool:

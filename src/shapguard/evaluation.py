@@ -1,4 +1,5 @@
-"""Detection report, ROC/AP, attribution rank analysis and error histograms.
+"""Detection report with its score distribution, ROC/AP and attribution
+rank analysis.
 
 Positive class = adversarial throughout. Threshold metrics come straight
 from one set of confusion counts; ROC AUC is trapezoidal over the score
@@ -55,7 +56,10 @@ def detection_report(
     errors_clean: np.ndarray, errors_adv: np.ndarray, tau: float
 ) -> dict:
     """The report of a detector on clean and adversarial scores, in report
-    order: accuracy ... fnr, the counts tp, tn, fp, fn, then ca, aa, asr.
+    order: accuracy ... fnr, the counts tp, tn, fp, fn, then ca, aa, asr,
+    then the score distribution: 51 bin edges over the range of all scores
+    (widened by 0.5 each side when every score is equal), the clean and
+    adversarial counts per bin, and each group's mean and median.
 
     A score above tau is flagged adversarial. The scores are thresholded
     and counted once; every rate is a ratio of those counts. ca (clean
@@ -77,6 +81,10 @@ def detection_report(
     fnr = fn / (fn + tp)
     scores = np.concatenate([clean, adv])
     truths = np.concatenate([np.zeros(clean.size, int), np.ones(adv.size, int)])
+    lo, hi = float(scores.min()), float(scores.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, 51)
     return {
         "accuracy": (tp + tn) / (tp + tn + fp + fn),
         "precision": precision,
@@ -99,6 +107,11 @@ def detection_report(
         "ca": specificity,
         "aa": recall,
         "asr": fnr,
+        "bin_edges": edges.tolist(),
+        "clean_counts": np.histogram(clean, bins=edges)[0].tolist(),
+        "adv_counts": np.histogram(adv, bins=edges)[0].tolist(),
+        "clean": {"mean": float(clean.mean()), "median": float(np.median(clean))},
+        "adv": {"mean": float(adv.mean()), "median": float(np.median(adv))},
     }
 
 
@@ -155,39 +168,3 @@ def build_rank_table(
         row.update((f"shift_{c}", int(d[j])) for c, d in shifts.items())
         rows.append(row)
     return rows
-
-
-def error_distribution_report(
-    errors_clean: np.ndarray,
-    errors_adv: np.ndarray,
-    tau: float,
-) -> dict:
-    """50-bin histogram over the pooled range plus per-group summary stats."""
-    clean = np.asarray(errors_clean, dtype=np.float64)
-    adv = np.asarray(errors_adv, dtype=np.float64)
-    if clean.size == 0 or adv.size == 0:
-        raise ValueError("both error groups must be non-empty")
-    pooled = np.concatenate([clean, adv])
-    lo, hi = float(pooled.min()), float(pooled.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, 51)
-    clean_counts, _ = np.histogram(clean, bins=edges)
-    adv_counts, _ = np.histogram(adv, bins=edges)
-
-    def summarize(e: np.ndarray) -> dict:
-        return {
-            "count": int(e.size),
-            "mean": float(e.mean()),
-            "median": float(np.median(e)),
-            "fraction_above_tau": float(np.count_nonzero(e > tau) / e.size),
-        }
-
-    return {
-        "tau": float(tau),
-        "bin_edges": edges.tolist(),
-        "clean_counts": clean_counts.tolist(),
-        "adv_counts": adv_counts.tolist(),
-        "clean": summarize(clean),
-        "adv": summarize(adv),
-    }

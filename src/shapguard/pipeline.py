@@ -327,22 +327,18 @@ def _manifest(ws: Workspace) -> dict:
 
 
 def _placed(stages: dict, name: str, entry: dict) -> dict:
-    """``stages`` with ``entry`` recorded as stage ``name``: in its place if
-    the stage ran before, else before the first recorded stage that a serial
-    run-all records after it, else last."""
+    """``stages`` with ``entry`` recorded as stage ``name``, in the order a
+    serial run-all records its stages; the stages outside run-all follow,
+    in the order they were first recorded."""
     rank = {stage: i for i, stage in enumerate(_RUN_ALL_ORDER)}
-    if name in stages or name not in rank:
-        return {**stages, name: entry}
-    items = list(stages.items())
-    at = next((i for i, (stage, _) in enumerate(items) if rank.get(stage, -1) > rank[name]),
-              len(items))
-    items.insert(at, (name, entry))
-    return dict(items)
+    stages = {**stages, name: entry}
+    return dict(sorted(stages.items(), key=lambda item: rank.get(item[0], len(rank))))
 
 
 def _load_background(path: Path) -> attribution.BackgroundSet:
     """Read the background rows the train-nids stage sampled and saved."""
-    _, values, _ = data.read_table(path)
+    header, values, _ = data.read_table(path)
+    data.check_box(path, header, values)
     return attribution.BackgroundSet(B=values)
 
 
@@ -472,10 +468,12 @@ def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
 def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]:
     """Fingerprint one source against the background train-nids saved:
     'clean' is each split's malicious rows, the rows the attacks start
-    from, an attack kind its adversarial rows. The largest completeness
-    gap goes into the summary. A table with completeness violations is
-    still written, and goes into the summary's checks_failed, which the
-    stage runner records and then raises as an InvariantError.
+    from, an attack kind its adversarial rows, each of which must name a
+    malicious row of data/test.csv by its sample_index. The largest
+    completeness gap goes into the summary. A table with completeness
+    violations is still written, and goes into the summary's
+    checks_failed, which the stage runner records and then raises as an
+    InvariantError.
     """
     if source not in FINGERPRINT_SOURCES:
         raise ValueError(f"unknown fingerprint source {source!r}")
@@ -494,8 +492,16 @@ def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]
                 raise ValueError(f"{rel} has no malicious rows to fingerprint")
             X = ds.X[ids]
         else:
-            batch = ws.load(f"attacks/{source}.csv", attacks.load_adv_batch)
+            rel = f"attacks/{source}.csv"
+            batch = ws.load(rel, attacks.load_adv_batch)
             X, ids = batch.X_adv, batch.sample_index
+            test = ws.load("data/test.csv", data.load_dataset)
+            stray = ~np.isin(ids, np.flatnonzero(test.y == 1))
+            if stray.any():
+                row = int(np.argmax(stray))
+                raise ValueError(f"{ws.path(rel)}: row {data.file_line(ws.path(rel), row)}, "
+                                 f"column 'sample_index': {ids[row]} is not a malicious row "
+                                 "of data/test.csv")
         fps = attribution.fingerprint_batch(model, X, background, sample_ids=ids, origin=source)
         violations = fps.count_violations()
         if violations:
@@ -541,8 +547,8 @@ def cmd_train_detector(ws: Workspace) -> tuple[list[Path], dict, dict]:
 
 @_stage("evaluate")
 def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
-    """Emit the JSON report bundle: per attack the detection metrics and the
-    error distributions, and the feature rank table; the summary records tau,
+    """Emit the JSON report bundle: per attack the detection report with its
+    score distribution, and the feature rank table; the summary records tau,
     the clean row count and each attack's accuracy, ROC AUC and AA."""
     det = ws.load("detector/detector.json", detector.load_detector)
     _, schema = ws.load("data/scaler.json", data.load_scaler)
@@ -569,10 +575,6 @@ def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
         report = evaluation.detection_report(errors_clean, errors_adv, det.tau)
         paths.append(data.write_json(
             ws.path(f"reports/metrics_{kind}.json"), {"attack": kind, **report}
-        ))
-        paths.append(data.write_json(
-            ws.path(f"reports/error_distribution_{kind}.json"),
-            evaluation.error_distribution_report(errors_clean, errors_adv, det.tau),
         ))
         summary[kind] = {
             "accuracy": report["accuracy"],
@@ -612,13 +614,7 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     if not len(values):
         raise ValueError(f"{input_path}: no data rows")
     X = values[:, :-1]  # finite, as read_table checks
-    outside = (X < -data.BOX_TOL) | (X > 1.0 + data.BOX_TOL)
-    if outside.any():
-        row, col = np.argwhere(outside)[0]
-        raise ValueError(
-            f"{input_path}: row {data.file_line(input_path, row)}, "
-            f"column {schema.names[col]!r}: {float(X[row, col])!r} is not a finite value in [0, 1]"
-        )
+    data.check_box(input_path, header, X)
     fps = attribution.fingerprint_batch(nids, X, background)
     decisions, scores = detector.detect(det, fps.phi)
     flagged = int(np.count_nonzero(decisions == "adversarial"))

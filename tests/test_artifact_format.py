@@ -150,30 +150,33 @@ def test_evaluate_report_bytes(tmp_path):
         )
     pipeline.cmd_evaluate(pipeline.Workspace(tmp_path, {}))
     reports = tmp_path / "reports"
-    assert (reports / "metrics_fgsm.json").read_bytes() == (
+    assert (reports / "metrics_fgsm.json").read_bytes().startswith(
         b'{\n  "attack": "fgsm",\n  "accuracy": 0.7142857142857143,\n'
         b'  "precision": 0.6666666666666666,\n  "recall": 0.6666666666666666,\n'
         b'  "f1": 0.6666666666666666,\n  "roc_auc": 0.8333333333333333,\n'
         b'  "average_precision": 0.8055555555555556,\n  "specificity": 0.75,\n'
         b'  "npv": 0.75,\n  "fpr": 0.25,\n  "fnr": 0.3333333333333333,\n'
         b'  "tp": 2,\n  "tn": 3,\n  "fp": 1,\n  "fn": 1,\n'
-        b'  "ca": 0.75,\n  "aa": 0.6666666666666666,\n  "asr": 0.3333333333333333\n}\n'
+        b'  "ca": 0.75,\n  "aa": 0.6666666666666666,\n  "asr": 0.3333333333333333,\n'
+        b'  "bin_edges": [\n'
     )
-    assert (reports / "metrics_pgd.json").read_bytes() == (
+    assert (reports / "metrics_pgd.json").read_bytes().startswith(
         b'{\n  "attack": "pgd",\n  "accuracy": 0.8571428571428571,\n  "precision": 0.75,\n'
         b'  "recall": 1.0,\n  "f1": 0.8571428571428571,\n  "roc_auc": 0.875,\n'
         b'  "average_precision": 0.8055555555555556,\n  "specificity": 0.75,\n'
         b'  "npv": 1.0,\n  "fpr": 0.25,\n  "fnr": 0.0,\n'
         b'  "tp": 3,\n  "tn": 3,\n  "fp": 1,\n  "fn": 0,\n'
-        b'  "ca": 0.75,\n  "aa": 1.0,\n  "asr": 0.0\n}\n'
+        b'  "ca": 0.75,\n  "aa": 1.0,\n  "asr": 0.0,\n'
+        b'  "bin_edges": [\n'
     )
-    assert (reports / "metrics_deepfool.json").read_bytes() == (
+    assert (reports / "metrics_deepfool.json").read_bytes().startswith(
         b'{\n  "attack": "deepfool",\n  "accuracy": 0.5,\n  "precision": 0.0,\n'
         b'  "recall": 0.0,\n  "f1": 0.0,\n  "roc_auc": 0.4375,\n'
         b'  "average_precision": 0.41666666666666663,\n  "specificity": 0.75,\n'
         b'  "npv": 0.6,\n  "fpr": 0.25,\n  "fnr": 1.0,\n'
         b'  "tp": 0,\n  "tn": 3,\n  "fp": 1,\n  "fn": 2,\n'
-        b'  "ca": 0.75,\n  "aa": 0.0,\n  "asr": 1.0\n}\n'
+        b'  "ca": 0.75,\n  "aa": 0.0,\n  "asr": 1.0,\n'
+        b'  "bin_edges": [\n'
     )
     row_a = (
         b'    {\n      "feature": "a",\n      "index": 0,\n'
@@ -198,21 +201,19 @@ def test_evaluate_report_bytes(tmp_path):
     assert (reports / "rank_table.json").read_bytes() == (
         b'{\n  "rows": [\n' + row_a + b",\n" + row_bc + b"\n  ]\n}\n"
     )
-    # 51 bin edges and 2 x 50 counts, one per line: pinned by digest, with
-    # the per-group summaries spelled out.
+    # After asr, 51 bin edges and 2 x 50 counts, one per line: each file is
+    # pinned by digest, with the group summaries spelled out.
     digests = {
-        "fgsm": "1a923f17fb8c5863c36e3d31ee96d65116c1eaa62907f10c5f19739011836d2a",
-        "pgd": "d040efa1856b374ddbb17290879c2bf1052dfb19508c43e51f543e733341c086",
-        "deepfool": "bccfb660dfc427effb8c6e83fcf9d560bfaacc56259ad505dcd4c433f7859ee8",
+        "fgsm": "727c500e5fe636295c62f1d59619f83c8100e5bedb6b5e1fc063d52487ec6d35",
+        "pgd": "dc148365b0d3436e67e293f024974e13dc714172f1a0ed2ae25a39f5379edef0",
+        "deepfool": "daa76c4812b6e326343d7e43260f8c11bc250fb7498174b949ebc89d988beed5",
     }
     for kind, digest in digests.items():
-        body = (reports / f"error_distribution_{kind}.json").read_bytes()
+        body = (reports / f"metrics_{kind}.json").read_bytes()
         assert hashlib.sha256(body).hexdigest() == digest, kind
-    assert (reports / "error_distribution_fgsm.json").read_bytes().endswith(
-        b'  "clean": {\n    "count": 4,\n    "mean": 0.490625,\n    "median": 0.30625,\n'
-        b'    "fraction_above_tau": 0.25\n  },\n'
-        b'  "adv": {\n    "count": 3,\n    "mean": 2.0,\n    "median": 1.2500000000000002,\n'
-        b'    "fraction_above_tau": 0.6666666666666666\n  }\n}\n'
+    assert (reports / "metrics_fgsm.json").read_bytes().endswith(
+        b'  "clean": {\n    "mean": 0.490625,\n    "median": 0.30625\n  },\n'
+        b'  "adv": {\n    "mean": 2.0,\n    "median": 1.2500000000000002\n  }\n}\n'
     )
     stage = json.loads((tmp_path / "manifest.json").read_text())["stages"]["evaluate"]
     assert stage["summary"] == {

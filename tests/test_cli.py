@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import time
@@ -14,6 +15,7 @@ import pytest
 
 from shapguard import attacks, attribution, cli, data, detector, neural, pipeline
 from test_acceptance import DESK_OVERRIDES
+from test_readme import README
 
 
 def _tiny_config(out_dir, **overrides):
@@ -260,35 +262,40 @@ def test_each_stage_reads_only_the_config_sections_it_records(tmp_path):
 # full run artifacts
 
 
+def _readme_artifact_tree() -> set[str]:
+    """The files of the README's fenced tree under "Artifacts land under",
+    each <attack> expanded to every attack kind."""
+    text = README.read_text(encoding="utf-8")
+    tree = re.search(r"Artifacts land under .*?\n```\n(.*?)```", text, re.DOTALL).group(1)
+    files, folder = set(), ""
+    for line in tree.splitlines():
+        if not line.startswith(" "):  # a folder, or a file at the top
+            first = line.split()[0]
+            folder = first if first.endswith("/") else ""
+        files.update(folder + name for name in re.findall(r"[\w<>]+\.(?:csv|json)\b", line))
+    return {name.replace("<attack>", kind) for name in files for kind in pipeline.ATTACK_KINDS}
+
+
 def test_run_all_produces_expected_bundle(tiny_run):
-    expected = [
-        "data/train.csv", "data/val.csv", "data/test.csv", "data/scaler.json",
-        "models/nids.json", "models/nids_history.csv",
-        "attacks/fgsm.csv", "attacks/pgd.csv", "attacks/deepfool.csv",
-        "fingerprints/clean_train.csv", "fingerprints/clean_val.csv",
-        "fingerprints/clean_test.csv", "fingerprints/fgsm.csv",
-        "fingerprints/pgd.csv", "fingerprints/deepfool.csv", "models/background.csv",
-        "detector/detector.json",
-        "reports/metrics_fgsm.json", "reports/rank_table.json",
-        "reports/error_distribution_deepfool.json",
-        "manifest.json",
-    ]
-    for rel in expected:
-        assert (tiny_run / rel).exists(), rel
+    """run-all writes exactly the files of the README's artifact tree."""
+    stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
+    # the detect tests of this module write into the shared run
+    detected = set(stages.get("detect", {}).get("artifacts", {}))
+    written = {str(p.relative_to(tiny_run)) for p in tiny_run.rglob("*") if p.is_file()}
+    assert written - detected == _readme_artifact_tree()
     # each of these repeated a fact that another artifact holds
     deleted = [
         "models/nids_report.json",
         *(f"attacks/{kind}_summary.json" for kind in pipeline.ATTACK_KINDS),
         "reports/metrics.csv", "reports/rank_table.csv", "reports/summary.json",
         *(f"reports/error_distribution_{kind}.csv" for kind in pipeline.ATTACK_KINDS),
+        *(f"reports/error_distribution_{kind}.json" for kind in pipeline.ATTACK_KINDS),
         # the manifest's config parts record what these did
         "resolved_config.json",
         *(f"attacks/{kind}.config.json" for kind in pipeline.ATTACK_KINDS),
     ]
-    assert len(deleted) == 14
-    for rel in deleted:
-        assert not (tiny_run / rel).exists(), rel
-    assert not list((tiny_run / "reports").glob("*.csv"))
+    assert len(deleted) == 17
+    assert not written & set(deleted)
 
 
 def _assert_manifest_lists_every_file_once(root):
@@ -790,20 +797,41 @@ def test_detect_scores_do_not_depend_on_the_seed_flag(tiny_run, tmp_path):
     assert reseeded["rows"] == trained["rows"]
 
 
+def _benign_only(rows):
+    return [rows[0], *([*row[:-1], "0"] for row in rows[1:])]
+
+
 @pytest.mark.parametrize(
-    "artifact, argv",
+    "artifact, argv, rewrite, message",
     [
-        ("fingerprints/clean_train.csv", ["train-detector"]),
-        ("attacks/pgd.csv", ["fingerprint", "--source", "pgd"]),
-        ("models/background.csv", ["detect", "--input", "data/test.csv"]),
+        ("fingerprints/clean_train.csv", ["train-detector"], lambda rows: [],
+         "fingerprints/clean_train.csv: file is empty"),
+        ("attacks/pgd.csv", ["fingerprint", "--source", "pgd"], lambda rows: [],
+         "attacks/pgd.csv: file is empty"),
+        ("models/background.csv", ["detect", "--input", "data/test.csv"], lambda rows: [],
+         "models/background.csv: file is empty"),
+        ("data/train.csv", ["train-nids"], lambda rows: rows[:1], "data/train.csv: no data rows"),
+        ("data/train.csv", ["train-nids"], lambda rows: [row[:-1] for row in rows],
+         "data/train.csv: not a saved dataset (missing label column)"),
+        ("fingerprints/clean_train.csv", ["train-detector"], lambda rows: rows[:1],
+         "fingerprints/clean_train.csv: no fingerprints"),
+        ("data/val.csv", ["fingerprint"], _benign_only,
+         "fingerprint-clean: data/val.csv has no malicious rows to fingerprint"),
     ],
+    ids=["fingerprints/clean_train.csv-argv0", "attacks/pgd.csv-argv1",
+         "models/background.csv-argv2", "split-header-only", "split-without-label",
+         "fingerprints-header-only", "split-without-malicious-rows"],
 )
-def test_empty_artifact_is_a_stage_failure_naming_it(tiny_run, tmp_path, capsys, artifact, argv):
+def test_empty_artifact_is_a_stage_failure_naming_it(
+    tiny_run, tmp_path, capsys, artifact, argv, rewrite, message
+):
+    """An artifact that is empty, or that lacks the rows or the column its
+    stage reads, is a stage failure naming it."""
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
-    (out / artifact).write_bytes(b"")
+    _rewrite_csv(out / artifact, rewrite)
     argv = [str(out / a) if a.endswith(".csv") else a for a in argv]
     assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
-    assert f"{artifact}: file is empty" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -898,6 +926,12 @@ _TRAIN_DETECTOR = (["train-detector"], "train-detector")
          "row 3, column 'sample_index': 2.7 is not a whole number >= 0", *_FINGERPRINT_PGD),
         ("attacks/pgd.csv", "success", "0.5", "row 3, column 'success': 0.5 is not 0 or 1",
          *_FINGERPRINT_PGD),
+        # an attacked row must be a malicious row of the test split
+        ("attacks/pgd.csv", "sample_index", "99999",
+         "row 3, column 'sample_index': 99999 is not a malicious row of data/test.csv",
+         *_FINGERPRINT_PGD),
+        ("models/background.csv", "f3", "1.5",
+         "row 3, column 'f3': 1.5 is not a finite value in [0, 1]", *_FINGERPRINT_PGD),
         ("fingerprints/clean_val.csv", "sample_id", "1.5",
          "row 3, column 'sample_id': 1.5 is not a whole number >= 0", *_TRAIN_DETECTOR),
         # a column every row of a fingerprint table shares
@@ -905,15 +939,18 @@ _TRAIN_DETECTOR = (["train-detector"], "train-detector")
          *_TRAIN_DETECTOR),
     ],
     ids=["fingerprint", "train-nids", "label-fraction", "sample-index-fraction",
-         "success-fraction", "sample-id-fraction", "origin-not-constant"],
+         "success-fraction", "sample-index-not-malicious-test-row", "background-outside-box",
+         "sample-id-fraction", "origin-not-constant"],
 )
 def test_non_finite_cell_in_an_upstream_artifact_is_a_stage_failure_naming_its_line(
     tiny_run, tmp_path, capsys, artifact, column, value, message, argv, stage
 ):
     """A NaN in an attacked row would otherwise be fingerprinted into a NaN
     phi row whose completeness gap passes every comparison; a label of 0.5
-    would be read as benign and a sample index of 2.7 as row 2. A bad cell
-    is named by its file line; a column that must be constant, by name."""
+    would be read as benign, a sample index of 2.7 as row 2, and one past
+    the test split would fingerprint a row no clean fingerprint pairs with.
+    A bad cell is named by its file line; a column that must be constant,
+    by name."""
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
 
     def corrupt(rows):
@@ -1049,11 +1086,19 @@ def _set_tanh(path):
 
 
 def _set(field, value):
+    return _edit(lambda payload: payload.update({field: value}))
+
+
+def _edit(change):
     def damage(path):
         payload = json.loads(path.read_text())
-        payload[field] = value
+        change(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
     return damage
+
+
+def _nan_weight(payload):
+    payload["weights"][0][0][0] = float("nan")
 
 
 @pytest.mark.parametrize(
@@ -1065,6 +1110,14 @@ def _set(field, value):
          "models/nids.json: unsupported hidden activation 'tanh'"),
         ("models/nids.json", _set("weights", 3), ["attack", "--attack", "fgsm"],
          "models/nids.json: malformed field: 'int' object is not iterable"),
+        ("models/nids.json", _edit(_nan_weight), ["attack", "--attack", "fgsm"],
+         "models/nids.json: layer 0 has non-finite parameters"),
+        ("data/scaler.json", _edit(lambda s: s.update(max=[lo - 1 for lo in s["min"]])),
+         ["evaluate"], "data/scaler.json: scaler max must be >= min per feature"),
+        ("data/scaler.json", _edit(lambda s: s.update(min=s["min"][:-1])), ["evaluate"],
+         "data/scaler.json: scaler min/max must be 1-d arrays of equal length"),
+        ("data/scaler.json", _edit(lambda s: s.update(min=s["min"][:-1], max=s["max"][:-1])),
+         ["evaluate"], "data/scaler.json: scaler/schema dimension mismatch"),
         ("detector/detector.json", _set_tanh, ["detect", "--input", "data/test.csv"],
          "detector/detector.json: unsupported hidden activation 'tanh'"),
         ("detector/detector.json", _drop("tau"), ["detect", "--input", "data/test.csv"],
@@ -1081,7 +1134,9 @@ def _set(field, value):
             for argv in (["detect", "--input", "data/test.csv"], ["evaluate"])
         ),
     ],
-    ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "detector-tanh", "detector-without-tau",
+    ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "nids-nan-weight",
+         "scaler-max-below-min", "scaler-min-short", "scaler-both-short",
+         "detector-tanh", "detector-without-tau",
          "detect-without-calibration", "evaluate-without-calibration", "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
@@ -1283,5 +1338,5 @@ def test_a_stage_is_recorded_in_serial_order_and_a_rerun_keeps_its_place(tmp_pat
         ws.finish(name, time.perf_counter(), [], {})
     stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
     assert list(stages) == [
-        "ingest", "fingerprint-clean", "fingerprint-fgsm", "train-detector", "detect", "evaluate",
+        "ingest", "fingerprint-clean", "fingerprint-fgsm", "train-detector", "evaluate", "detect",
     ]

@@ -92,7 +92,9 @@ def test_metrics_identities():
     assert list(report) == [
         "accuracy", "precision", "recall", "f1", "roc_auc", "average_precision",
         "specificity", "npv", "fpr", "fnr", "tp", "tn", "fp", "fn", "ca", "aa", "asr",
+        "bin_edges", "clean_counts", "adv_counts", "clean", "adv",
     ]
+    assert list(report["clean"]) == list(report["adv"]) == ["mean", "median"]
 
 
 def test_metrics_perfect_separation_scores():
@@ -237,28 +239,31 @@ def test_build_rank_table_normalization_and_rows():
 
 
 # ---------------------------------------------------------------------------
-# error distribution report
+# the report's score distribution
 
 
-def test_error_distribution_separation():
-    report = evaluation.error_distribution_report(
-        np.array([0.1, 0.2, 0.3]), np.array([2.0, 3.0]), tau=1.0
-    )
-    assert report["clean"]["fraction_above_tau"] == 0.0
-    assert report["adv"]["fraction_above_tau"] == 1.0
-    assert sum(report["clean_counts"]) == 3
-    assert sum(report["adv_counts"]) == 2
+def test_detection_report_distribution_counts_every_score():
+    report = evaluation.detection_report(np.array([0.1, 0.2, 0.3]), np.array([2.0, 3.0]), 1.0)
+    assert len(report["bin_edges"]) == 51
+    assert len(report["clean_counts"]) == len(report["adv_counts"]) == 50
+    assert (report["bin_edges"][0], report["bin_edges"][-1]) == (0.1, 3.0)
+    assert sum(report["clean_counts"]) == report["tn"] + report["fp"] == 3
+    assert sum(report["adv_counts"]) == report["tp"] + report["fn"] == 2
+    assert (report["fpr"], report["recall"]) == (0.0, 1.0)
+    assert report["clean"] == {"mean": pytest.approx(0.2), "median": 0.2}
+    assert report["adv"] == {"mean": 2.5, "median": 2.5}
 
 
-def test_error_distribution_tau_at_percentile():
+def test_detection_report_fpr_at_a_percentile_tau():
     rng = np.random.default_rng(2)
     clean = rng.gamma(2.0, 1.0, 1000)
     tau = float(np.percentile(clean, 99))
-    report = evaluation.error_distribution_report(clean, clean + 10, tau)
-    assert report["clean"]["fraction_above_tau"] == pytest.approx(0.01, abs=1e-3)
+    report = evaluation.detection_report(clean, clean + 10, tau)
+    assert report["fpr"] == pytest.approx(0.01, abs=1e-3)
 
 
-def test_error_distribution_degenerate_single_value():
-    report = evaluation.error_distribution_report(np.array([0.5]), np.array([0.5]), tau=1.0)
+def test_detection_report_equal_scores_occupy_one_bin():
+    report = evaluation.detection_report(np.array([0.5]), np.array([0.5]), 1.0)
+    assert (report["bin_edges"][0], report["bin_edges"][-1]) == (0.0, 1.0)
     occupied = [c + a for c, a in zip(report["clean_counts"], report["adv_counts"]) if c + a > 0]
-    assert len(occupied) == 1
+    assert occupied == [2]
