@@ -105,7 +105,8 @@ class FeatureSchema:
 class FlowDataset:
     """Immutable matrix of flow feature vectors with binary labels.
 
-    y == 0 is benign traffic, y == 1 is malicious traffic.
+    y == 0 is benign traffic, y == 1 is malicious traffic. A C-ordered
+    float64 X is held as given, not copied, and made read-only.
     """
 
     schema: FeatureSchema
@@ -113,7 +114,9 @@ class FlowDataset:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        X = np.array(self.X, dtype=np.float64)
+        # any other layout is copied to C order: 2-d products can round a row
+        # of a strided matrix differently
+        X = np.ascontiguousarray(self.X, dtype=np.float64)
         y = np.asarray(self.y)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-d, got shape {X.shape}")
@@ -202,8 +205,8 @@ def load_csv(
     missing = [name for name in schema.names if name not in positions]
     if missing:
         raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-    X = values[:, [positions[name] for name in schema.names]]
-    finite = np.isfinite(X).all(axis=1)
+    columns = [positions[name] for name in schema.names]
+    finite = np.isfinite(values)[:, columns].all(axis=1)
     dropped = int(np.count_nonzero(~finite))
     if dropped:
         warnings.warn(
@@ -214,7 +217,7 @@ def load_csv(
         raise ValueError(f"{path}: no usable data rows")
     y = np.array([label.strip() not in benign_labels for label in text[label_column]])
     logger.info("loaded %d rows x %d features from %s", finite.sum(), schema.m, path)
-    return FlowDataset(schema=schema, X=X[finite], y=y[finite])
+    return FlowDataset(schema=schema, X=values[np.ix_(finite, columns)], y=y[finite])
 
 
 def fit_scaler(ds: FlowDataset) -> ScalerParams:
@@ -230,7 +233,9 @@ def apply_scaler(ds: FlowDataset, s: ScalerParams) -> FlowDataset:
         raise ValueError(f"scaler has {s.m} features but dataset has {ds.m}")
     span = s.max - s.min
     safe = np.where(span > 0, span, 1.0)
-    scaled = np.clip((ds.X - s.min) / safe, 0.0, 1.0)
+    scaled = ds.X - s.min
+    scaled /= safe
+    np.clip(scaled, 0.0, 1.0, out=scaled)
     scaled[:, span <= 0] = 0.0
     return FlowDataset(schema=ds.schema, X=scaled, y=ds.y)
 

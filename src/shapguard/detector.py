@@ -82,8 +82,10 @@ def train_autoencoder(
 def reconstruction_errors(ae: neural.MlpModel, Z: np.ndarray) -> np.ndarray:
     """s = ||z - A(z)||_2^2 per fingerprint row of Z; a scalar for one vector."""
     Z = np.asarray(Z, dtype=np.float64)
-    out, _ = neural.forward(ae, np.atleast_2d(Z))
-    return ((Z - out.reshape(Z.shape)) ** 2).sum(axis=-1)
+    # the reconstruction's buffer takes the difference and then its square
+    diff = neural.output(ae, np.atleast_2d(Z)).reshape(Z.shape)
+    np.subtract(Z, diff, out=diff)
+    return np.square(diff, out=diff).sum(axis=-1)
 
 
 def calibrate_threshold(

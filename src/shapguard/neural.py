@@ -118,12 +118,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_batch(X: np.ndarray, stack: bool = False) -> np.ndarray:
-    """X as a float64 matrix of rows; stack also admits (n, 1, m)."""
+def _as_batch(model: MlpModel, X: np.ndarray, stack: bool = False) -> np.ndarray:
+    """X as a float64 matrix of rows of the model's input width; stack also
+    admits (n, 1, m)."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 2 or (stack and X.ndim == 3 and X.shape[1] == 1):
-        return X
-    raise ValueError(f"expected a matrix of rows, got shape {X.shape}")
+    if not (X.ndim == 2 or (stack and X.ndim == 3 and X.shape[1] == 1)):
+        raise ValueError(f"expected a matrix of rows, got shape {X.shape}")
+    if X.shape[-1] != model.input_size:
+        raise ValueError(f"input has {X.shape[-1]} features, model expects {model.input_size}")
+    return X
 
 
 def init(spec: MlpSpec) -> MlpModel:
@@ -145,11 +148,7 @@ def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     is bitwise that of a one-row call; the trace keeps the stack's
     (n, 1, units) shape.
     """
-    batch = _as_batch(X, stack=True)
-    if batch.shape[-1] != model.input_size:
-        raise ValueError(
-            f"input has {batch.shape[-1]} features, model expects {model.input_size}"
-        )
+    batch = _as_batch(model, X, stack=True)
     h = batch
     pre_list: list[np.ndarray] = []
     post_list: list[np.ndarray] = []
@@ -165,6 +164,27 @@ def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
         pre_list.append(z)
         post_list.append(h)
     return h, ForwardTrace(inputs=batch, pre=pre_list, post=post_list)
+
+
+def output(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """The output of :func:`forward` on a matrix of rows, bitwise, without
+    its trace: the same whole-matrix products, keeping only the current
+    layer, so the peak is the input plus two layers' activations.
+
+    The rows are never split into chunks: a 2-d product may round a row
+    differently with the rows it is computed with, so chunking would change
+    outputs in the last bits.
+    """
+    h = _as_batch(model, X)
+    last = len(model.weights) - 1
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        h = h @ W.T
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+        elif model.spec.output_activation == "sigmoid":
+            h = _sigmoid(h)
+    return h
 
 
 def loss_value(outputs: np.ndarray, targets: np.ndarray, loss: str) -> float:
@@ -237,7 +257,7 @@ def grad_params(
         raise ValueError(f"unsupported loss {loss!r}")
     if model.spec.output_activation != LOSSES[loss]:
         raise ValueError(f"{loss} loss requires a {LOSSES[loss]} output")
-    batch = _as_batch(X)
+    batch = _as_batch(model, X)
     t = _normalize_targets(model, batch.shape[0], targets)
     out, trace = forward(model, batch)
     # dL/d(final pre-activation): sigmoid+bce and linear+mse both reduce to
@@ -303,7 +323,7 @@ def train(
     cfg.seed (the order is the only randomness). Raises a ValueError naming
     the epoch if any batch loss is non-finite.
     """
-    batch_X = _as_batch(X)
+    batch_X = _as_batch(model, X)
     n = batch_X.shape[0]
     if n < 1:
         raise ValueError("training set is empty")
@@ -336,8 +356,7 @@ def predict(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("predict requires a sigmoid-output model")
     if model.output_size != 1:
         raise ValueError("predict requires a single-output model")
-    out, _ = forward(model, _as_batch(X))
-    probs = out[:, 0]
+    probs = output(model, X)[:, 0]
     return probs, (probs > 0.5).astype(np.int64)
 
 
@@ -358,12 +377,19 @@ def from_dict(payload: dict) -> MlpModel:
     spec = payload["spec"]
     if spec["hidden_activation"] != "relu":
         raise ValueError(f"unsupported hidden activation {spec['hidden_activation']!r}")
+    mlp_spec = MlpSpec(
+        layer_sizes=tuple(spec["layer_sizes"]),
+        output_activation=spec["output_activation"],
+        seed=spec["seed"],
+    )
+    layers = len(mlp_spec.layer_sizes) - 1
+    for field, what in (("weights", "matrices"), ("biases", "vectors")):
+        value = payload[field]
+        if type(value) is not list or len(value) != layers:
+            got = f"a list of {len(value)}" if type(value) is list else type(value).__name__
+            raise ValueError(f"field {field!r} must be a list of {layers} {what}, got {got}")
     return MlpModel(
-        spec=MlpSpec(
-            layer_sizes=tuple(spec["layer_sizes"]),
-            output_activation=spec["output_activation"],
-            seed=spec["seed"],
-        ),
+        spec=mlp_spec,
         weights=[np.array(W, dtype=np.float64) for W in payload["weights"]],
         biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
     )

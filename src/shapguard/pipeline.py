@@ -390,18 +390,19 @@ def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
         syn = dict(cfg["synthetic"])
         ds = data.synth_generate(m=syn.pop("n_features"), **syn)
     splits = data.split(ds, data.SplitSpec(**cfg["split"]))
+    paths, summary = [], {"rows": ds.n, "features": ds.m}
+    del ds  # split copied its rows; the splits are scaled without the whole matrix
     names = ("train", "val", "test")
     for name, part in zip(names, splits):
         # fingerprint-clean explains each split's malicious rows
         if not part.y.any():
             raise ValueError(f"split {name!r} has no malicious rows ({part.n} benign, 0 malicious)")
     scaler = data.fit_scaler(splits[0])
-    paths, summary = [], {"rows": ds.n, "features": ds.m}
     for name, part in zip(names, splits):
         scaled = data.apply_scaler(part, scaler)
         paths.append(data.save_dataset(scaled, ws.path(f"data/{name}.csv")))
         summary[name] = part.n
-    paths.append(data.save_scaler(scaler, ds.schema, ws.path("data/scaler.json")))
+    paths.append(data.save_scaler(scaler, splits[0].schema, ws.path("data/scaler.json")))
     return paths, summary, {"data": cfg}
 
 

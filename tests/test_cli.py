@@ -1109,7 +1109,9 @@ def _nan_weight(payload):
         ("models/nids.json", _set_tanh, ["attack", "--attack", "fgsm"],
          "models/nids.json: unsupported hidden activation 'tanh'"),
         ("models/nids.json", _set("weights", 3), ["attack", "--attack", "fgsm"],
-         "models/nids.json: malformed field: 'int' object is not iterable"),
+         "models/nids.json: field 'weights' must be a list of 3 matrices, got int"),
+        ("models/nids.json", _set("biases", "x"), ["attack", "--attack", "fgsm"],
+         "models/nids.json: field 'biases' must be a list of 3 vectors, got str"),
         ("models/nids.json", _edit(_nan_weight), ["attack", "--attack", "fgsm"],
          "models/nids.json: layer 0 has non-finite parameters"),
         ("data/scaler.json", _edit(lambda s: s.update(max=[lo - 1 for lo in s["min"]])),
@@ -1120,6 +1122,9 @@ def _nan_weight(payload):
          ["evaluate"], "data/scaler.json: scaler/schema dimension mismatch"),
         ("detector/detector.json", _set_tanh, ["detect", "--input", "data/test.csv"],
          "detector/detector.json: unsupported hidden activation 'tanh'"),
+        ("detector/detector.json", _edit(lambda d: d["autoencoder"].update(weights=3)),
+         ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: field 'weights' must be a list of 6 matrices, got int"),
         ("detector/detector.json", _drop("tau"), ["detect", "--input", "data/test.csv"],
          "detector/detector.json: missing field 'tau'"),
         *(
@@ -1134,9 +1139,9 @@ def _nan_weight(payload):
             for argv in (["detect", "--input", "data/test.csv"], ["evaluate"])
         ),
     ],
-    ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "nids-nan-weight",
-         "scaler-max-below-min", "scaler-min-short", "scaler-both-short",
-         "detector-tanh", "detector-without-tau",
+    ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "nids-biases-str",
+         "nids-nan-weight", "scaler-max-below-min", "scaler-min-short", "scaler-both-short",
+         "detector-tanh", "detector-weights-int", "detector-without-tau",
          "detect-without-calibration", "evaluate-without-calibration", "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(

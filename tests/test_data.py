@@ -521,6 +521,20 @@ def test_dataset_is_immutable():
         ds.X[0, 0] = 5.0
 
 
+def test_dataset_keeps_a_c_ordered_float64_matrix_and_copies_any_other_layout():
+    schema, y = FeatureSchema(("a", "b", "c")), np.array([0, 1, 1, 0])
+    X = np.arange(12.0).reshape(4, 3)
+    ds = FlowDataset(schema, X, y)
+    assert ds.X is X and not X.flags.writeable
+    table = np.arange(16.0).reshape(4, 4)
+    for other in (table[:, :-1], np.asfortranarray(X), X.astype(np.float32)):
+        ds = FlowDataset(schema, other, y)
+        assert ds.X.flags.c_contiguous and not ds.X.flags.writeable
+        assert not np.shares_memory(ds.X, other)
+        assert np.array_equal(ds.X, other)
+    assert table.flags.writeable
+
+
 @pytest.mark.parametrize("y", [[0.7, 1.0], [1.9, 0.0], [-0.5, 1.0], [2, 0]])
 def test_dataset_rejects_a_label_that_is_not_0_or_1_before_casting_it(y):
     with pytest.raises(ValueError, match="labels must be 0"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shapguard import neural
+from shapguard import detector, neural
 from shapguard.neural import Adam, MlpModel, MlpSpec, TrainConfig
 
 
@@ -166,14 +166,39 @@ def test_forward_stack_rejects_wrong_shapes():
         neural.forward(model, np.zeros((3, 2, 6)))
 
 
+@pytest.mark.parametrize("rows", [1, 2, 4000])
+@pytest.mark.parametrize(
+    "sizes, output",
+    [((39, 64, 32, 1), "sigmoid"), ((39, 32, 16, 8, 16, 32, 39), "linear")],
+    ids=["nids", "autoencoder"],
+)
+def test_output_and_its_callers_are_forwards_output_bitwise(sizes, output, rows):
+    """output runs forward's whole-matrix products: splitting the rows into
+    chunks (or single rows) changes some outputs in the last bits."""
+    model = neural.init(MlpSpec(sizes, output_activation=output, seed=5))
+    rng = np.random.default_rng(rows)
+    model.biases = [rng.normal(0.0, 0.1, b.shape) for b in model.biases]
+    X = rng.uniform(0, 1, (rows, sizes[0]))
+    expected = neural.forward(model, X)[0]
+    assert np.array_equal(neural.output(model, X), expected)
+    if output == "sigmoid":
+        probs, labels = neural.predict(model, X)
+        assert np.array_equal(probs, expected[:, 0])
+        assert np.array_equal(labels, expected[:, 0] > 0.5)
+    else:
+        errors = detector.reconstruction_errors(model, X)
+        assert np.array_equal(errors, ((X - expected) ** 2).sum(axis=-1))
+
+
 @pytest.mark.parametrize(
     "call",
     [
+        lambda model, X, y: neural.output(model, X),
         lambda model, X, y: neural.predict(model, X),
         lambda model, X, y: neural.train(model, X, y, TrainConfig(epochs=1)),
         lambda model, X, y: neural.grad_params(model, X, y, "bce"),
     ],
-    ids=["predict", "train", "grad_params"],
+    ids=["output", "predict", "train", "grad_params"],
 )
 def test_only_forward_takes_a_stack(call):
     model = neural.init(MlpSpec((6, 4, 1), seed=0))

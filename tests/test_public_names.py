@@ -28,6 +28,36 @@ def test_every_public_function_and_class_is_used_by_the_program():
     assert [where for name, where in defined if name not in referenced] == []
 
 
+def test_no_module_reads_another_modules_private_name():
+    """A name with a leading underscore belongs to its module: no module of
+    the package imports one from another module of the package or reads one
+    as an attribute of a package module it imported. What one module offers
+    another is a public, documented name."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    modules = {path.stem for path in SRC.glob("*.py")}
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "shapguard"):
+                for alias in node.names:
+                    if node.module in (None, "shapguard") and alias.name in modules:
+                        imported.add(alias.asname or alias.name)
+                    elif private(alias.name):
+                        reads.append(f"{path.stem}:{node.lineno}: {alias.name}")
+        reads += [
+            f"{path.stem}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in imported and private(node.attr)
+        ]
+    assert reads == []
+
+
 def test_every_exception_class_is_caught_by_the_program():
     """An exception class earns its place only where the package catches it
     by name: each one the package defines is named in an except clause of
