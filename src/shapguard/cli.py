@@ -38,41 +38,17 @@ def _build_parser() -> _Parser:
         "and detect adversarial traffic via autoencoder reconstruction error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "ingest": "ingest or synthesize the dataset and persist the splits",
-        "train-nids": "train the reference classifier",
-        "attack": "craft adversarial examples from the test split",
-        "fingerprint": "compute attribution fingerprints",
-        "train-detector": "train the autoencoder and calibrate the threshold",
-        "evaluate": "emit the full report bundle",
-        "detect": "score a dataset CSV through the detection pipeline",
-        "run-all": "run every stage in order",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _, option) in pipeline.commands().items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config file (defaults apply otherwise)")
         cmd.add_argument("--out", help="output directory (overrides config out_dir)")
         cmd.add_argument("--seed", type=int, help="master seed override")
-        if name == "attack":
-            cmd.add_argument(
-                "--attack",
-                choices=[*pipeline.ATTACK_KINDS, "all"],
-                default="all",
-                help="which attack to craft",
-            )
-        if name == "fingerprint":
-            cmd.add_argument(
-                "--source",
-                choices=[*pipeline.FINGERPRINT_SOURCES, "all"],
-                default="all",
-                help="which fingerprints to compute",
-            )
-        if name == "detect":
-            cmd.add_argument(
-                "--input",
-                required=True,
-                help="dataset CSV in scaled feature space to score",
-            )
+        if option is not None:  # held as args.value, shown by its flag's name
+            flag, option_help = option
+            values = pipeline.option_values(name)
+            cmd.add_argument(flag, dest="value", help=option_help, **(
+                {"choices": [*values, "all"], "default": "all"} if values
+                else {"required": True, "metavar": flag.removeprefix("--").upper()}))
     return parser
 
 
@@ -106,26 +82,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "ingest":
-            pipeline.cmd_ingest(ws)
-        elif args.command == "train-nids":
-            pipeline.cmd_train_nids(ws)
-        elif args.command == "attack":
-            kinds = pipeline.ATTACK_KINDS if args.attack == "all" else (args.attack,)
-            for kind in kinds:
-                pipeline.cmd_attack(ws, kind)
-        elif args.command == "fingerprint":
-            sources = pipeline.FINGERPRINT_SOURCES if args.source == "all" else (args.source,)
-            for source in sources:
-                pipeline.cmd_fingerprint(ws, source)
-        elif args.command == "train-detector":
-            pipeline.cmd_train_detector(ws)
-        elif args.command == "evaluate":
-            pipeline.cmd_evaluate(ws)
-        elif args.command == "detect":
-            pipeline.cmd_detect(ws, args.input)
-        else:
-            pipeline.cmd_run_all(ws)
+        pipeline.run_command(ws, args.command, getattr(args, "value", None))
     except pipeline.InvariantError as exc:
         print(f"shapguard: invariant check failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -76,7 +76,8 @@ BOX_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered, unique feature names; list position is the column index."""
+    """Ordered, unique feature names; list position is the column index.
+    No feature is named like the label column the splits are saved with."""
 
     names: tuple[str, ...]
 
@@ -87,6 +88,8 @@ class FeatureSchema:
             raise ValueError("schema needs at least one feature")
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
+        if LABEL_COLUMN in names:
+            raise ValueError(f"no feature may be named {LABEL_COLUMN!r}, the label column's name")
 
     @property
     def m(self) -> int:
@@ -417,16 +420,20 @@ def read_table(
     per non-blank line and one column per header cell, and the cells of the
     columns named in ``text`` as lists of str (their matrix columns hold NaN).
 
-    Raises a ValueError naming the file when it is empty, a text column is
-    missing, a row's width differs from the header's, a cell is not a
-    number or, unless ``finite`` is False, a number is NaN or infinite; a
-    bad row is named by its file line.
+    Raises a ValueError naming the file when it is empty, the header names
+    a column twice, a text column is missing, a row's width differs from
+    the header's, a cell is not a number or, unless ``finite`` is False, a
+    number is NaN or infinite; a bad row is named by its file line.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         header = [name.strip() for name in next(csv.reader([fh.readline()]), [])]
         if not header:
             raise ValueError(f"{path}: file is empty")
+        for j, name in enumerate(header):
+            if header.index(name) < j:
+                raise ValueError(f"{path}: the header names column {name!r} twice, "
+                                 f"at columns {header.index(name) + 1} and {j + 1}")
         missing = [name for name in text if name not in header]
         if missing:
             raise ValueError(f"{path}: missing column(s): {', '.join(missing)}")

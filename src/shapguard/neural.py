@@ -374,13 +374,20 @@ def to_dict(model: MlpModel) -> dict:
 
 
 def from_dict(payload: dict) -> MlpModel:
+    """The model :func:`to_dict` wrote. A spec field of the wrong JSON type
+    or range is a ValueError naming it, never cast to the type it needs."""
     spec = payload["spec"]
+    if type(spec) is not dict:
+        raise ValueError(f"field 'spec' must be an object, got {type(spec).__name__}")
     if spec["hidden_activation"] != "relu":
         raise ValueError(f"unsupported hidden activation {spec['hidden_activation']!r}")
+    sizes, seed = spec["layer_sizes"], spec["seed"]
+    if type(sizes) is not list or not all(type(s) is int and s >= 1 for s in sizes):
+        raise ValueError(f"field 'layer_sizes' must be a list of integers >= 1, got {sizes!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"field 'seed' must be an integer >= 0, got {seed!r}")
     mlp_spec = MlpSpec(
-        layer_sizes=tuple(spec["layer_sizes"]),
-        output_activation=spec["output_activation"],
-        seed=spec["seed"],
+        layer_sizes=tuple(sizes), output_activation=spec["output_activation"], seed=seed
     )
     layers = len(mlp_spec.layer_sizes) - 1
     for field, what in (("weights", "matrices"), ("biases", "vectors")):

@@ -31,16 +31,29 @@ from . import __version__, attacks, attribution, data, detector, evaluation, neu
 logger = logging.getLogger(__name__)
 
 ATTACK_KINDS = attacks.ATTACK_KINDS
-FINGERPRINT_SOURCES = ("clean", *ATTACK_KINDS)
 MANIFEST_NAME = "manifest.json"
 # Not under fingerprints/: every CSV there is a fingerprint table.
 BACKGROUND = "models/background.csv"
-# The order in which a serial run-all records its stages; the manifest keeps
-# it whichever of run-all's two processes finishes a stage first.
-_RUN_ALL_ORDER = (
-    "ingest", "train-nids", *(f"attack-{kind}" for kind in ATTACK_KINDS),
-    *(f"fingerprint-{source}" for source in FINGERPRINT_SOURCES), "train-detector", "evaluate",
+# The one list of run-all's stages, in manifest order: each one's CLI command,
+# its option value or None, and its part of run-all: "before" the fork, the
+# forked "attack" branch, the "detector" branch beside it, or "after" both.
+STAGES = (
+    ("ingest", None, "before"),
+    ("train-nids", None, "before"),
+    *(("attack", kind, "attack") for kind in ATTACK_KINDS),
+    ("fingerprint", "clean", "detector"),
+    *(("fingerprint", kind, "attack") for kind in ATTACK_KINDS),
+    ("train-detector", None, "detector"),
+    ("evaluate", None, "after"),
 )
+
+
+def option_values(command: str) -> tuple[str, ...]:
+    """The option values of ``command``'s run-all stages, in table order."""
+    return tuple(value for name, value, _ in STAGES if name == command)
+
+
+FINGERPRINT_SOURCES = option_values("fingerprint")
 
 
 class ConfigError(ValueError):
@@ -330,7 +343,7 @@ def _placed(stages: dict, name: str, entry: dict) -> dict:
     """``stages`` with ``entry`` recorded as stage ``name``, in the order a
     serial run-all records its stages; the stages outside run-all follow,
     in the order they were first recorded."""
-    rank = {stage: i for i, stage in enumerate(_RUN_ALL_ORDER)}
+    rank = {"-".join(filter(None, stage[:2])): i for i, stage in enumerate(STAGES)}
     stages = {**stages, name: entry}
     return dict(sorted(stages.items(), key=lambda item: rank.get(item[0], len(rank))))
 
@@ -688,20 +701,49 @@ def _beside(branch: Callable[[], None], own: Callable[[], None]) -> None:
 
 
 def cmd_run_all(ws: Workspace) -> None:
-    """Execute every stage. After train-nids, a forked child runs the
-    attacks and their fingerprints while this process runs fingerprint-clean
-    and train-detector; evaluate runs once both are done."""
+    """Execute every stage of STAGES, each part in table order: after
+    train-nids, a forked child runs the attack part while this process runs
+    the detector part; evaluate runs once both are done."""
+    def run_part(part: str) -> None:
+        for command, value, where in STAGES:
+            if where == part:
+                run_command(ws, command, value)
+
     def attack_branch() -> None:
-        for kind in ATTACK_KINDS:
-            cmd_attack(ws, kind)
-        for kind in ATTACK_KINDS:
-            cmd_fingerprint(ws, kind)
+        run_part("attack")
 
     def detector_branch() -> None:
-        cmd_fingerprint(ws, "clean")
-        cmd_train_detector(ws)
+        run_part("detector")
 
-    cmd_ingest(ws)
-    cmd_train_nids(ws)
+    run_part("before")
     _beside(attack_branch, detector_branch)
-    cmd_evaluate(ws)
+    run_part("after")
+
+
+def commands() -> dict[str, tuple[str, Callable[..., None], tuple[str, str] | None]]:
+    """Each CLI command's help text, body, and option flag and help or None.
+    Built on each call, so a body replaced on this module is the one run."""
+    return {
+        "ingest": ("ingest or synthesize the dataset and persist the splits", cmd_ingest, None),
+        "train-nids": ("train the reference classifier", cmd_train_nids, None),
+        "attack": ("craft adversarial examples from the test split", cmd_attack,
+                   ("--attack", "which attack to craft")),
+        "fingerprint": ("compute attribution fingerprints", cmd_fingerprint,
+                        ("--source", "which fingerprints to compute")),
+        "train-detector": ("train the autoencoder and calibrate the threshold",
+                           cmd_train_detector, None),
+        "evaluate": ("emit the full report bundle", cmd_evaluate, None),
+        "detect": ("score a dataset CSV through the detection pipeline", cmd_detect,
+                   ("--input", "dataset CSV in scaled feature space to score")),
+        "run-all": ("run every stage in order", cmd_run_all, None),
+    }
+
+
+def run_command(ws: Workspace, command: str, value: str | None = None) -> None:
+    """Run CLI ``command`` on ``ws`` with its option ``value`` or None;
+    "all" runs each of the command's run-all stages in table order."""
+    body = commands()[command][1]
+    if value is None:
+        return body(ws)
+    for each in (option_values(command) if value == "all" else ()) or (value,):
+        body(ws, each)

@@ -115,6 +115,9 @@ def test_resolve_config_is_a_fixed_point(user):
         ({"data": 3}, "config key 'data' must be a mapping"),
         ({"data": {"source": "parquet"}}, "unknown data source 'parquet'"),
         ({"data": {"csv": {"schema": "cic"}}}, "data.csv: unsupported schema spec 'cic'"),
+        # the splits are saved with a label column after the features
+        ({"data": {"csv": {"schema": ["a", "label"]}}},
+         "data.csv: no feature may be named 'label', the label column's name"),
         # the range the setting object checks
         ({"classifier": {"train": {"epochs": 0}}}, "classifier.train: epochs must be >= 1"),
         ({"attacks": {"pgd": {"alpha": 0.5}}}, "attacks.pgd: pgd needs 0 < alpha <= epsilon"),
@@ -131,7 +134,7 @@ def test_resolve_config_is_a_fixed_point(user):
     ],
     ids=["epochs-string", "epochs-fraction", "random-start-string", "hidden-sizes-int",
          "epsilon-null", "epsilon-nan", "epsilon-beyond-float", "seed-string", "data-not-mapping",
-         "data-source-unknown", "csv-schema-unknown", "epochs-zero",
+         "data-source-unknown", "csv-schema-unknown", "csv-schema-names-label", "epochs-zero",
          "pgd-alpha-above-epsilon", "background-empty", "seed-negative",
          "background-seed-negative", "latent-not-below-m",
          "split-sums-to-0.9", "attacks-filter-all", "attacks-filter-malicious-only"],
@@ -274,6 +277,28 @@ def _readme_artifact_tree() -> set[str]:
             folder = first if first.endswith("/") else ""
         files.update(folder + name for name in re.findall(r"[\w<>]+\.(?:csv|json)\b", line))
     return {name.replace("<attack>", kind) for name in files for kind in pipeline.ATTACK_KINDS}
+
+
+def test_help_lists_exactly_the_commands_of_the_table(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert listed == list(pipeline.commands())
+    assert {command for command, _, _ in pipeline.STAGES} <= set(listed)
+
+
+def test_readme_cli_block_names_each_command_with_its_option():
+    """The README's block of CLI commands has one line per command, with
+    the command's option flag where it has one."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"Each command runs on its own.*?\n```bash\n(.*?)```", text, re.DOTALL)
+    named = {}
+    for line in block.group(1).splitlines():
+        _, command, *words = line.split()
+        named[command] = [word for word in words if word.startswith("--") and word != "--config"]
+    assert named == {command: [option[0]] if option else []
+                     for command, (_, _, option) in pipeline.commands().items()}
 
 
 def test_run_all_produces_expected_bundle(tiny_run):
@@ -548,9 +573,11 @@ def _ingest_raw_csv(tmp_path, text, command="ingest"):
         ("a,b,c,label\n1,2,3,x\n4,5,6,x,extra\n", "row 3 has 5 cells but the header has 4"),
         ("a,b,c,label\n1,2,3,x\n,,,\n", "row 3, column 'a': cannot parse ''"),
         ("a,b,c,label\n1,2,3,x\n1_000,5,6,x\n", "row 3, column 'a': cannot parse '1_000'"),
+        # the reader took the last of the two columns
+        ("a,b,c,a,label\n1,2,3,4,x\n", "the header names column 'a' twice, at columns 1 and 4"),
     ],
     ids=["unparsable-cell", "missing-column", "text-extra-column", "ragged-row",
-         "empty-cells-row", "digit-grouping"],
+         "empty-cells-row", "digit-grouping", "repeated-column"],
 )
 def test_ingest_rejects_a_malformed_raw_csv_naming_the_file(tmp_path, capsys, text, message):
     code, path = _ingest_raw_csv(tmp_path, text)
@@ -1101,6 +1128,20 @@ def _nan_weight(payload):
     payload["weights"][0][0][0] = float("nan")
 
 
+def _set_spec(**fields):
+    """Damage: set ``fields`` in the stored network's spec (nids.json, or
+    detector.json's autoencoder)."""
+    return _edit(lambda payload: payload.get("autoencoder", payload)["spec"].update(fields))
+
+
+def _narrow_output(payload):
+    """detector.json's autoencoder, its output layer one unit narrower."""
+    ae = payload["autoencoder"]
+    ae["spec"]["layer_sizes"][-1] -= 1
+    ae["weights"][-1].pop()
+    ae["biases"][-1].pop()
+
+
 @pytest.mark.parametrize(
     "artifact, damage, argv, message",
     [
@@ -1114,6 +1155,16 @@ def _nan_weight(payload):
          "models/nids.json: field 'biases' must be a list of 3 vectors, got str"),
         ("models/nids.json", _edit(_nan_weight), ["attack", "--attack", "fgsm"],
          "models/nids.json: layer 0 has non-finite parameters"),
+        ("models/nids.json", _set("spec", 3), ["attack", "--attack", "fgsm"],
+         "models/nids.json: field 'spec' must be an object, got int"),
+        *(
+            ("models/nids.json", _set_spec(layer_sizes=sizes), ["attack", "--attack", "fgsm"],
+             f"models/nids.json: field 'layer_sizes' must be a list of integers >= 1, "
+             f"got {sizes!r}")
+            for sizes in ([8, 64, 32, 1.5], [8, 64, 32, "1"])
+        ),
+        ("models/nids.json", _set_spec(seed="x"), ["attack", "--attack", "fgsm"],
+         "models/nids.json: field 'seed' must be an integer >= 0, got 'x'"),
         ("data/scaler.json", _edit(lambda s: s.update(max=[lo - 1 for lo in s["min"]])),
          ["evaluate"], "data/scaler.json: scaler max must be >= min per feature"),
         ("data/scaler.json", _edit(lambda s: s.update(min=s["min"][:-1])), ["evaluate"],
@@ -1127,6 +1178,16 @@ def _nan_weight(payload):
          "detector/detector.json: field 'weights' must be a list of 6 matrices, got int"),
         ("detector/detector.json", _drop("tau"), ["detect", "--input", "data/test.csv"],
          "detector/detector.json: missing field 'tau'"),
+        ("detector/detector.json", _set_spec(output_activation="sigmoid"),
+         ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: the autoencoder's output activation must be 'linear', "
+         "got 'sigmoid'"),
+        ("detector/detector.json", _edit(_narrow_output), ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: the autoencoder's output size 7 must equal its input size 8"),
+        ("detector/detector.json", _set("tau", -1.0), ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: tau must be >= 0, got -1.0"),
+        ("detector/detector.json", _set("calibration", 3), ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: field 'calibration' must be an object, got int"),
         *(
             ("detector/detector.json", _drop("calibration"), argv,
              "detector/detector.json: missing field 'calibration'")
@@ -1140,8 +1201,11 @@ def _nan_weight(payload):
         ),
     ],
     ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "nids-biases-str",
-         "nids-nan-weight", "scaler-max-below-min", "scaler-min-short", "scaler-both-short",
+         "nids-nan-weight", "nids-spec-int", "nids-layer-size-fraction",
+         "nids-layer-size-string", "nids-seed-string", "scaler-max-below-min", "scaler-min-short", "scaler-both-short",
          "detector-tanh", "detector-weights-int", "detector-without-tau",
+         "detector-sigmoid-output", "detector-output-narrower", "detector-tau-negative",
+         "detector-calibration-int",
          "detect-without-calibration", "evaluate-without-calibration", "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
@@ -1208,14 +1272,54 @@ def _fail_attack(kind, exc):
 
 
 def test_run_all_records_its_stages_in_the_serial_order(tmp_path):
-    out = tmp_path / "run"
-    assert cli.main(["run-all", "--config", _write_config(tmp_path, _tiny_config(out))]) == 0
-    stages = json.loads((out / "manifest.json").read_text())["stages"]
-    assert list(stages) == [
+    serial = [
         "ingest", "train-nids", "attack-fgsm", "attack-pgd", "attack-deepfool",
         "fingerprint-clean", "fingerprint-fgsm", "fingerprint-pgd", "fingerprint-deepfool",
         "train-detector", "evaluate",
     ]
+    assert ["-".join(filter(None, (command, value)))
+            for command, value, _ in pipeline.STAGES] == serial
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", _write_config(tmp_path, _tiny_config(out))]) == 0
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert list(stages) == serial
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("command, flag", [("attack", "--attack"), ("fingerprint", "--source")])
+def test_all_runs_the_tables_stages_of_a_command_in_table_order(
+    tmp_path, monkeypatch, command, flag
+):
+    calls = []
+    monkeypatch.setattr(pipeline, f"cmd_{command}", lambda ws, value: calls.append(value))
+    assert cli.main([command, flag, "all", "--out", str(tmp_path)]) == 0
+    assert calls == [value for name, value, _ in pipeline.STAGES if name == command]
+
+
+def test_run_all_calls_the_stage_bodies_set_on_the_pipeline_module(tmp_path, monkeypatch):
+    """run-all looks each stage body up on the pipeline module when it runs
+    it, so a wrapper set there (as the benchmark's tracer sets one) is the
+    one called: in this process (train-detector) and in the forked child
+    (the attacks), which reports through a marker file."""
+    real_attack, real_train_detector = pipeline.cmd_attack, pipeline.cmd_train_detector
+    marker, trained = tmp_path / "attacks.txt", []
+
+    def cmd_attack(ws, kind):
+        with open(marker, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {kind}\n")
+        real_attack(ws, kind)
+
+    def cmd_train_detector(ws):
+        trained.append(os.getpid())
+        real_train_detector(ws)
+    monkeypatch.setattr(pipeline, "cmd_attack", cmd_attack)
+    monkeypatch.setattr(pipeline, "cmd_train_detector", cmd_train_detector)
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", _write_config(tmp_path, _tiny_config(out))]) == 0
+    assert trained == [os.getpid()]
+    pids, kinds = zip(*(line.split() for line in marker.read_text().splitlines()))
+    assert list(kinds) == list(pipeline.ATTACK_KINDS)
+    assert len(set(pids)) == 1 and pids[0] != str(os.getpid())
     _assert_no_child_left()
 
 
