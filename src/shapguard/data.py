@@ -86,6 +86,9 @@ class FeatureSchema:
         object.__setattr__(self, "names", names)
         if len(names) < 1:
             raise ValueError("schema needs at least one feature")
+        for name in names:
+            if type(name) is not str:
+                raise ValueError(f"feature names must be strings, got {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
         if LABEL_COLUMN in names:
@@ -153,8 +156,7 @@ class ScalerParams:
     max: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.array(self.min, dtype=np.float64)
-        hi = np.array(self.max, dtype=np.float64)
+        lo, hi = float_array(self.min, "min"), float_array(self.max, "max")
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("scaler min/max must be 1-d arrays of equal length")
         if np.any(hi < lo):
@@ -373,7 +375,7 @@ def load_scaler(path: str | Path) -> tuple[ScalerParams, FeatureSchema]:
     payload = read_json(path)
     try:
         schema = FeatureSchema(tuple(payload["schema"]))
-        params = ScalerParams(min=np.array(payload["min"]), max=np.array(payload["max"]))
+        params = ScalerParams(min=payload["min"], max=payload["max"])
         if params.m != schema.m:
             raise ValueError("scaler/schema dimension mismatch")
     except ValueError as exc:
@@ -509,6 +511,17 @@ def int_column(
         raise ValueError(f"{path}: row {file_line(path, row)}, column {header[j]!r}: "
                          f"{float(column[row])!r} is not {what}")
     return column.astype(np.int64)
+
+
+def float_array(value, field: str) -> np.ndarray:
+    """A fresh float64 array of value, a ValueError naming field unless
+    numpy reads every cell as an integer or a float. A boolean among
+    numbers is promoted to a number before this check can see it."""
+    array = np.array(value)
+    if array.dtype.kind not in "iuf":
+        got = {"b": "booleans", "U": "strings"}.get(array.dtype.kind, "non-numbers")
+        raise ValueError(f"field {field!r} must hold only numbers, got {got}")
+    return array.astype(np.float64, copy=False)
 
 
 def check_box(path: str | Path, header: Sequence[str], X: np.ndarray) -> None:

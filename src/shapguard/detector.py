@@ -28,6 +28,10 @@ class CalibrationMethod:
     parameter: float = 99.0
 
     def __post_init__(self) -> None:
+        if type(self.method) is not str:
+            raise ValueError(f"field 'method' must be a string, got {self.method!r}")
+        if isinstance(self.parameter, bool) or not isinstance(self.parameter, (int, float)):
+            raise ValueError(f"field 'parameter' must be a number, got {self.parameter!r}")
         if self.method not in CALIBRATION_METHODS:
             raise ValueError(f"unknown calibration method {self.method!r}")
         if self.method == "percentile" and not 0 < self.parameter < 100:

@@ -273,14 +273,15 @@ def grad_params(
     return loss_value(out, t, loss), dWs, dbs
 
 
-def grad_logit_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Gradient of the scalar logit g(x) with respect to the input, for each
-    row of a matrix or of an (n, 1, m) stack; the result has X's shape. On a
-    stack each row's gradient is bitwise that of a one-row call."""
+def grad_logit_input(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The logit g(x) of each row of a matrix or an (n, 1, m) stack, shape
+    (n,), and its input gradient, of X's shape, both from one forward pass.
+    On a stack each row's g and gradient are bitwise those of a one-row call."""
     if model.output_size != 1:
         raise ValueError("logit gradient requires a single-output model")
     _, trace = forward(model, X)
-    return _backward(model, trace, np.ones(trace.pre[-1].shape))[0] @ model.weights[0]
+    g = trace.pre[-1]
+    return g.reshape(-1), _backward(model, trace, np.ones(g.shape))[0] @ model.weights[0]
 
 
 class Adam:
@@ -375,7 +376,8 @@ def to_dict(model: MlpModel) -> dict:
 
 def from_dict(payload: dict) -> MlpModel:
     """The model :func:`to_dict` wrote. A spec field of the wrong JSON type
-    or range is a ValueError naming it, never cast to the type it needs."""
+    or range, or a weight or bias cell that is not a number, is a ValueError
+    naming it, never cast to the type it needs."""
     spec = payload["spec"]
     if type(spec) is not dict:
         raise ValueError(f"field 'spec' must be an object, got {type(spec).__name__}")
@@ -397,8 +399,8 @@ def from_dict(payload: dict) -> MlpModel:
             raise ValueError(f"field {field!r} must be a list of {layers} {what}, got {got}")
     return MlpModel(
         spec=mlp_spec,
-        weights=[np.array(W, dtype=np.float64) for W in payload["weights"]],
-        biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
+        weights=[data.float_array(W, f"weights[{i}]") for i, W in enumerate(payload["weights"])],
+        biases=[data.float_array(b, f"biases[{i}]") for i, b in enumerate(payload["biases"])],
     )
 
 

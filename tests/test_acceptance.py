@@ -246,7 +246,7 @@ def test_criterion_05_gradients_match_finite_differences():
         for a, b in zip([*dWs, *dbs], _fd_params(model, X, t, loss)):
             denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-8)
             worst = max(worst, np.max(np.abs(a - b)) / denom)
-        gi = neural.grad_logit_input(model, X[:1])[0]
+        gi = neural.grad_logit_input(model, X[:1])[1][0]
         fd = _fd_input(model, X[0])
         denom = max(np.max(np.abs(gi)), np.max(np.abs(fd)), 1e-8)
         worst = max(worst, np.max(np.abs(gi - fd)) / denom)

@@ -76,7 +76,7 @@ def test_pgd_single_step_equals_fgsm_bitwise():
     X, y = ds.X[:50], ds.y[:50]
     cfg = _one_step(0.1)
     ascent = (1 - 2 * y)[:, None]
-    fgsm = np.clip(X + 0.1 * (ascent * np.sign(neural.grad_logit_input(model, X))), 0.0, 1.0)
+    fgsm = np.clip(X + 0.1 * (ascent * np.sign(neural.grad_logit_input(model, X)[1])), 0.0, 1.0)
     assert np.array_equal(attacks.pgd(model, X, y, cfg), fgsm)
 
 
@@ -221,7 +221,7 @@ def _deepfool_per_row(model, x, cfg, y_true=None):
         g = g0 if iters == 0 else float(_logit(model, xt[None, :])[0])
         if crossed(g):
             break
-        grad = neural.grad_logit_input(model, xt[None, :])[0]
+        grad = neural.grad_logit_input(model, xt[None, :])[1][0]
         sq_norm = float(grad @ grad)
         if sq_norm < attacks._DEGENERATE_GRAD**2:
             raise _Degenerate(f"vanishing logit gradient (||grad||^2 = {sq_norm:.3e})")
@@ -311,6 +311,149 @@ def test_batched_deepfool_is_bitwise_the_per_row_oracle(kind, cfg):
     for i in range(X.shape[0]):
         alone, _, _ = attacks.deepfool(model, X[i : i + 1], y[i : i + 1], cfg)
         assert np.array_equal(alone[0], X_adv[i]), i
+
+
+def _pgd_two_clamps(model, X, y, cfg):
+    """attacks.pgd as it was when each step clamped to the eps-ball and then
+    to the box, kept verbatim as the bitwise oracle (its gradient call now
+    takes the gradient out of the (g, grad) pair)."""
+    if cfg.kind != "pgd":
+        raise ValueError("config kind must be 'pgd'")
+    X0 = np.asarray(X, dtype=np.float64)
+    Xt = X0
+    if cfg.random_start:
+        rng = np.random.default_rng(cfg.seed)
+        Xt = np.clip(X0 + rng.uniform(-cfg.epsilon, cfg.epsilon, X0.shape), 0.0, 1.0)
+    ascent = (1.0 - 2.0 * np.asarray(y, dtype=np.float64))[:, None]
+    for _ in range(cfg.steps):
+        grad = neural.grad_logit_input(model, Xt)[1]
+        Xt = Xt + cfg.alpha * (ascent * np.sign(grad))
+        Xt = np.clip(Xt, X0 - cfg.epsilon, X0 + cfg.epsilon)
+        Xt = np.clip(Xt, 0.0, 1.0)
+    return Xt
+
+
+def _deepfool_two_passes(model, X, y, cfg):
+    """attacks.deepfool as it was when each iteration forwarded the active
+    rows once for g and again for the gradient, kept verbatim as the bitwise
+    oracle (its gradient call now takes the gradient out of the pair)."""
+    if cfg.kind != "deepfool":
+        raise ValueError("config kind must be 'deepfool'")
+    if model.spec.output_activation != "sigmoid":
+        raise ValueError("deepfool requires a sigmoid-output model")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a matrix of rows, got shape {X.shape}")
+    prob, trace = neural.forward(model, X[:, None, :])
+    g0 = trace.pre[-1][:, 0, 0]
+    # label is 1 iff probability > 0.5, as in neural.predict
+    misclassified = (prob[:, 0, 0] > 0.5).astype(np.int64) != np.asarray(y)
+    tol = attacks._BOUNDARY_TOL * np.maximum(1.0, np.abs(g0))
+    degenerate = np.zeros(X.shape[0], dtype=bool)
+
+    Xt = X.copy()
+    g = g0.copy()
+    active = np.flatnonzero(~misclassified)
+    iters = 0
+    for step in range(cfg.max_iter):
+        if step:
+            g[active] = neural.forward(model, Xt[active][:, None, :])[1].pre[-1][:, 0, 0]
+        crossed = ((g[active] > 0) != (g0[active] > 0)) | (np.abs(g[active]) <= tol[active])
+        active = active[~crossed]
+        if active.size == 0:
+            break
+        grad = neural.grad_logit_input(model, Xt[active][:, None, :])[1]
+        # (a, 1, m) @ (a, m, 1) is bitwise each row's grad @ grad
+        sq_norm = (grad @ grad.transpose(0, 2, 1))[:, 0, 0]
+        flat = sq_norm < attacks._DEGENERATE_GRAD**2
+        degenerate[active[flat]] = True
+        active, grad, sq_norm = active[~flat], grad[~flat, 0], sq_norm[~flat]
+        Xt[active] -= (g[active] / sq_norm)[:, None] * grad
+        iters += active.size
+    X_adv = np.clip(X + (1.0 + cfg.overshoot) * (Xt - X), 0.0, 1.0)
+    unchanged = misclassified | degenerate
+    X_adv[unchanged] = X[unchanged]
+    return X_adv, iters, degenerate
+
+
+def _box_face_case(seed, m=9):
+    """(model, X, y): a random relu net whose first-layer biases are all
+    negative, so the all-zero row, last, has every relu dead and a zero
+    logit gradient. A third of the cells sit on the box's faces, 0 or 1,
+    and two rows lie outside the box by more than any epsilon used here.
+    The labels of the first rows are flipped so the model misclassifies
+    them."""
+    rng = np.random.default_rng(seed)
+    model = neural.init(neural.MlpSpec((m, 12, 6, 1), seed=seed))
+    model.biases = [-rng.uniform(0.01, 0.2, 12),
+                    *(rng.normal(0, 0.3, b.shape) for b in model.biases[1:])]
+    X = rng.uniform(0, 1, (40, m))
+    faces = rng.random(X.shape) < 1 / 3
+    X[faces] = rng.integers(0, 2, int(faces.sum()))
+    X[5:7] = 3.0 * X[5:7] - 1.0
+    X = np.vstack([X, np.zeros((1, m))])
+    y = _predicted(model, X)
+    y[:5] = 1 - y[:5]
+    return model, X, y
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "cfg",
+    [_one_step(0.1), AttackConfig(kind="pgd", epsilon=0.1, alpha=0.03, steps=7),
+     AttackConfig(kind="pgd", epsilon=0.05, alpha=0.05, steps=4, random_start=True, seed=4)],
+    ids=["fgsm", "pgd", "pgd-random-start"],
+)
+def test_pgd_is_bitwise_the_two_clamp_oracle(seed, cfg, monkeypatch):
+    model, X, y = _box_face_case(seed)
+    want = _pgd_two_clamps(model, X, y, cfg)
+    assert np.any(want == 0.0) and np.any(want == 1.0)
+    if not cfg.random_start:  # the zero-gradient row does not move
+        assert np.array_equal(want[-1], X[-1])
+    clips = []
+    clip = np.clip
+    monkeypatch.setattr(np, "clip", lambda *a, **k: clips.append(1) or clip(*a, **k))
+    assert np.array_equal(attacks.pgd(model, X, y, cfg), want)
+    # the two bounds, the random start, then one clamp per step
+    assert len(clips) == 2 + cfg.random_start + cfg.steps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "cfg",
+    [AttackConfig(kind="deepfool"), AttackConfig(kind="deepfool", max_iter=2, overshoot=0.0)],
+    ids=["default", "max_iter-2"],
+)
+def test_deepfool_is_bitwise_the_two_pass_oracle(seed, cfg):
+    model, X, y = _box_face_case(seed)
+    X_adv, iters, degenerate = attacks.deepfool(model, X, y, cfg)
+    want, want_iters, want_degenerate = _deepfool_two_passes(model, X, y, cfg)
+    assert np.array_equal(X_adv, want)
+    assert iters == want_iters and iters > X.shape[0]
+    assert np.array_equal(degenerate, want_degenerate) and want_degenerate[-1]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [AttackConfig(kind="deepfool"), AttackConfig(kind="deepfool", max_iter=2, overshoot=0.0)],
+    ids=["default", "max_iter-2"],
+)
+def test_deepfool_forwards_once_per_iteration(cfg, monkeypatch):
+    """One forward pass over every row, then one per iteration on the rows
+    still active: the loop runs until the slowest row has crossed and been
+    seen to cross, at most max_iter times, and not at all when no row is
+    active."""
+    model, X, y = _oracle_case("m20")
+    _, want_iters, want_degenerate = _oracle(model, X, y, cfg)
+    assert want_degenerate.sum() == 1 and want_iters.max() >= 2
+    forwards = []
+    forward = neural.forward
+    monkeypatch.setattr(neural, "forward", lambda *a: forwards.append(1) or forward(*a))
+    attacks.deepfool(model, X, y, cfg)
+    assert len(forwards) == 1 + min(want_iters.max() + 1, cfg.max_iter)
+    forwards.clear()
+    attacks.deepfool(model, X[:4], y[:4], cfg)  # every row misclassified
+    assert len(forwards) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1128,6 +1128,10 @@ def _nan_weight(payload):
     payload["weights"][0][0][0] = float("nan")
 
 
+def _string_weight(payload):
+    payload["weights"][0][0][0] = "0.5"
+
+
 def _set_spec(**fields):
     """Damage: set ``fields`` in the stored network's spec (nids.json, or
     detector.json's autoencoder)."""
@@ -1199,6 +1203,22 @@ def _narrow_output(payload):
             for tau in (None, "0.5")
             for argv in (["detect", "--input", "data/test.csv"], ["evaluate"])
         ),
+        ("models/nids.json", _edit(_string_weight), ["detect", "--input", "data/test.csv"],
+         "models/nids.json: field 'weights[0]' must hold only numbers, got strings"),
+        ("models/nids.json", _edit(lambda n: n["biases"][-1].__setitem__(0, True)),
+         ["detect", "--input", "data/test.csv"],
+         "models/nids.json: field 'biases[2]' must hold only numbers, got booleans"),
+        ("detector/detector.json", _edit(lambda d: _string_weight(d["autoencoder"])),
+         ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: field 'weights[0]' must hold only numbers, got strings"),
+        ("detector/detector.json", _edit(lambda d: d["calibration"].update(parameter="99")),
+         ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: field 'parameter' must be a number, got '99'"),
+        ("data/scaler.json", _edit(lambda s: s["min"].__setitem__(0, "0")), ["evaluate"],
+         "data/scaler.json: field 'min' must hold only numbers, got strings"),
+        ("data/scaler.json", _edit(lambda s: s.update(schema=list(range(len(s["schema"]))))),
+         ["detect", "--input", "data/test.csv"],
+         "data/scaler.json: feature names must be strings, got 0"),
     ],
     ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "nids-biases-str",
          "nids-nan-weight", "nids-spec-int", "nids-layer-size-fraction",
@@ -1206,7 +1226,9 @@ def _narrow_output(payload):
          "detector-tanh", "detector-weights-int", "detector-without-tau",
          "detector-sigmoid-output", "detector-output-narrower", "detector-tau-negative",
          "detector-calibration-int",
-         "detect-without-calibration", "evaluate-without-calibration", "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string"],
+         "detect-without-calibration", "evaluate-without-calibration", "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string",
+         "nids-string-cell", "nids-boolean-bias", "detector-string-cell",
+         "detector-calibration-parameter-string", "scaler-min-string", "scaler-integer-names"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, artifact, damage, argv, message

@@ -211,10 +211,17 @@ def test_grad_logit_input_on_a_stack_is_bitwise_one_row_calls():
     model = neural.init(MlpSpec((6, 8, 3, 1), seed=5))
     model.biases = [np.full(b.shape, 0.1) for b in model.biases]
     X = np.random.default_rng(3).uniform(0, 1, (9, 6))
-    stacked = neural.grad_logit_input(model, X[:, None, :])
-    assert stacked.shape == (9, 1, 6)
+    g, stacked = neural.grad_logit_input(model, X[:, None, :])
+    assert g.shape == (9,) and stacked.shape == (9, 1, 6)
     for k in range(9):
-        assert np.array_equal(stacked[k], neural.grad_logit_input(model, X[k : k + 1])), k
+        g_k, grad_k = neural.grad_logit_input(model, X[k : k + 1])
+        assert np.array_equal(stacked[k], grad_k) and np.array_equal(g[k : k + 1], g_k), k
+    # g is the logit of the same forward pass, on a stack and on a matrix
+    for batch in (X[:, None, :], X):
+        assert np.array_equal(
+            neural.grad_logit_input(model, batch)[0],
+            neural.forward(model, batch)[1].pre[-1].reshape(-1),
+        )
     with pytest.raises(ValueError, match="matrix of rows"):
         neural.grad_logit_input(model, X[0])
 
@@ -306,14 +313,14 @@ def test_grad_input_logistic_analytic_form():
     w = np.array([2.0, -2.0])
     for b in (0.0, 60.0):
         model = _linear_model([w], [b], output="sigmoid")
-        grad = neural.grad_logit_input(model, np.array([[0.5, 0.5], [0.1, 0.9]]))
+        _, grad = neural.grad_logit_input(model, np.array([[0.5, 0.5], [0.1, 0.9]]))
         assert np.array_equal(grad, [w, w])
 
 
 def test_grad_input_finite_difference_oracle():
     for trial in range(5):
         model, X, _ = _random_net_away_from_kinks(trial + 50, (4, 6, 3, 1), 1)
-        grad = neural.grad_logit_input(model, X)[0]
+        grad = neural.grad_logit_input(model, X)[1][0]
         fd = _fd_logit_grad_input(model, X[0])
         assert _rel_err(grad, fd) <= 1e-4
 
@@ -325,7 +332,7 @@ def test_grad_input_dead_relu_path_is_zero():
         weights=[np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0]])],
         biases=[np.array([-10.0, -10.0]), np.zeros(1)],
     )
-    grad = neural.grad_logit_input(model, np.array([[0.5, 0.5]]))[0]
+    grad = neural.grad_logit_input(model, np.array([[0.5, 0.5]]))[1][0]
     assert np.all(grad == 0.0)
 
 
