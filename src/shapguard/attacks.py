@@ -88,6 +88,8 @@ def pgd(
     that is non-zero, and still a step where the sigmoid saturates and
     p - y rounds to 0. With steps=1, alpha=epsilon and no random start this
     is FGSM: clamp(x + epsilon * (1 - 2y) * sign(grad_x g), 0, 1).
+    Every row of X must lie in the [0, 1] box (unchecked): a row outside
+    it comes back in the box, further than epsilon from X.
     """
     if cfg.kind != "pgd":
         raise ValueError("config kind must be 'pgd'")
@@ -124,7 +126,8 @@ def deepfool(
     misclassifies, and degenerate rows whose logit gradient vanishes, are
     returned unchanged. Every product runs on an (a, 1, m) stack, so a
     row's result is bitwise that of attacking it alone. Returns (X_adv,
-    total iterations over all rows, degenerate-row mask).
+    total iterations over all rows, degenerate-row mask). Every row of X
+    must lie in the [0, 1] box (unchecked).
     """
     if cfg.kind != "deepfool":
         raise ValueError("config kind must be 'deepfool'")
@@ -167,7 +170,8 @@ def attack_batch(model: neural.MlpModel, ds: FlowDataset, cfg: AttackConfig) -> 
     order: the evasion setting, and the rows fingerprint-clean explains.
 
     Success is strict model-label change f(x') != f(x) at the 0.5 cutoff.
-    The result is deterministic under cfg.seed.
+    The result is deterministic under cfg.seed. Every row of ds.X must lie
+    in the [0, 1] box (unchecked; :func:`data.load_dataset` checks a split).
     """
     rows = np.flatnonzero(ds.y == 1)
     if rows.size == 0:
@@ -220,12 +224,13 @@ def save_adv_batch(
 
 
 def load_adv_batch(path: str | Path) -> AdvBatch:
-    """Read a file written by :func:`save_adv_batch`."""
-    header, values, _ = data.read_table(path)
+    """Read a file written by :func:`save_adv_batch`, its adv_ cells in the box."""
+    _, values, _ = data.read_table(path, rules={"sample_index": "whole", "success": "binary",
+                                                "linf": "finite", "l2": "finite", "*": "box"})
     return AdvBatch(
         X_adv=values[:, 4:].copy(),
-        success=data.int_column(path, header, values, 1, binary=True).astype(bool),
+        success=values[:, 1].astype(bool),
         linf=values[:, 2].copy(),
         l2=values[:, 3].copy(),
-        sample_index=data.int_column(path, header, values, 0),
+        sample_index=values[:, 0].astype(np.int64),
     )

@@ -270,8 +270,8 @@ def save_fingerprints(fps: Fingerprints, path: str | Path) -> Path:
 
 def load_fingerprints(path: str | Path) -> Fingerprints:
     """Read a file written by :func:`save_fingerprints`; its phi0 and origin
-    columns must be constant."""
-    header, values, text = data.read_table(path, text=("origin",))
+    columns must be constant, and every sample_id a whole number >= 0."""
+    header, values, text = data.read_table(path, text=("origin",), rules={"sample_id": "whole"})
     if not len(values):
         raise ValueError(f"{path}: no fingerprints")
     m = len(header) - 4
@@ -283,6 +283,6 @@ def load_fingerprints(path: str | Path) -> Fingerprints:
         phi=values[:, 2 : 2 + m].copy(),
         phi0=values[0, 1],
         model_output=values[:, 2 + m].copy(),
-        sample_ids=data.int_column(path, header, values, 0),
+        sample_ids=values[:, 0].astype(np.int64),
         origin=text["origin"][0],
     )

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +72,15 @@ LABEL_COLUMN = "label"
 
 # Slack allowed outside the [0, 1] box before a scaled value is rejected.
 BOX_TOL = 1e-12
+
+# The rules of read_table: each maps a float64 matrix to the mask of the
+# cells it rejects, NaN always among them, and names what such a cell is not.
+CELL_RULES = {
+    "finite": (lambda v: ~np.isfinite(v), "a finite value"),
+    "box": (lambda v: ~((v >= -BOX_TOL) & (v <= 1.0 + BOX_TOL)), "a finite value in [0, 1]"),
+    "binary": (lambda v: (v != 0) & (v != 1), "0 or 1"),
+    "whole": (lambda v: ~((v >= 0) & (v < 2.0**63) & (v % 1 == 0)), "a whole number >= 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,7 @@ def load_csv(
     Raises a ValueError naming the file, as :func:`read_table` does, when a
     schema column is missing from the header or no usable data row is left.
     """
-    header, values, text = read_table(path, text=(label_column,), finite=False)
+    header, values, text = read_table(path, text=(label_column,), rules={"*": None})
     positions = {name: i for i, name in enumerate(header)}
     missing = [name for name in schema.names if name not in positions]
     if missing:
@@ -353,15 +362,14 @@ def save_dataset(ds: FlowDataset, path: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> FlowDataset:
-    """Read back a table written by :func:`save_dataset`."""
-    header, values, _ = read_table(path)
+    """Read back a table written by :func:`save_dataset`, its features in the box."""
+    header, values, _ = read_table(path, rules={LABEL_COLUMN: "binary", "*": "box"})
     if header[-1] != LABEL_COLUMN:
         raise ValueError(f"{path}: not a saved dataset (missing label column)")
     if not len(values):
         raise ValueError(f"{path}: no data rows")
     return FlowDataset(
-        schema=FeatureSchema(tuple(header[:-1])), X=values[:, :-1],
-        y=int_column(path, header, values, -1, binary=True),
+        schema=FeatureSchema(tuple(header[:-1])), X=values[:, :-1], y=values[:, -1]
     )
 
 
@@ -374,7 +382,7 @@ def save_scaler(s: ScalerParams, schema: FeatureSchema, path: str | Path) -> Pat
 def load_scaler(path: str | Path) -> tuple[ScalerParams, FeatureSchema]:
     payload = read_json(path)
     try:
-        schema = FeatureSchema(tuple(payload["schema"]))
+        schema = FeatureSchema(tuple(json_value(payload["schema"], "schema", list)))
         params = ScalerParams(min=payload["min"], max=payload["max"])
         if params.m != schema.m:
             raise ValueError("scaler/schema dimension mismatch")
@@ -414,7 +422,7 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 
 
 def read_table(
-    path: str | Path, text: Sequence[str] = (), finite: bool = True
+    path: str | Path, text: Sequence[str] = (), rules: Mapping[str, str | None] = {}
 ) -> tuple[list[str], np.ndarray, dict[str, list[str]]]:
     """Read a CSV file in the dialect :func:`write_table` writes.
 
@@ -422,10 +430,14 @@ def read_table(
     per non-blank line and one column per header cell, and the cells of the
     columns named in ``text`` as lists of str (their matrix columns hold NaN).
 
+    ``rules`` maps a column name to the :data:`CELL_RULES` rule its cells
+    must meet, or to None; ``"*"`` covers every other number column and
+    defaults to ``"finite"``. A rule naming no column is unused.
+
     Raises a ValueError naming the file when it is empty, the header names
     a column twice, a text column is missing, a row's width differs from
-    the header's, a cell is not a number or, unless ``finite`` is False, a
-    number is NaN or infinite; a bad row is named by its file line.
+    the header's, a cell is not a number or one breaks its column's rule; a
+    bad row is named by its file line, the first bad cell in row-major order.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -468,13 +480,19 @@ def read_table(
                         raise ValueError(f"{path}: row {line_no}, column {header[j]!r}: "
                                          f"cannot parse {cell!r} as a number") from None
             raise ValueError(f"{path}: malformed table: {exc}") from None
-    if finite:
-        bad = ~np.isfinite(values)
-        bad[:, list(converters)] = False
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise ValueError(f"{path}: row {file_line(path, row)}, column {header[col]!r}: "
-                             f"{float(values[row, col])!r} is not a finite value")
+    kinds = np.array([None if j in converters else rules.get(name, rules.get("*", "finite"))
+                      for j, name in enumerate(header)], dtype=object)
+    bad = np.zeros(values.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):  # inf % 1 in a "whole" column
+        for kind in set(kinds) - {None}:
+            # each rule sees the columns from its first to its last: a view
+            cols = np.flatnonzero(kinds == kind)
+            span = slice(cols[0], cols[-1] + 1)
+            bad[:, span] |= CELL_RULES[kind][0](values[:, span]) & (kinds[span] == kind)
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(header))
+        raise ValueError(f"{path}: row {file_line(path, row)}, column {header[col]!r}: "
+                         f"{float(values[row, col])!r} is not {CELL_RULES[kinds[col]][1]}")
     return header, values, cells
 
 
@@ -493,46 +511,16 @@ def file_line(path: str | Path, row: int) -> int:
         return next(itertools.islice(_data_lines(fh), row, None))[0]
 
 
-def int_column(
-    path: str | Path, header: list[str], values: np.ndarray, j: int, binary: bool = False
-) -> np.ndarray:
-    """Column ``j`` of a table :func:`read_table` read, as int64: every cell
-    0 or 1 if ``binary``, else a whole number >= 0. Raises a ValueError
-    naming the file line and column of the first cell that is not, which a
-    plain cast would truncate."""
-    column = values[:, j]
-    if binary:
-        bad, what = (column != 0) & (column != 1), "0 or 1"
-    else:
-        bad = ~((column >= 0) & (column < 2.0**63) & (column % 1 == 0))
-        what = "a whole number >= 0"
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"{path}: row {file_line(path, row)}, column {header[j]!r}: "
-                         f"{float(column[row])!r} is not {what}")
-    return column.astype(np.int64)
-
-
 def float_array(value, field: str) -> np.ndarray:
     """A fresh float64 array of value, a ValueError naming field unless
-    numpy reads every cell as an integer or a float. A boolean among
-    numbers is promoted to a number before this check can see it."""
+    every cell is an integer or a float; a boolean is neither."""
     array = np.array(value)
-    if array.dtype.kind not in "iuf":
-        got = {"b": "booleans", "U": "strings"}.get(array.dtype.kind, "non-numbers")
+    # numpy promotes a boolean among numbers to a number: look at each cell
+    kind = "b" if bool in map(type, np.array(value, dtype=object).flat) else array.dtype.kind
+    if kind not in "iuf":
+        got = {"b": "booleans", "U": "strings"}.get(kind, "non-numbers")
         raise ValueError(f"field {field!r} must hold only numbers, got {got}")
     return array.astype(np.float64, copy=False)
-
-
-def check_box(path: str | Path, header: Sequence[str], X: np.ndarray) -> None:
-    """Raise a ValueError naming the file line and column of the first cell
-    of ``X``, the leading columns of a table :func:`read_table` read, that
-    lies outside the [0, 1] box by more than BOX_TOL."""
-    outside = (X < -BOX_TOL) | (X > 1.0 + BOX_TOL)
-    if outside.any():
-        row, col = np.argwhere(outside)[0]
-        raise ValueError(f"{path}: row {file_line(path, row)}, column {header[col]!r}: "
-                         f"{float(X[row, col])!r} is not a finite value in [0, 1]")
 
 
 def _parses_as_float64(cell: str) -> bool:
@@ -555,11 +543,22 @@ def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
     return path
 
 
-def read_json(path: str | Path):
-    """Read a JSON artifact; a file that does not parse is a ValueError
-    naming it."""
+def read_json(path: str | Path) -> dict:
+    """Read a JSON artifact, which is an object; a file that does not parse,
+    or holds another JSON value, is a ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if type(payload) is not dict:
+        raise ValueError(f"{path}: not a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def json_value(value, field: str, kind: type = dict):
+    """value, a ValueError naming field unless it is a JSON object (or list)."""
+    if type(value) is not kind:
+        what = "an object" if kind is dict else "a list"
+        raise ValueError(f"field {field!r} must be {what}, got {type(value).__name__}")
+    return value

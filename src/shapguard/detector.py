@@ -159,12 +159,9 @@ def load_detector(path: str | Path) -> DetectorModel:
             raise ValueError(f"tau must be a finite number, got {tau!r}")
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau!r}")
-        calibration = payload["calibration"]
-        if type(calibration) is not dict:
-            raise ValueError(
-                f"field 'calibration' must be an object, got {type(calibration).__name__}")
+        calibration = data.json_value(payload["calibration"], "calibration")
         CalibrationMethod(calibration["method"], calibration["parameter"])
-        autoencoder = neural.from_dict(payload["autoencoder"])
+        autoencoder = neural.from_dict(data.json_value(payload["autoencoder"], "autoencoder"))
         spec = autoencoder.spec
         if spec.output_activation != "linear":
             raise ValueError(f"the autoencoder's output activation must be 'linear', "

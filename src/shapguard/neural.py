@@ -378,9 +378,7 @@ def from_dict(payload: dict) -> MlpModel:
     """The model :func:`to_dict` wrote. A spec field of the wrong JSON type
     or range, or a weight or bias cell that is not a number, is a ValueError
     naming it, never cast to the type it needs."""
-    spec = payload["spec"]
-    if type(spec) is not dict:
-        raise ValueError(f"field 'spec' must be an object, got {type(spec).__name__}")
+    spec = data.json_value(payload["spec"], "spec")
     if spec["hidden_activation"] != "relu":
         raise ValueError(f"unsupported hidden activation {spec['hidden_activation']!r}")
     sizes, seed = spec["layer_sizes"], spec["seed"]

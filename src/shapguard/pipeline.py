@@ -350,8 +350,7 @@ def _placed(stages: dict, name: str, entry: dict) -> dict:
 
 def _load_background(path: Path) -> attribution.BackgroundSet:
     """Read the background rows the train-nids stage sampled and saved."""
-    header, values, _ = data.read_table(path)
-    data.check_box(path, header, values)
+    _, values, _ = data.read_table(path, rules={"*": "box"})
     return attribution.BackgroundSet(B=values)
 
 
@@ -618,7 +617,8 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     det = ws.load("detector/detector.json", detector.load_detector)
     _, schema = ws.load("data/scaler.json", data.load_scaler)
     background = ws.load(BACKGROUND, _load_background)
-    header, values, _ = data.read_table(input_path, text=(data.LABEL_COLUMN,))
+    header, values, _ = data.read_table(input_path, text=(data.LABEL_COLUMN,),
+                                        rules={"*": "box"})
     expected = [*schema.names, data.LABEL_COLUMN]
     if header != expected:
         raise ValueError(
@@ -627,8 +627,7 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
         )
     if not len(values):
         raise ValueError(f"{input_path}: no data rows")
-    X = values[:, :-1]  # finite, as read_table checks
-    data.check_box(input_path, header, X)
+    X = values[:, :-1]  # in the box, as read_table checks
     fps = attribution.fingerprint_batch(nids, X, background)
     decisions, scores = detector.detect(det, fps.phi)
     flagged = int(np.count_nonzero(decisions == "adversarial"))

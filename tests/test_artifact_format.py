@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from shapguard import attacks, attribution, data, detector, neural, pipeline
 
@@ -25,6 +26,13 @@ def test_dataset_bytes(tmp_path):
     assert path.read_bytes() == (
         b"a,b c,label\r\n0.1,1e-05,0\r\n1.0,-0.0,1\r\n5e-324,1e+16,1\r\n"
     )
+    # a split lies in the [0, 1] box: the 1e16 cell is named, then the
+    # in-box rows round-trip
+    with pytest.raises(ValueError, match=r"ds.csv: row 4, column 'b c': 1e\+16 is not a finite "
+                                         r"value in \[0, 1\]"):
+        data.load_dataset(path)
+    ds = data.FlowDataset(SCHEMA, X=ds.X[:2], y=ds.y[:2])
+    data.save_dataset(ds, path)
     back = data.load_dataset(path)
     assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
     assert np.signbit(back.X[1, 1])

@@ -959,6 +959,8 @@ _TRAIN_DETECTOR = (["train-detector"], "train-detector")
          *_FINGERPRINT_PGD),
         ("models/background.csv", "f3", "1.5",
          "row 3, column 'f3': 1.5 is not a finite value in [0, 1]", *_FINGERPRINT_PGD),
+        ("attacks/pgd.csv", "adv_f3", "1.5",
+         "row 3, column 'adv_f3': 1.5 is not a finite value in [0, 1]", *_FINGERPRINT_PGD),
         ("fingerprints/clean_val.csv", "sample_id", "1.5",
          "row 3, column 'sample_id': 1.5 is not a whole number >= 0", *_TRAIN_DETECTOR),
         # a column every row of a fingerprint table shares
@@ -967,6 +969,7 @@ _TRAIN_DETECTOR = (["train-detector"], "train-detector")
     ],
     ids=["fingerprint", "train-nids", "label-fraction", "sample-index-fraction",
          "success-fraction", "sample-index-not-malicious-test-row", "background-outside-box",
+         "adversarial-row-outside-box",
          "sample-id-fraction", "origin-not-constant"],
 )
 def test_non_finite_cell_in_an_upstream_artifact_is_a_stage_failure_naming_its_line(
@@ -987,6 +990,25 @@ def test_non_finite_cell_in_an_upstream_artifact_is_a_stage_failure_naming_its_l
     assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
     err = capsys.readouterr().err
     assert f"shapguard: {stage}: {out / artifact}: {message}" in err
+
+
+def test_malicious_split_row_outside_the_box_is_an_attack_failure_naming_its_line(
+    tiny_run, tmp_path, capsys
+):
+    """PGD would clamp a row at -0.5 into the box, an l-inf step beyond
+    epsilon."""
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    line = {}
+
+    def corrupt(rows):
+        at = next(i for i, row in enumerate(rows) if row[-1] == "1")
+        rows[at][rows[0].index("f2")] = "-0.5"
+        line["n"] = at + 1
+        return rows
+    _rewrite_csv(out / "data/test.csv", corrupt)
+    assert cli.main(["attack", "--attack", "pgd", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert (f"shapguard: attack-pgd: {out / 'data/test.csv'}: row {line['n']}, column 'f2': "
+            "-0.5 is not a finite value in [0, 1]") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["clean_test", "deepfool"])
@@ -1219,6 +1241,17 @@ def _narrow_output(payload):
         ("data/scaler.json", _edit(lambda s: s.update(schema=list(range(len(s["schema"]))))),
          ["detect", "--input", "data/test.csv"],
          "data/scaler.json: feature names must be strings, got 0"),
+        # a string as long as the schema would be read one feature per character
+        ("data/scaler.json", _edit(lambda s: s.update(schema="abcdefgh"[:len(s["schema"])])),
+         ["evaluate"], "data/scaler.json: field 'schema' must be a list, got str"),
+        ("detector/detector.json", _set("autoencoder", []), ["detect", "--input", "data/test.csv"],
+         "detector/detector.json: field 'autoencoder' must be an object, got list"),
+        ("models/nids.json", lambda p: p.write_text("[]"), ["attack", "--attack", "fgsm"],
+         "models/nids.json: not a JSON object, got list"),
+        # numpy would promote the boolean among numbers to 1.0
+        ("models/nids.json", _edit(lambda n: n["weights"][0][0].__setitem__(1, True)),
+         ["detect", "--input", "data/test.csv"],
+         "models/nids.json: field 'weights[0]' must hold only numbers, got booleans"),
     ],
     ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "nids-biases-str",
          "nids-nan-weight", "nids-spec-int", "nids-layer-size-fraction",
@@ -1228,7 +1261,9 @@ def _narrow_output(payload):
          "detector-calibration-int",
          "detect-without-calibration", "evaluate-without-calibration", "detect-tau-null", "evaluate-tau-null", "detect-tau-string", "evaluate-tau-string",
          "nids-string-cell", "nids-boolean-bias", "detector-string-cell",
-         "detector-calibration-parameter-string", "scaler-min-string", "scaler-integer-names"],
+         "detector-calibration-parameter-string", "scaler-min-string", "scaler-integer-names",
+         "scaler-schema-string", "detector-autoencoder-list", "nids-list",
+         "nids-boolean-among-numbers"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, artifact, damage, argv, message

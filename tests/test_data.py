@@ -1,6 +1,7 @@
 import csv
 import logging
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -456,8 +457,77 @@ def test_read_table_rejects_a_non_finite_number_unless_asked_not_to(tmp_path):
     path.write_text("a,name,b\n1,x,2\n\n3,y,inf\n")
     with pytest.raises(ValueError, match=r"t.csv: row 4, column 'b': inf is not a finite value$"):
         data.read_table(path, text=("name",))
-    _, values, _ = data.read_table(path, text=("name",), finite=False)
+    _, values, _ = data.read_table(path, text=("name",), rules={"*": None})
     assert values[1, 2] == np.inf
+
+
+@pytest.mark.parametrize(
+    "rule, cell, message",
+    [("finite", "-inf", "-inf is not a finite value"),
+     ("box", "1.5", "1.5 is not a finite value in [0, 1]"),
+     ("box", "-1e-09", "-1e-09 is not a finite value in [0, 1]"),
+     ("binary", "0.5", "0.5 is not 0 or 1"),
+     ("whole", "-1", "-1.0 is not a whole number >= 0"),
+     ("whole", "2.7", "2.7 is not a whole number >= 0"),
+     ("whole", "1e19", "1e+19 is not a whole number >= 0"),
+     *((rule, "nan", f"nan is not {what}") for rule, what in (
+         ("box", "a finite value in [0, 1]"), ("binary", "0 or 1"),
+         ("whole", "a whole number >= 0")))],
+    ids=["finite-inf", "box-above", "box-below", "binary-half", "whole-negative",
+         "whole-fraction", "whole-too-large", "box-nan", "binary-nan", "whole-nan"],
+)
+def test_read_table_names_a_cell_that_breaks_its_columns_rule(tmp_path, rule, cell, message):
+    path = tmp_path / "t.csv"
+    path.write_text(f"a,b\n1,0\n1,{cell}\n")
+    with pytest.raises(ValueError) as caught:
+        data.read_table(path, rules={"b": rule, "a": None})
+    assert str(caught.value) == f"{path}: row 3, column 'b': {message}"
+
+
+def test_read_table_passes_cells_on_the_edge_of_each_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"f,x,b,w\n-1e300,{-data.BOX_TOL},0,0\n1e300,{1 + data.BOX_TOL},1,9e18\n")
+    _, values, _ = data.read_table(path, rules={"x": "box", "b": "binary", "w": "whole"})
+    assert values[:, 3].tolist() == [0.0, 9e18]
+
+
+def test_read_table_names_the_first_bad_cell_in_row_major_order(tmp_path):
+    """Each column breaks its own rule, on a later row the further left it
+    is; blank lines count in the row number."""
+    path = tmp_path / "t.csv"
+    path.write_text("w,b,x,f\n0,0,0,0\n\n0,0,0,inf\n0,0,2,inf\n0,3,2,inf\n\n2.5,3,2,inf\n")
+    rules = {"w": "whole", "b": "binary", "*": "box", "f": "finite"}
+    with pytest.raises(ValueError, match=r"t.csv: row 4, column 'f': inf is not a finite value$"):
+        data.read_table(path, rules=rules)
+    for fixed, message in [("f", "row 5, column 'x': 2.0 is not a finite value in"),
+                           ("x", "row 6, column 'b': 3.0 is not 0 or 1"),
+                           ("b", "row 8, column 'w': 2.5 is not a whole number")]:
+        rules[fixed] = None
+        with pytest.raises(ValueError, match=f"t.csv: {re.escape(message)}"):
+            data.read_table(path, rules=rules)
+
+
+def test_read_table_never_checks_a_text_column(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,name,b\n0.5,nan,0\n0.5,7,1\n")
+    _, values, text = data.read_table(path, text=("name",), rules={"*": "box", "name": "binary"})
+    assert np.isnan(values[:, 1]).all() and text == {"name": ["nan", "7"]}
+
+
+def test_read_table_without_rules_leaves_nan_cells_for_load_csv(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,label\nnan,x\n-inf,y\n0.5,z\n")
+    _, values, _ = data.read_table(path, text=("label",), rules={"*": None})
+    assert np.isnan(values[0, 0]) and values[1, 0] == -np.inf
+    with pytest.warns(UserWarning, match="dropped 2 row"):
+        ds = data.load_csv(path, FeatureSchema(("a",)), benign_labels={"x"})
+    assert ds.X.tolist() == [[0.5]] and ds.y.tolist() == [1]
+
+
+@pytest.mark.parametrize("value", [[0.5, True], [[1, 2], [False, 3]], [[0.5], [1.0], [True]]])
+def test_float_array_rejects_a_boolean_among_numbers(value):
+    with pytest.raises(ValueError, match="field 'w' must hold only numbers, got booleans"):
+        data.float_array(value, "w")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ rows with the NIDS and scoring fingerprints with the autoencoder each peak
 below three times the bytes of the matrix they produce or read (the input
 itself, allocated before tracing starts, is not counted). A forward pass
 that keeps its whole trace, or a loader that gathers the feature columns
-twice, reads four to seven times.
+twice, reads four to seven times. Reading back a split or an attack table,
+its cell rules checked, peaks below two and a half times: a rule pass that
+gathered the columns of a rule into a float copy reads above that.
 """
 
 import tracemalloc
@@ -13,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shapguard import data, detector, neural
+from shapguard import attacks, data, detector, neural
 
 ROWS = 4000
 M = 39  # the CIC-IoT2023 width
@@ -58,3 +60,22 @@ def test_load_csv_peaks_below_three_times_its_output(tmp_path, X):
         ds, peak = _traced_peak(data.load_csv, path, schema)
     assert ds.X.shape == (ROWS - 40, M)
     assert peak < 3 * ds.X.nbytes
+
+
+def test_load_dataset_peaks_below_two_and_a_half_times_its_output(tmp_path, X):
+    path = tmp_path / "split.csv"
+    data.save_dataset(data.FlowDataset(data.FeatureSchema.cic_iot2023(), X=X,
+                                       y=np.arange(ROWS) % 2), path)
+    ds, peak = _traced_peak(data.load_dataset, path)
+    assert np.array_equal(ds.X, X)
+    assert peak < 2.5 * X.nbytes
+
+
+def test_load_adv_batch_peaks_below_two_and_a_half_times_its_output(tmp_path, X):
+    path = tmp_path / "pgd.csv"
+    batch = attacks.AdvBatch(X_adv=X, success=np.arange(ROWS) % 2 == 0, linf=X[:, 0],
+                             l2=X[:, 1], sample_index=np.arange(ROWS))
+    attacks.save_adv_batch(batch, data.CIC_IOT2023_FEATURES, path)
+    back, peak = _traced_peak(attacks.load_adv_batch, path)
+    assert np.array_equal(back.X_adv, X)
+    assert peak < 2.5 * X.nbytes
