@@ -269,9 +269,13 @@ def save_fingerprints(fps: Fingerprints, path: str | Path) -> Path:
 
 
 def load_fingerprints(path: str | Path) -> Fingerprints:
-    """Read a file written by :func:`save_fingerprints`; its phi0 and origin
-    columns must be constant, and every sample_id a whole number >= 0."""
-    header, values, text = data.read_table(path, text=("origin",), rules={"sample_id": "whole"})
+    """Read a file written by :func:`save_fingerprints`, with its header;
+    its phi0 and origin columns must be constant, and every sample_id a
+    whole number >= 0."""
+    header, values, text = data.read_table(
+        path, text=("origin",), rules={"sample_id": "whole"}, columns=lambda header: [
+            "sample_id", "phi0", *(f"phi_{j}" for j in range(1, len(header) - 3)),
+            "model_output", "origin"])
     if not len(values):
         raise ValueError(f"{path}: no fingerprints")
     m = len(header) - 4

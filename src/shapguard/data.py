@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -168,6 +168,10 @@ class ScalerParams:
         lo, hi = float_array(self.min, "min"), float_array(self.max, "max")
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("scaler min/max must be 1-d arrays of equal length")
+        for field, values in (("min", lo), ("max", hi)):
+            bad = values[~np.isfinite(values)]  # json reads NaN and Infinity
+            if bad.size:
+                raise ValueError(f"field {field!r} must hold only finite numbers, got {bad[0]}")
         if np.any(hi < lo):
             raise ValueError("scaler max must be >= min per feature")
         lo.setflags(write=False)
@@ -422,7 +426,8 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 
 
 def read_table(
-    path: str | Path, text: Sequence[str] = (), rules: Mapping[str, str | None] = {}
+    path: str | Path, text: Sequence[str] = (), rules: Mapping[str, str | None] = {},
+    columns: Callable[[list[str]], Sequence[str]] | None = None,
 ) -> tuple[list[str], np.ndarray, dict[str, list[str]]]:
     """Read a CSV file in the dialect :func:`write_table` writes.
 
@@ -433,8 +438,12 @@ def read_table(
     ``rules`` maps a column name to the :data:`CELL_RULES` rule its cells
     must meet, or to None; ``"*"`` covers every other number column and
     defaults to ``"finite"``. A rule naming no column is unused.
+    ``columns``, for a loader that reads its columns by position, gives
+    the names the table's writer writes, from the header read (they may
+    depend on its width or its feature names), at least as many as it has.
 
-    Raises a ValueError naming the file when it is empty, the header names
+    Raises a ValueError naming the file when it is empty, a header cell
+    differs from its ``columns`` name (the first is named), the header names
     a column twice, a text column is missing, a row's width differs from
     the header's, a cell is not a number or one breaks its column's rule; a
     bad row is named by its file line, the first bad cell in row-major order.
@@ -444,6 +453,11 @@ def read_table(
         header = [name.strip() for name in next(csv.reader([fh.readline()]), [])]
         if not header:
             raise ValueError(f"{path}: file is empty")
+        expected = header if columns is None else columns(header)
+        for j, (got, want) in enumerate(itertools.zip_longest(header, expected), start=1):
+            if got != want:
+                got = "missing" if got is None else repr(got)
+                raise ValueError(f"{path}: header column {j} is {got}, expected {want!r}")
         for j, name in enumerate(header):
             if header.index(name) < j:
                 raise ValueError(f"{path}: the header names column {name!r} twice, "

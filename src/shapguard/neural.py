@@ -109,12 +109,14 @@ class ForwardTrace:
     post: list[np.ndarray]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so that no exp
+    overflows; both are e^min(z, 0) / (1 + e^-|z|), so no row is scattered
+    by its sign. ``out`` may be z itself."""
+    den = np.exp(-np.abs(z))
+    den += 1.0
+    out = np.exp(np.minimum(z, 0.0, out=out), out=out)
+    out /= den
     return out
 
 
@@ -140,30 +142,35 @@ def init(spec: MlpSpec) -> MlpModel:
     return MlpModel(spec=spec, weights=weights, biases=biases)
 
 
-def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
+def forward(
+    model: MlpModel, X: np.ndarray, buffers: _StepBuffers | None = None
+) -> tuple[np.ndarray, ForwardTrace]:
     """h_i = act_i(W_i h_{i-1} + b_i); returns output and the full trace.
 
     X is a matrix of rows or an (n, 1, m) stack of one-row matrices.
     numpy's matmul runs a stack as n one-row products, so each row's trace
     is bitwise that of a one-row call; the trace keeps the stack's
-    (n, 1, units) shape.
+    (n, 1, units) shape. Given a training step's ``buffers``, the trace's
+    arrays are their leading rows instead of fresh ones.
     """
     batch = _as_batch(model, X, stack=True)
+    trace = ForwardTrace(inputs=batch, pre=[], post=[])
     h = batch
-    pre_list: list[np.ndarray] = []
-    post_list: list[np.ndarray] = []
     last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ W.T + b
+        pre, post = (None, None) if buffers is None else (
+            buffers.pre[i][: len(batch)], buffers.post[i][: len(batch)])
+        z = np.matmul(h, W.T, out=pre)
+        z += b
         if i < last:
-            h = np.maximum(z, 0.0)
+            h = np.maximum(z, 0.0, out=post)
         elif model.spec.output_activation == "sigmoid":
-            h = _sigmoid(z)
+            h = _sigmoid(z, out=post)
         else:
             h = z
-        pre_list.append(z)
-        post_list.append(h)
-    return h, ForwardTrace(inputs=batch, pre=pre_list, post=post_list)
+        trace.pre.append(z)
+        trace.post.append(h)
+    return h, trace
 
 
 def output(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -183,7 +190,7 @@ def output(model: MlpModel, X: np.ndarray) -> np.ndarray:
         if i < last:
             np.maximum(h, 0.0, out=h)
         elif model.spec.output_activation == "sigmoid":
-            h = _sigmoid(h)
+            _sigmoid(h, out=h)
     return h
 
 
@@ -215,13 +222,17 @@ def _normalize_targets(model: MlpModel, n: int, targets: np.ndarray) -> np.ndarr
     return t
 
 
-def _backward(model: MlpModel, trace: ForwardTrace, delta: np.ndarray) -> list[np.ndarray]:
+def _backward(
+    model: MlpModel, trace: ForwardTrace, delta: np.ndarray, buffers: _StepBuffers | None = None
+) -> list[np.ndarray]:
     """Backpropagate dL/d(pre_last) = delta to dL/d(pre_i) for every layer
-    i. The input gradient, d_pres[0] @ W_0, is left to the caller that
-    needs it: training does not. A stack trace gives stacked gradients."""
+    i, into the leading rows of a training step's ``buffers`` if given. The
+    input gradient, d_pres[0] @ W_0, is left to the caller that needs it:
+    training does not. A stack trace gives stacked gradients."""
     d_pres = [delta]
     for i in range(len(model.weights) - 1, 0, -1):
-        d = d_pres[0] @ model.weights[i]
+        out = None if buffers is None else buffers.deltas[i - 1][: len(delta)]
+        d = np.matmul(d_pres[0], model.weights[i], out=out)
         np.multiply(d, trace.pre[i - 1] > 0, out=d)
         d_pres.insert(0, d)
     return d_pres
@@ -242,35 +253,57 @@ def _param_views(
     return views[: len(sizes) - 1], views[len(sizes) - 1 :]
 
 
+class _StepBuffers:
+    """The arrays a training step of up to ``rows`` rows writes, allocated
+    once per training run: each layer's pre- and post-activations and
+    delta, and the flat gradient with its views in the parameters' shapes,
+    every weight before every bias."""
+
+    def __init__(self, sizes: tuple[int, ...], rows: int):
+        self.pre, self.post, self.deltas = (
+            [np.empty((rows, units)) for units in sizes[1:]] for _ in range(3))
+        self.flat = np.empty(sum(fan_in * fan_out + fan_out
+                                 for fan_in, fan_out in zip(sizes, sizes[1:])))
+        self.dWs, self.dbs = _param_views(self.flat, sizes)
+
+
 def grad_params(
-    model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str
+    model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str,
+    buffers: _StepBuffers | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """The mean loss of a batch and its exact gradients with respect to the
     weights and biases; one training step's worth of work.
 
-    The gradients are views, in the parameters' shapes, of one fresh flat
-    vector (their ``base``; every weight before every bias), which train
-    hands to Adam whole. A loss that LOSSES does not pair with the model's
-    output activation is a ValueError.
+    The gradients are views, in the parameters' shapes, of one flat vector
+    (their ``base``; every weight before every bias), which train hands to
+    Adam whole. Every array the step writes is in ``buffers``, those of
+    train's run, or fresh. A loss that LOSSES does not pair with the
+    model's output activation is a ValueError.
     """
     if loss not in LOSSES:
         raise ValueError(f"unsupported loss {loss!r}")
     if model.spec.output_activation != LOSSES[loss]:
         raise ValueError(f"{loss} loss requires a {LOSSES[loss]} output")
     batch = _as_batch(model, X)
-    t = _normalize_targets(model, batch.shape[0], targets)
-    out, trace = forward(model, batch)
+    n = batch.shape[0]
+    t = _normalize_targets(model, n, targets)
+    if buffers is None:
+        buffers = _StepBuffers(model.spec.layer_sizes, n)
+    out, trace = forward(model, batch, buffers)
+    batch_loss = loss_value(out, t, loss)
     # dL/d(final pre-activation): sigmoid+bce and linear+mse both reduce to
     # a multiple of the output error
-    delta = (out - t if loss == "bce" else 2.0 * (out - t)) / batch.shape[0]
-    flat = np.empty(sum(W.size + b.size for W, b in zip(model.weights, model.biases)))
-    dWs, dbs = _param_views(flat, model.spec.layer_sizes)
+    delta = np.subtract(out, t, out=buffers.deltas[-1][:n])
+    if loss == "mse":
+        delta *= 2.0
+    delta /= n
     h_prev = [trace.inputs, *trace.post[:-1]]
-    for d, h, dW, db in zip(_backward(model, trace, delta), h_prev, dWs, dbs):
+    d_pres = _backward(model, trace, delta, buffers)
+    for d, h, dW, db in zip(d_pres, h_prev, buffers.dWs, buffers.dbs):
         # dL/dW_i = d_pre_i^T h_(i-1) and dL/db_i = d_pre_i summed over rows
         np.matmul(d.T, h, out=dW)
         d.sum(axis=0, out=db)
-    return loss_value(out, t, loss), dWs, dbs
+    return batch_loss, buffers.dWs, buffers.dbs
 
 
 def grad_logit_input(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,22 +330,30 @@ class Adam:
         self.t = 0
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Update the flat buffer params in place from the flat gradient
-        grads, every element by the same float ops in the same order."""
+        grads, every element by the same float ops in the same order:
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+        params -= lr m_hat / (sqrt(v_hat) + eps) with the bias-corrected
+        moments, through two scratch buffers allocated with the moments."""
         if self._m is None:
-            self._m = np.zeros_like(params)
-            self._v = np.zeros_like(params)
+            self._m, self._v = np.zeros_like(params), np.zeros_like(params)
+            self._scratch = (np.empty_like(params), np.empty_like(params))
         self.t += 1
-        b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
+        b1, b2, m, v, (a, b) = self.beta1, self.beta2, self._m, self._v, self._scratch
         m *= b1
-        m += (1.0 - b1) * grads
+        m += np.multiply(grads, 1.0 - b1, out=a)
         v *= b2
-        v += (1.0 - b2) * grads * grads
-        m_hat = m / (1.0 - b1**self.t)
-        v_hat = v / (1.0 - b2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(grads, 1.0 - b2, out=a)
+        v += np.multiply(a, grads, out=a)
+        m_hat = np.divide(m, 1.0 - b1**self.t, out=a)
+        v_hat = np.divide(v, 1.0 - b2**self.t, out=b)
+        m_hat *= self.lr
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        params -= np.divide(m_hat, v_hat, out=m_hat)
 
 
 def train(
@@ -336,16 +377,23 @@ def train(
     work = MlpModel(model.spec, *_param_views(params, model.spec.layer_sizes))
     opt = Adam(cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
+    rows = min(cfg.batch_size, n)
+    buffers = _StepBuffers(model.spec.layer_sizes, rows)
+    # each batch is gathered into these: numpy's take buffers its out under
+    # its default mode, "raise", and a permutation's indices are in range
+    X_rows, t_rows = np.empty((rows, batch_X.shape[1])), np.empty((rows, t_all.shape[1]))
     history: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch_loss, dWs, _ = grad_params(work, batch_X[idx], t_all[idx], cfg.loss)
-            if not np.isfinite(batch_loss):
+            xb = np.take(batch_X, idx, axis=0, out=X_rows[: idx.size], mode="clip")
+            tb = np.take(t_all, idx, axis=0, out=t_rows[: idx.size], mode="clip")
+            batch_loss, _, _ = grad_params(work, xb, tb, cfg.loss, buffers)
+            if not math.isfinite(batch_loss):
                 raise ValueError(f"non-finite loss at epoch {epoch + 1}")
-            opt.step(params, dWs[0].base)  # the one flat gradient vector
+            opt.step(params, buffers.flat)
             total += batch_loss * idx.size
         history.append(total / n)
     return work, history

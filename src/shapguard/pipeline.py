@@ -41,7 +41,7 @@ STAGES = (
     ("ingest", None, "before"),
     ("train-nids", None, "before"),
     *(("attack", kind, "attack") for kind in ATTACK_KINDS),
-    ("fingerprint", "clean", "detector"),
+    ("fingerprint", "clean", "before"),
     *(("fingerprint", kind, "attack") for kind in ATTACK_KINDS),
     ("train-detector", None, "detector"),
     ("evaluate", None, "after"),
@@ -401,20 +401,21 @@ def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
     else:
         syn = dict(cfg["synthetic"])
         ds = data.synth_generate(m=syn.pop("n_features"), **syn)
-    splits = data.split(ds, data.SplitSpec(**cfg["split"]))
-    paths, summary = [], {"rows": ds.n, "features": ds.m}
+    splits = dict(zip(("train", "val", "test"), data.split(ds, data.SplitSpec(**cfg["split"]))))
+    summary = {"rows": ds.n, "features": ds.m}
     del ds  # split copied its rows; the splits are scaled without the whole matrix
-    names = ("train", "val", "test")
-    for name, part in zip(names, splits):
+    for name, part in splits.items():
         # fingerprint-clean explains each split's malicious rows
         if not part.y.any():
             raise ValueError(f"split {name!r} has no malicious rows ({part.n} benign, 0 malicious)")
-    scaler = data.fit_scaler(splits[0])
-    for name, part in zip(names, splits):
-        scaled = data.apply_scaler(part, scaler)
-        paths.append(data.save_dataset(scaled, ws.path(f"data/{name}.csv")))
         summary[name] = part.n
-    paths.append(data.save_scaler(scaler, splits[0].schema, ws.path("data/scaler.json")))
+    scaler = data.fit_scaler(splits["train"])
+
+    def save(name: str) -> Path:
+        scaled = data.apply_scaler(splits[name], scaler)
+        return data.save_dataset(scaled, ws.path(f"data/{name}.csv"))
+    paths = _tables(list(splits), save)
+    paths.append(data.save_scaler(scaler, splits["train"].schema, ws.path("data/scaler.json")))
     return paths, summary, {"data": cfg}
 
 
@@ -492,11 +493,10 @@ def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]
         raise ValueError(f"unknown fingerprint source {source!r}")
     model = ws.load("models/nids.json", neural.load)
     background = ws.load(BACKGROUND, _load_background)
-    paths: list[Path] = []
-    rows: dict[str, int] = {}
-    failures: list[str] = []
-    max_gap = 0.0
-    for name in ["clean_train", "clean_val", "clean_test"] if source == "clean" else [source]:
+
+    def table(name: str) -> tuple[Path, int, int, float]:
+        """Fingerprint and save table ``name``; its path, row count,
+        completeness violations and largest completeness gap."""
         if source == "clean":
             rel = f"data/{name.removeprefix('clean_')}.csv"
             ds = ws.load(rel, data.load_dataset)
@@ -516,12 +516,20 @@ def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]
                                  f"column 'sample_index': {ids[row]} is not a malicious row "
                                  "of data/test.csv")
         fps = attribution.fingerprint_batch(model, X, background, sample_ids=ids, origin=source)
-        violations = fps.count_violations()
+        path = attribution.save_fingerprints(fps, ws.path(f"fingerprints/{name}.csv"))
+        return path, fps.n, fps.count_violations(), fps.max_completeness_gap
+
+    names = ["clean_train", "clean_val", "clean_test"] if source == "clean" else [source]
+    paths: list[Path] = []
+    rows: dict[str, int] = {}
+    failures: list[str] = []
+    max_gap = 0.0
+    for name, (path, n, violations, gap) in zip(names, _tables(names, table)):
         if violations:
             failures.append(f"{name}: {violations} completeness violation(s)")
-        paths.append(attribution.save_fingerprints(fps, ws.path(f"fingerprints/{name}.csv")))
-        rows[name] = fps.n
-        max_gap = max(max_gap, fps.max_completeness_gap)
+        paths.append(path)
+        rows[name] = n
+        max_gap = max(max_gap, gap)
     summary: dict = {"rows": rows, "max_completeness_gap": max_gap}
     if failures:
         summary["checks_failed"] = failures
@@ -645,16 +653,18 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     return [target], summary, None
 
 
-def _beside(branch: Callable[[], None], own: Callable[[], None]) -> None:
+def _beside(branch: Callable[[], Any], own: Callable[[], Any]) -> tuple[Any, Any]:
     """Run ``branch`` in a forked child while this process runs ``own``,
-    then reap the child, whatever ``own`` did.
+    then reap the child, whatever ``own`` did; return both results.
 
-    The child never returns into its caller: it pickles None, its
-    StageError or InvariantError, or any other exception as a RuntimeError
-    carrying the child's traceback, over a pipe, and leaves through
-    os._exit. The child's failure is raised before a failure of ``own``,
-    since ``branch`` holds the earlier stages. A child that dies without a
-    report is a ChildProcessError naming its signal or exit status.
+    The child never returns into its caller: it pickles its result or its
+    failure over a pipe and leaves through os._exit. A ValueError or
+    OSError, which a stage makes a stage failure, and a StageError or
+    InvariantError go over as they are; any other exception goes as a
+    RuntimeError carrying the child's traceback. The child's failure is
+    raised before a failure of ``own``, since ``branch`` holds the earlier
+    work. A child that dies without a report is a ChildProcessError naming
+    its signal or exit status.
     """
     read_fd, write_fd = os.pipe()
     sys.stdout.flush()
@@ -664,12 +674,11 @@ def _beside(branch: Callable[[], None], own: Callable[[], None]) -> None:
         try:
             os.close(read_fd)
             try:
-                branch()
-                report = None
-            except (StageError, InvariantError) as exc:
-                report = exc
+                report = (branch(), None)
+            except (StageError, InvariantError, ValueError, OSError) as exc:
+                report = (None, exc)
             except BaseException as exc:
-                report = RuntimeError("".join(traceback.format_exception(exc)))
+                report = (None, RuntimeError("".join(traceback.format_exception(exc))))
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(pickle.dumps(report))
             sys.stdout.flush()
@@ -677,9 +686,9 @@ def _beside(branch: Callable[[], None], own: Callable[[], None]) -> None:
         finally:
             os._exit(0)
     os.close(write_fd)
-    failure = None
+    mine = failure = None
     try:
-        own()
+        mine = own()
     except Exception as exc:
         failure = exc
     finally:
@@ -692,17 +701,37 @@ def _beside(branch: Callable[[], None], own: Callable[[], None]) -> None:
             names = {sig.value: sig.name for sig in signal.Signals}
             how = f"was killed by {names.get(-code, f'signal {-code}')}"
         raise ChildProcessError(f"{branch.__name__} (pid {pid}) {how} before it reported")
-    report = pickle.loads(payload)
+    result, report = pickle.loads(payload)
     if report is not None:
         raise report
     if failure is not None:
         raise failure
+    return result, mine
+
+
+def _tables(names: list[str], table: Callable[[str], Any]) -> list[Any]:
+    """``table(name)`` for each name, in order. With more than one name, the
+    first table, the largest, is made in a forked child beside the rest in
+    this process, so the child's failure is the one a serial loop meets
+    first (see _beside); each table's result is what crosses back."""
+    if len(names) == 1:
+        return [table(names[0])]
+
+    def first_table() -> Any:
+        return table(names[0])
+
+    def other_tables() -> list[Any]:
+        return [table(name) for name in names[1:]]
+    first, rest = _beside(first_table, other_tables)
+    return [first, *rest]
 
 
 def cmd_run_all(ws: Workspace) -> None:
     """Execute every stage of STAGES, each part in table order: after
-    train-nids, a forked child runs the attack part while this process runs
-    the detector part; evaluate runs once both are done."""
+    fingerprint-clean, a forked child runs the attack part while this
+    process runs the detector part; evaluate runs once both are done.
+    ingest and fingerprint-clean each make their first table in a child of
+    their own (see _tables)."""
     def run_part(part: str) -> None:
         for command, value, where in STAGES:
             if where == part:

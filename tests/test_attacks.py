@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -511,3 +513,25 @@ def test_adv_batch_roundtrip(tmp_path):
     assert np.array_equal(back.X_adv, batch.X_adv)
     assert np.array_equal(back.success, batch.success)
     assert np.array_equal(back.linf, batch.linf) and np.array_equal(back.l2, batch.l2)
+
+
+@pytest.mark.parametrize(
+    "column, name, message",
+    [(0, "index", "header column 1 is 'index', expected 'sample_index'"),
+     (2, "l2", "header column 3 is 'l2', expected 'linf'"),
+     (5, "f1", "header column 6 is 'f1', expected 'adv_f1'")],
+    ids=["sample-index", "swapped-norms", "feature-without-prefix"],
+)
+def test_load_adv_batch_names_the_first_header_cell_its_writer_did_not_write(
+    tmp_path, column, name, message
+):
+    batch = attacks.AdvBatch(X_adv=np.full((2, 2), 0.5), success=np.array([True, False]),
+                             linf=np.array([0.1, 0.2]), l2=np.array([0.3, 0.4]),
+                             sample_index=np.array([3, 7]))
+    path = attacks.save_adv_batch(batch, ("f0", "f1"), tmp_path / "adv.csv")
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    header[column] = name
+    path.write_text("\n".join([",".join(header), *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: {re.escape(message)}$"):
+        attacks.load_adv_batch(path)

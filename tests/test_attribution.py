@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -379,6 +380,32 @@ def test_load_fingerprints_rejects_varying_phi0(tmp_path):
     lines[2] = lines[2].replace(",0.5,", ",0.25,", 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="phi0"):
+        attribution.load_fingerprints(path)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        # the loader reads by position: 1.5 would be read as sample id 1
+        ({0: "id"}, "header column 1 is 'id', expected 'sample_id'"),
+        ({3: "phi_3"}, "header column 4 is 'phi_3', expected 'phi_2'"),
+        ({4: "output"}, "header column 5 is 'output', expected 'model_output'"),
+    ],
+    ids=["sample-id", "phi-order", "model-output"],
+)
+def test_load_fingerprints_names_the_first_header_cell_its_writer_did_not_write(
+    tmp_path, cells, message
+):
+    fps = Fingerprints(phi=np.ones((2, 2)), phi0=0.5, model_output=[2.5, 2.5], sample_ids=[4, 9])
+    path = attribution.save_fingerprints(fps, tmp_path / "fps.csv")
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    for j, name in cells.items():
+        header[j] = name
+    lines[0] = ",".join(header)
+    lines[1] = "1.5" + lines[1][1:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: {re.escape(message)}$"):
         attribution.load_fingerprints(path)
 
 

@@ -750,11 +750,12 @@ def test_a_failed_completeness_check_names_the_stage_and_records_its_files(
     summary, exits 3 naming the stage."""
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
     shutil.rmtree(out / "fingerprints")
-    calls = []
+    # keyed on the table itself, by the outputs the shared run wrote for
+    # clean_val: the tables are made in two processes, each counting its calls
+    val = attribution.load_fingerprints(tiny_run / "fingerprints/clean_val.csv")
 
     def count_violations(self):
-        calls.append(self.n)
-        return 1 if len(calls) == 2 else 0
+        return 1 if np.array_equal(self.model_output, val.model_output) else 0
     monkeypatch.setattr(attribution.Fingerprints, "count_violations", count_violations)
     assert cli.main(["fingerprint", "--config", cfg_path, "--source", "clean"]) == 3
     assert capsys.readouterr().err.startswith(
@@ -1252,6 +1253,11 @@ def _narrow_output(payload):
         ("models/nids.json", _edit(lambda n: n["weights"][0][0].__setitem__(1, True)),
          ["detect", "--input", "data/test.csv"],
          "models/nids.json: field 'weights[0]' must hold only numbers, got booleans"),
+        # json reads NaN and Infinity, and a NaN bound passes max >= min
+        ("data/scaler.json", _edit(lambda s: s["min"].__setitem__(0, float("nan"))),
+         ["evaluate"], "data/scaler.json: field 'min' must hold only finite numbers, got nan"),
+        ("data/scaler.json", _edit(lambda s: s["max"].__setitem__(1, float("inf"))),
+         ["evaluate"], "data/scaler.json: field 'max' must hold only finite numbers, got inf"),
     ],
     ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "nids-biases-str",
          "nids-nan-weight", "nids-spec-int", "nids-layer-size-fraction",
@@ -1263,7 +1269,7 @@ def _narrow_output(payload):
          "nids-string-cell", "nids-boolean-bias", "detector-string-cell",
          "detector-calibration-parameter-string", "scaler-min-string", "scaler-integer-names",
          "scaler-schema-string", "detector-autoencoder-list", "nids-list",
-         "nids-boolean-among-numbers"],
+         "nids-boolean-among-numbers", "scaler-min-nan", "scaler-max-infinity"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, artifact, damage, argv, message
@@ -1308,8 +1314,9 @@ def test_single_stage_cli_commands(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# run-all's two processes: after train-nids a forked child runs the attack
-# stages and their fingerprints beside fingerprint-clean and train-detector
+# run-all's two processes: after fingerprint-clean a forked child runs the
+# attack stages and their fingerprints beside train-detector; ingest and
+# fingerprint-clean each make their first table in a forked child
 
 
 def _assert_no_child_left():
@@ -1469,6 +1476,78 @@ def test_an_interrupt_in_the_parent_still_reaps_the_child(tmp_path, monkeypatch)
     _assert_no_child_left()
     stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
     assert "fingerprint-deepfool" in stages  # the child ran its branch to the end
+
+
+def test_clean_fingerprints_made_in_two_processes_are_those_of_one(tiny_run, tmp_path):
+    """fingerprint-clean makes clean_train in a forked child beside the
+    other two tables: each is the table this process makes from its rows."""
+    model = neural.load(tiny_run / "models/nids.json")
+    background = pipeline._load_background(tiny_run / pipeline.BACKGROUND)
+    for split in ("train", "val", "test"):
+        ds = data.load_dataset(tiny_run / f"data/{split}.csv")
+        ids = np.flatnonzero(ds.y == 1)
+        fps = attribution.fingerprint_batch(model, ds.X[ids], background, sample_ids=ids,
+                                            origin="clean")
+        path = attribution.save_fingerprints(fps, tmp_path / f"{split}.csv")
+        assert path.read_bytes() == (tiny_run / f"fingerprints/clean_{split}.csv").read_bytes()
+
+
+def test_a_failure_in_the_childs_table_is_the_one_a_serial_stage_reports(
+    tiny_run, tmp_path, capsys
+):
+    """data/train.csv feeds the child's table and data/val.csv one of this
+    process's: with both damaged, the child's failure is the one reported,
+    as a serial loop over the tables meets it first."""
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+
+    def damage(rows):
+        rows[1][0] = "nan"
+        return rows
+    for split in ("train", "val"):
+        _rewrite_csv(out / f"data/{split}.csv", damage)
+    feature = (out / "data/train.csv").read_text().split(",", 1)[0]
+    assert cli.main(["fingerprint", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert capsys.readouterr().err == (
+        f"shapguard: fingerprint-clean: {out / 'data/train.csv'}: row 2, "
+        f"column {feature!r}: nan is not a finite value in [0, 1]\n"
+    )
+    _assert_no_child_left()
+
+
+def test_a_fingerprint_clean_failure_stops_run_all_before_any_attack(
+    tmp_path, capsys, monkeypatch
+):
+    """fingerprint-clean runs before the fork, so its failure in its own
+    child is reported even where an attack would fail too, and no attack
+    stage is recorded."""
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, _tiny_config(out))
+    real, parent = attribution.fingerprint_batch, os.getpid()
+
+    def fingerprint_batch(model, X, background, **kwargs):
+        if kwargs["origin"] == "clean" and os.getpid() != parent:
+            raise ValueError("no rows")
+        return real(model, X, background, **kwargs)
+    monkeypatch.setattr(attribution, "fingerprint_batch", fingerprint_batch)
+    monkeypatch.setattr(attacks, "attack_batch", _fail_attack("fgsm", ValueError("bad")))
+    assert cli.main(["run-all", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert capsys.readouterr().err == "shapguard: fingerprint-clean: no rows\n"
+    assert list(json.loads((out / "manifest.json").read_text())["stages"]) == [
+        "ingest", "train-nids"]
+    _assert_no_child_left()
+
+
+def test_an_os_error_in_ingests_child_is_an_ingest_failure_naming_its_file(tmp_path, capsys):
+    """ingest writes data/train.csv in a forked child: the child's OSError
+    reaches the stage runner as it is."""
+    out = tmp_path / "run"
+    (out / "data/train.csv").mkdir(parents=True)
+    cfg_path = _write_config(tmp_path, _tiny_config(out))
+    assert cli.main(["run-all", "--config", cfg_path]) == cli.EXIT_STAGE
+    assert capsys.readouterr().err == (
+        f"shapguard: ingest: {out / 'data/train.csv'}: Is a directory\n")
+    assert not (out / "manifest.json").exists()
+    _assert_no_child_left()
 
 
 def test_two_processes_finishing_stages_lose_no_entry(tmp_path):
