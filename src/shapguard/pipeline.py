@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import copy
 import fcntl
-import functools
 import hashlib
-import inspect
 import logging
 import os
 import pickle
@@ -22,7 +20,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -49,8 +47,9 @@ STAGES = (
 
 
 def option_values(command: str) -> tuple[str, ...]:
-    """The option values of ``command``'s run-all stages, in table order."""
-    return tuple(value for name, value, _ in STAGES if name == command)
+    """The option values of ``command``'s run-all stages, in table order;
+    none for a command whose stages take no option."""
+    return tuple(value for name, value, _ in STAGES if name == command and value)
 
 
 FINGERPRINT_SOURCES = option_values("fingerprint")
@@ -219,6 +218,8 @@ def resolve_config(
     cfg = _merge(cfg, {key: value for key, value in flags.items() if value is not None})
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+    if not cfg["out_dir"]:  # Path("") is the current directory
+        raise ConfigError("out_dir must name a directory, got ''")
     for keys, offset in _SEED_OFFSETS.items():
         node = cfg
         for key in keys[:-1]:
@@ -339,18 +340,29 @@ def _manifest(ws: Workspace) -> dict:
     return {"tool": "shapguard", "version": __version__, "stages": {}}
 
 
+def _stage_name(command: str, value: str | None) -> str:
+    """The manifest name of ``command`` run with option ``value``: the two
+    joined by a dash where the command's run-all stages differ by their
+    option value, the command alone otherwise (detect's value is its input)."""
+    return f"{command}-{value}" if option_values(command) else command
+
+
 def _placed(stages: dict, name: str, entry: dict) -> dict:
     """``stages`` with ``entry`` recorded as stage ``name``, in the order a
     serial run-all records its stages; the stages outside run-all follow,
     in the order they were first recorded."""
-    rank = {"-".join(filter(None, stage[:2])): i for i, stage in enumerate(STAGES)}
+    rank = {_stage_name(command, value): i for i, (command, value, _) in enumerate(STAGES)}
     stages = {**stages, name: entry}
     return dict(sorted(stages.items(), key=lambda item: rank.get(item[0], len(rank))))
 
 
-def _load_background(path: Path) -> attribution.BackgroundSet:
-    """Read the background rows the train-nids stage sampled and saved."""
-    _, values, _ = data.read_table(path, rules={"*": "box"})
+def _load_background(path: Path, names: Sequence[str] = ()) -> attribution.BackgroundSet:
+    """Read the background rows the train-nids stage sampled and saved,
+    whose header cells must be ``names``, the feature names of
+    data/scaler.json, as far as both go: a width that differs is left to
+    fingerprint_batch, which names the model's width too."""
+    _, values, _ = data.read_table(path, rules={"*": "box"}, columns=lambda header: (
+        [*names[:len(header)], *header[len(names):]]))
     return attribution.BackgroundSet(B=values)
 
 
@@ -358,35 +370,6 @@ def _load_background(path: Path) -> attribution.BackgroundSet:
 # stages
 
 
-def _stage(name: str) -> Callable:
-    """Run a ``cmd_*`` body, which returns (paths, summary, config part), as
-    the stage ``name`` formatted with its arguments (``"attack-{kind}"``):
-    time it and record it with Workspace.finish. This is the one place a
-    stage failure is made: a ValueError (a bad, missing or mismatched input,
-    a check that depends on the data or a diverged training run) or an
-    OSError becomes a StageError naming the stage. A summary listing failed
-    checks is recorded, then raised as an InvariantError."""
-    def wrap(body: Callable[..., tuple[list[Path], dict, dict | None]]) -> Callable[..., None]:
-        @functools.wraps(body)
-        def run(*args, **kwargs) -> None:
-            arguments = inspect.signature(body).bind(*args, **kwargs).arguments
-            stage = name.format_map(arguments)
-            started = time.perf_counter()
-            try:
-                paths, summary, config = body(*args, **kwargs)
-                arguments["ws"].finish(stage, started, paths, summary, config)
-            except OSError as exc:
-                where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
-                raise StageError(f"{stage}: {where}") from exc
-            except ValueError as exc:
-                raise StageError(f"{stage}: {exc}") from exc
-            if summary.get("checks_failed"):
-                raise InvariantError(f"{stage}: " + "; ".join(summary["checks_failed"]))
-        return run
-    return wrap
-
-
-@_stage("ingest")
 def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
     """Ingest or synthesize data, split, fit the scaler on train, persist."""
     cfg = ws.cfg["data"]
@@ -414,12 +397,11 @@ def cmd_ingest(ws: Workspace) -> tuple[list[Path], dict, dict]:
     def save(name: str) -> Path:
         scaled = data.apply_scaler(splits[name], scaler)
         return data.save_dataset(scaled, ws.path(f"data/{name}.csv"))
-    paths = _tables(list(splits), save)
+    paths = _split(save, list(splits))
     paths.append(data.save_scaler(scaler, splits["train"].schema, ws.path("data/scaler.json")))
     return paths, summary, {"data": cfg}
 
 
-@_stage("train-nids")
 def cmd_train_nids(ws: Workspace) -> tuple[list[Path], dict, dict]:
     """Train the reference classifier and sample the background its
     fingerprints are explained against from the train split; persist model,
@@ -456,11 +438,8 @@ def cmd_train_nids(ws: Workspace) -> tuple[list[Path], dict, dict]:
     return [model_path, history_path, background_path], summary, config
 
 
-@_stage("attack-{kind}")
 def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
     """Craft adversarial rows from the malicious test rows for one attack kind."""
-    if kind not in ATTACK_KINDS:
-        raise ValueError(f"unknown attack kind {kind!r}")
     model = ws.load("models/nids.json", neural.load)
     test = ws.load("data/test.csv", data.load_dataset)
     cfg = ws.cfg["attacks"][kind]
@@ -478,7 +457,6 @@ def cmd_attack(ws: Workspace, kind: str) -> tuple[list[Path], dict, dict]:
     return [csv_path], summary, {"attacks": {kind: cfg}}
 
 
-@_stage("fingerprint-{source}")
 def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]:
     """Fingerprint one source against the background train-nids saved:
     'clean' is each split's malicious rows, the rows the attacks start
@@ -489,10 +467,9 @@ def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]
     checks_failed, which the stage runner records and then raises as an
     InvariantError.
     """
-    if source not in FINGERPRINT_SOURCES:
-        raise ValueError(f"unknown fingerprint source {source!r}")
     model = ws.load("models/nids.json", neural.load)
-    background = ws.load(BACKGROUND, _load_background)
+    _, schema = ws.load("data/scaler.json", data.load_scaler)
+    background = ws.load(BACKGROUND, lambda path: _load_background(path, schema.names))
 
     def table(name: str) -> tuple[Path, int, int, float]:
         """Fingerprint and save table ``name``; its path, row count,
@@ -524,7 +501,7 @@ def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]
     rows: dict[str, int] = {}
     failures: list[str] = []
     max_gap = 0.0
-    for name, (path, n, violations, gap) in zip(names, _tables(names, table)):
+    for name, (path, n, violations, gap) in zip(names, _split(table, names)):
         if violations:
             failures.append(f"{name}: {violations} completeness violation(s)")
         paths.append(path)
@@ -536,7 +513,6 @@ def cmd_fingerprint(ws: Workspace, source: str) -> tuple[list[Path], dict, None]
     return paths, summary, None
 
 
-@_stage("train-detector")
 def cmd_train_detector(ws: Workspace) -> tuple[list[Path], dict, dict]:
     """Train the autoencoder on clean train fingerprints and calibrate tau."""
     cfg = ws.cfg["detector"]
@@ -566,7 +542,6 @@ def cmd_train_detector(ws: Workspace) -> tuple[list[Path], dict, dict]:
     return [det_path, history_path], summary, {"detector": cfg}
 
 
-@_stage("evaluate")
 def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
     """Emit the JSON report bundle: per attack the detection report with its
     score distribution, and the feature rank table; the summary records tau,
@@ -608,7 +583,6 @@ def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
     return paths, summary, None
 
 
-@_stage("detect")
 def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict, None]:
     """Fingerprint every row of a dataset CSV, score the fingerprints with
     the autoencoder and compare the scores with tau.
@@ -624,7 +598,7 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     nids = ws.load("models/nids.json", neural.load)
     det = ws.load("detector/detector.json", detector.load_detector)
     _, schema = ws.load("data/scaler.json", data.load_scaler)
-    background = ws.load(BACKGROUND, _load_background)
+    background = ws.load(BACKGROUND, lambda path: _load_background(path, schema.names))
     header, values, _ = data.read_table(input_path, text=(data.LABEL_COLUMN,),
                                         rules={"*": "box"})
     expected = [*schema.names, data.LABEL_COLUMN]
@@ -653,19 +627,22 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     return [target], summary, None
 
 
-def _beside(branch: Callable[[], Any], own: Callable[[], Any]) -> tuple[Any, Any]:
-    """Run ``branch`` in a forked child while this process runs ``own``,
-    then reap the child, whatever ``own`` did; return both results.
+def _split(work: Callable[[Any], Any], items: list) -> list:
+    """``work(item)`` for each item, in order. With more than one item, the
+    first runs in a forked child while this process runs the rest; the
+    child is reaped whatever the rest did, and its result crosses back.
 
     The child never returns into its caller: it pickles its result or its
     failure over a pipe and leaves through os._exit. A ValueError or
-    OSError, which a stage makes a stage failure, and a StageError or
-    InvariantError go over as they are; any other exception goes as a
+    OSError, which the stage runner makes a stage failure, and a StageError
+    or InvariantError go over as they are; any other exception goes as a
     RuntimeError carrying the child's traceback. The child's failure is
-    raised before a failure of ``own``, since ``branch`` holds the earlier
-    work. A child that dies without a report is a ChildProcessError naming
-    its signal or exit status.
+    raised before one of the rest, since the first item is the work a
+    serial loop meets first. A child that dies without a report is a
+    ChildProcessError naming its signal or exit status.
     """
+    if len(items) == 1:
+        return [work(items[0])]
     read_fd, write_fd = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
@@ -674,7 +651,7 @@ def _beside(branch: Callable[[], Any], own: Callable[[], Any]) -> tuple[Any, Any
         try:
             os.close(read_fd)
             try:
-                report = (branch(), None)
+                report = (work(items[0]), None)
             except (StageError, InvariantError, ValueError, OSError) as exc:
                 report = (None, exc)
             except BaseException as exc:
@@ -686,9 +663,9 @@ def _beside(branch: Callable[[], Any], own: Callable[[], Any]) -> tuple[Any, Any
         finally:
             os._exit(0)
     os.close(write_fd)
-    mine = failure = None
+    rest = failure = None
     try:
-        mine = own()
+        rest = [work(item) for item in items[1:]]
     except Exception as exc:
         failure = exc
     finally:
@@ -700,29 +677,13 @@ def _beside(branch: Callable[[], Any], own: Callable[[], Any]) -> tuple[Any, Any
         if code < 0:
             names = {sig.value: sig.name for sig in signal.Signals}
             how = f"was killed by {names.get(-code, f'signal {-code}')}"
-        raise ChildProcessError(f"{branch.__name__} (pid {pid}) {how} before it reported")
-    result, report = pickle.loads(payload)
+        raise ChildProcessError(
+            f"{work.__name__}({items[0]!r}) (pid {pid}) {how} before it reported")
+    first, report = pickle.loads(payload)
     if report is not None:
         raise report
     if failure is not None:
         raise failure
-    return result, mine
-
-
-def _tables(names: list[str], table: Callable[[str], Any]) -> list[Any]:
-    """``table(name)`` for each name, in order. With more than one name, the
-    first table, the largest, is made in a forked child beside the rest in
-    this process, so the child's failure is the one a serial loop meets
-    first (see _beside); each table's result is what crosses back."""
-    if len(names) == 1:
-        return [table(names[0])]
-
-    def first_table() -> Any:
-        return table(names[0])
-
-    def other_tables() -> list[Any]:
-        return [table(name) for name in names[1:]]
-    first, rest = _beside(first_table, other_tables)
     return [first, *rest]
 
 
@@ -731,24 +692,18 @@ def cmd_run_all(ws: Workspace) -> None:
     fingerprint-clean, a forked child runs the attack part while this
     process runs the detector part; evaluate runs once both are done.
     ingest and fingerprint-clean each make their first table in a child of
-    their own (see _tables)."""
+    their own (see _split)."""
     def run_part(part: str) -> None:
         for command, value, where in STAGES:
             if where == part:
                 run_command(ws, command, value)
 
-    def attack_branch() -> None:
-        run_part("attack")
-
-    def detector_branch() -> None:
-        run_part("detector")
-
     run_part("before")
-    _beside(attack_branch, detector_branch)
+    _split(run_part, ["attack", "detector"])
     run_part("after")
 
 
-def commands() -> dict[str, tuple[str, Callable[..., None], tuple[str, str] | None]]:
+def commands() -> dict[str, tuple[str, Callable[..., Any], tuple[str, str] | None]]:
     """Each CLI command's help text, body, and option flag and help or None.
     Built on each call, so a body replaced on this module is the one run."""
     return {
@@ -767,11 +722,36 @@ def commands() -> dict[str, tuple[str, Callable[..., None], tuple[str, str] | No
     }
 
 
-def run_command(ws: Workspace, command: str, value: str | None = None) -> None:
+def run_command(ws: Workspace, command: str, value: str | Path | None = None) -> None:
     """Run CLI ``command`` on ``ws`` with its option ``value`` or None;
-    "all" runs each of the command's run-all stages in table order."""
+    "all" runs each of the command's run-all stages in table order.
+
+    This is the one stage runner. Each ``cmd_*`` body returns (paths,
+    summary, config part); the runner names the stage (see _stage_name),
+    times the body and records it with Workspace.finish. It is the one
+    place a stage failure is made: an option value that is not in STAGES,
+    a ValueError (a bad, missing or mismatched input, a check that depends
+    on the data or a diverged training run) or an OSError becomes a
+    StageError naming the stage. A summary listing failed checks is
+    recorded, then raised as an InvariantError. run-all's body is not a
+    stage: it runs each of its stages through this runner.
+    """
     body = commands()[command][1]
-    if value is None:
+    if command == "run-all":
         return body(ws)
-    for each in (option_values(command) if value == "all" else ()) or (value,):
-        body(ws, each)
+    values = option_values(command)
+    for each in (values if value == "all" else ()) or (value,):
+        stage = _stage_name(command, each)
+        started = time.perf_counter()
+        try:
+            if values and each not in values:
+                raise ValueError(f"{each!r} is not one of {', '.join(values)}")
+            paths, summary, config = body(ws, *(() if each is None else (each,)))
+            ws.finish(stage, started, paths, summary, config)
+        except OSError as exc:
+            where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+            raise StageError(f"{stage}: {where}") from exc
+        except ValueError as exc:
+            raise StageError(f"{stage}: {exc}") from exc
+        if summary.get("checks_failed"):
+            raise InvariantError(f"{stage}: " + "; ".join(summary["checks_failed"]))

@@ -156,7 +156,7 @@ def test_evaluate_report_bytes(tmp_path):
         (tmp_path / f"fingerprints/{name}.csv").write_bytes(
             b"sample_id,phi0,phi_1,phi_2,model_output,origin\r\n" + body
         )
-    pipeline.cmd_evaluate(pipeline.Workspace(tmp_path, {}))
+    pipeline.run_command(pipeline.Workspace(tmp_path, {}), "evaluate")
     reports = tmp_path / "reports"
     assert (reports / "metrics_fgsm.json").read_bytes().startswith(
         b'{\n  "attack": "fgsm",\n  "accuracy": 0.7142857142857143,\n'

@@ -211,15 +211,16 @@ def test_stages_cast_no_config_value():
 
 
 def test_stage_failures_are_made_by_the_stage_runner_alone():
-    """_stage is the one place that times a stage and turns an exception
-    into a StageError: no cmd_* catches an exception or reads the clock."""
+    """run_command is the one place that times a stage, checks its option
+    value and turns an exception into a StageError: no cmd_* catches an
+    exception, reads the clock or tests its option value for membership."""
     tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
 
     def stage_errors(node):
         return [n for n in ast.walk(node)
                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "StageError"]
-    made = stage_errors(functions["_stage"]) if "_stage" in functions else []
+    made = stage_errors(functions["run_command"]) if "run_command" in functions else []
     assert made
     assert [n.lineno for n in stage_errors(tree) if n not in made] == []
     bookkeeping = [
@@ -230,6 +231,26 @@ def test_stage_failures_are_made_by_the_stage_runner_alone():
         or (isinstance(node, ast.Attribute) and node.attr == "perf_counter")
     ]
     assert bookkeeping == []
+    option_checks = [
+        f"{name}: line {node.lineno}"
+        for name, stage in functions.items()
+        if name.startswith("cmd_") and len(stage.args.args) > 1
+        for node in ast.walk(stage)
+        if isinstance(node, ast.Compare)
+        and getattr(node.left, "id", None) == stage.args.args[1].arg
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+    ]
+    assert option_checks == []
+
+
+@pytest.mark.parametrize("command", ["attack", "fingerprint"])
+def test_the_runner_rejects_an_option_value_outside_the_stage_table(tmp_path, command):
+    """argparse's choices stop a bad value at the CLI; the runner checks it
+    for a library caller, before the body runs and without a manifest entry."""
+    ws = pipeline.Workspace(tmp_path, {})
+    with pytest.raises(pipeline.StageError, match=rf"^{command}-bogus: 'bogus' is not one of "):
+        pipeline.run_command(ws, command, "bogus")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 class _RecordingConfig(dict):
@@ -245,18 +266,18 @@ def test_each_stage_reads_only_the_config_sections_it_records(tmp_path):
     cfg = _RecordingConfig(pipeline.resolve_config(_tiny_config(out)))
     ws = pipeline.Workspace(out, cfg)
     calls = [
-        (pipeline.cmd_ingest, (), "ingest"),
-        (pipeline.cmd_train_nids, (), "train-nids"),
-        *((pipeline.cmd_attack, (kind,), f"attack-{kind}") for kind in pipeline.ATTACK_KINDS),
-        *((pipeline.cmd_fingerprint, (source,), f"fingerprint-{source}")
+        ("ingest", None, "ingest"),
+        ("train-nids", None, "train-nids"),
+        *(("attack", kind, f"attack-{kind}") for kind in pipeline.ATTACK_KINDS),
+        *(("fingerprint", source, f"fingerprint-{source}")
           for source in pipeline.FINGERPRINT_SOURCES),
-        (pipeline.cmd_train_detector, (), "train-detector"),
-        (pipeline.cmd_evaluate, (), "evaluate"),
-        (pipeline.cmd_detect, (out / "data/test.csv",), "detect"),
+        ("train-detector", None, "train-detector"),
+        ("evaluate", None, "evaluate"),
+        ("detect", out / "data/test.csv", "detect"),
     ]
-    for stage, args, name in calls:
+    for command, value, name in calls:
         cfg.read = set()
-        stage(ws, *args)
+        pipeline.run_command(ws, command, value)
         entry = json.loads((out / "manifest.json").read_text())["stages"][name]
         assert cfg.read == set(entry.get("config", {})), name
 
@@ -529,6 +550,19 @@ def test_an_out_dir_that_cannot_be_made_is_a_usage_error(tmp_path, capsys, below
         f"shapguard: cannot create output directory {out}: {reason}\n"
     )
     assert afile.read_text(encoding="utf-8") == "keep"
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_an_empty_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch, where):
+    """An empty out_dir would be the current directory: it is refused
+    before anything is written there."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["--out", ""] if where == "flag" else [
+        "--config", _write_config(tmp_path, {"out_dir": ""})]
+    assert cli.main(["ingest", *argv]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "shapguard: config error: out_dir must name a directory, got ''\n")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if where == "flag" else ["config.json"])
 
 
 def test_exit_usage_on_bad_flag(capsys):
@@ -829,6 +863,10 @@ def _benign_only(rows):
     return [rows[0], *([*row[:-1], "0"] for row in rows[1:])]
 
 
+def _renamed_header(rows):
+    return [["renamed_a", "renamed_b", *rows[0][2:]], *rows[1:]]
+
+
 @pytest.mark.parametrize(
     "artifact, argv, rewrite, message",
     [
@@ -845,10 +883,15 @@ def _benign_only(rows):
          "fingerprints/clean_train.csv: no fingerprints"),
         ("data/val.csv", ["fingerprint"], _benign_only,
          "fingerprint-clean: data/val.csv has no malicious rows to fingerprint"),
+        ("models/background.csv", ["fingerprint", "--source", "fgsm"], _renamed_header,
+         "models/background.csv: header column 1 is 'renamed_a', expected 'f0'"),
+        ("models/background.csv", ["detect", "--input", "data/test.csv"], _renamed_header,
+         "models/background.csv: header column 1 is 'renamed_a', expected 'f0'"),
     ],
     ids=["fingerprints/clean_train.csv-argv0", "attacks/pgd.csv-argv1",
          "models/background.csv-argv2", "split-header-only", "split-without-label",
-         "fingerprints-header-only", "split-without-malicious-rows"],
+         "fingerprints-header-only", "split-without-malicious-rows",
+         "background-renamed-fingerprint", "background-renamed-detect"],
 )
 def test_empty_artifact_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, artifact, argv, rewrite, message
@@ -1355,7 +1398,8 @@ def test_all_runs_the_tables_stages_of_a_command_in_table_order(
     tmp_path, monkeypatch, command, flag
 ):
     calls = []
-    monkeypatch.setattr(pipeline, f"cmd_{command}", lambda ws, value: calls.append(value))
+    monkeypatch.setattr(pipeline, f"cmd_{command}",
+                        lambda ws, value: calls.append(value) or ([], {}, None))
     assert cli.main([command, flag, "all", "--out", str(tmp_path)]) == 0
     assert calls == [value for name, value, _ in pipeline.STAGES if name == command]
 
@@ -1371,11 +1415,11 @@ def test_run_all_calls_the_stage_bodies_set_on_the_pipeline_module(tmp_path, mon
     def cmd_attack(ws, kind):
         with open(marker, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {kind}\n")
-        real_attack(ws, kind)
+        return real_attack(ws, kind)
 
     def cmd_train_detector(ws):
         trained.append(os.getpid())
-        real_train_detector(ws)
+        return real_train_detector(ws)
     monkeypatch.setattr(pipeline, "cmd_attack", cmd_attack)
     monkeypatch.setattr(pipeline, "cmd_train_detector", cmd_train_detector)
     out = tmp_path / "run"
@@ -1460,7 +1504,8 @@ def test_a_child_killed_by_a_signal_is_raised_and_reaped(tmp_path, monkeypatch):
     def attack_batch(*args, **kwargs):
         os.kill(os.getpid(), signal.SIGKILL)
     monkeypatch.setattr(attacks, "attack_batch", attack_batch)
-    with pytest.raises(ChildProcessError, match="attack_branch .* was killed by SIGKILL"):
+    with pytest.raises(ChildProcessError,
+                       match=r"run_part\('attack'\) \(pid \d+\) was killed by SIGKILL"):
         pipeline.cmd_run_all(pipeline.Workspace(cfg["out_dir"], cfg))
     _assert_no_child_left()
 
