@@ -88,8 +88,9 @@ def pgd(
     that is non-zero, and still a step where the sigmoid saturates and
     p - y rounds to 0. With steps=1, alpha=epsilon and no random start this
     is FGSM: clamp(x + epsilon * (1 - 2y) * sign(grad_x g), 0, 1).
-    Every row of X must lie in the [0, 1] box (unchecked): a row outside
-    it comes back in the box, further than epsilon from X.
+    Every row of X must lie in the [0, 1] box, as :func:`attack_batch`
+    checks: a row outside it comes back in the box, further than epsilon
+    from X.
     """
     if cfg.kind != "pgd":
         raise ValueError("config kind must be 'pgd'")
@@ -127,7 +128,7 @@ def deepfool(
     returned unchanged. Every product runs on an (a, 1, m) stack, so a
     row's result is bitwise that of attacking it alone. Returns (X_adv,
     total iterations over all rows, degenerate-row mask). Every row of X
-    must lie in the [0, 1] box (unchecked).
+    must lie in the [0, 1] box, as :func:`attack_batch` checks.
     """
     if cfg.kind != "deepfool":
         raise ValueError("config kind must be 'deepfool'")
@@ -170,8 +171,9 @@ def attack_batch(model: neural.MlpModel, ds: FlowDataset, cfg: AttackConfig) -> 
     order: the evasion setting, and the rows fingerprint-clean explains.
 
     Success is strict model-label change f(x') != f(x) at the 0.5 cutoff.
-    The result is deterministic under cfg.seed. Every row of ds.X must lie
-    in the [0, 1] box (unchecked; :func:`data.load_dataset` checks a split).
+    The result is deterministic under cfg.seed. A malicious row with a cell
+    outside the [0, 1] box (by more than data.BOX_TOL, or NaN) is a
+    ValueError naming its row and feature, raised before any attack runs.
     """
     rows = np.flatnonzero(ds.y == 1)
     if rows.size == 0:
@@ -179,6 +181,12 @@ def attack_batch(model: neural.MlpModel, ds: FlowDataset, cfg: AttackConfig) -> 
 
     X = ds.X[rows]
     y = ds.y[rows]
+    outside, in_box = data.CELL_RULES["box"]
+    bad = outside(X)
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), X.shape[1])
+        raise ValueError(f"row {rows[row]}, feature {ds.schema.names[col]!r}: "
+                         f"{float(X[row, col])!r} is not {in_box}")
     _, orig_labels = neural.predict(model, X)
 
     degenerate_rows = 0

@@ -32,10 +32,6 @@ COMPLETENESS_RTOL = 1e-5
 # (K, r * units) slabs that outgrow the cache.
 BLOCK_ROWS = 4
 
-# Blocks per forward pass in fingerprint_batch, so that the rows' traces
-# stay bounded whatever the number of rows.
-FORWARD_BLOCKS = 16
-
 
 @dataclass(frozen=True)
 class BackgroundSet:
@@ -127,74 +123,82 @@ class ReferenceSlabs:
     """The background's half of the rescale chain, laid out reference-major
     for blocks of up to ``rows`` rows.
 
-    Each array has one row per reference and a block's rows side by side
-    along its columns: B and each hidden layer's background pre- and
-    post-activations are tiled to (K, rows * units), the top-layer weights
-    to (1, rows * units). The work buffers (delta, ratio, mult and the
-    fallback mask) hold a block's (K, r * units) slabs; every block of a
-    batch reuses them.
+    It runs the background's forward pass and keeps phi0, the mean
+    background logit. Each slab has one row per reference and a block's
+    rows side by side along its columns: B and each hidden layer's
+    background pre- and post-activations are tiled to (K, rows * units), the
+    top-layer weights to (1, rows * units). ``blocks[r]`` holds what a block
+    of r rows reads: the slabs' first r * units columns and (K, r * units)
+    views of the work buffers (delta, ratio, mult and the fallback mask),
+    which every block of a batch reuses.
     """
 
-    def __init__(
-        self,
-        model: neural.MlpModel,
-        background: BackgroundSet,
-        trace_b: neural.ForwardTrace,
-        rows: int,
-    ) -> None:
-        self.K = background.size
-        self.B = np.tile(background.B, rows)
-        self.pre = [np.tile(z, rows) for z in trace_b.pre[:-1]]
-        self.post = [np.tile(h, rows) for h in trace_b.post[:-1]]
-        self.top = np.tile(model.weights[-1], rows)
-        size = self.K * rows * max(model.spec.layer_sizes[:-1])
-        self.delta, self.ratio, self.mult = np.empty(size), np.empty(size), np.empty(size)
-        self.fallback = np.empty(size, dtype=bool)
+    def __init__(self, model: neural.MlpModel, background: BackgroundSet, rows: int) -> None:
+        _, trace = neural.forward(model, background.B)
+        self.phi0 = float(np.mean(trace.pre[-1][:, 0]))
+        K = self.K = background.size
+        B = np.tile(background.B, rows)
+        pre = [np.tile(z, rows) for z in trace.pre[:-1]]
+        post = [np.tile(h, rows) for h in trace.post[:-1]]
+        top = np.tile(model.weights[-1], rows)
+        size = K * rows * max(model.spec.layer_sizes[:-1])
+        delta, ratio, mult = np.empty(size), np.empty(size), np.empty(size)
+        fallback = np.empty(size, dtype=bool)
 
-    def work(self, buffer: np.ndarray, width: int) -> np.ndarray:
-        """A contiguous (K, width) view of the front of a work buffer."""
-        return buffer[: self.K * width].reshape(self.K, width)
+        def work(buffer: np.ndarray, width: int) -> np.ndarray:
+            return buffer[: K * width].reshape(K, width)
+
+        self.blocks = {}
+        for r in range(1, rows + 1):
+            layers = []
+            for i in reversed(range(len(model.weights) - 1)):
+                W = model.weights[i]
+                width = r * W.shape[0]
+                layers.append((
+                    W, pre[i][:, :width], post[i][:, :width], work(delta, width),
+                    work(ratio, width), work(fallback, width), work(mult, r * W.shape[1]),
+                ))
+            width = r * model.input_size
+            self.blocks[r] = (top[:, : r * model.weights[-1].shape[1]], layers,
+                              B[:, :width], work(delta, width))
 
 
 def shap_fingerprint(
-    model: neural.MlpModel, trace_x: neural.ForwardTrace, slabs: ReferenceSlabs
+    model: neural.MlpModel, X: np.ndarray, slabs: ReferenceSlabs
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean rescale-rule contributions (r, M) of the r rows traced in
-    trace_x over the background set, plus their explained logits g(x) (r,).
+    """Mean rescale-rule contributions (r, M) of the C-ordered rows X (r, M)
+    over the background set, plus their explained logits g(x) (r,).
 
-    trace_x is the forward trace of an (r, 1, M) stack of rows, r at most
-    the rows slabs was tiled for. Against each reference b_k a row's
-    contributions sum to g(x) - g(b_k), so completeness phi0 + sum(phi) =
-    g(x) holds by linearity of the mean. Every elementwise op runs on
-    (K, r * units) slabs with the same float op per row and reference, the
-    (K * r, units) products run row by row, and the sum over references
-    runs in reference order, so each row's result is bitwise that of the
-    row alone, whatever rows share its block.
+    r is at most the rows slabs was tiled for, and the rows are forwarded
+    as one (r, 1, M) stack. Call it under np.errstate(divide="ignore",
+    invalid="ignore"), as fingerprint_batch does: a zero delta divides by
+    zero before the fallback replaces its ratio. Against each
+    reference b_k a row's contributions sum to g(x) - g(b_k), so
+    completeness phi0 + sum(phi) = g(x) holds by linearity of the mean.
+    Every elementwise op runs on (K, r * units) slabs with the same float op
+    per row and reference, the (K * r, units) products run row by row, and
+    the sum over references runs in reference order, so each row's result
+    is bitwise that of the row alone, whatever rows share its block.
     """
-    r, K = trace_x.inputs.shape[0], slabs.K
-    mult = slabs.top[:, : r * model.weights[-1].shape[1]]
-    for i in reversed(range(len(model.weights) - 1)):
-        # mult is d(logit)/d(post-activation of layer i), per reference and row
-        W = model.weights[i]
-        width = r * W.shape[0]
-        zx = trace_x.pre[i].reshape(1, width)
-        delta = np.subtract(zx, slabs.pre[i][:, :width], out=slabs.work(slabs.delta, width))
-        ratio = np.subtract(trace_x.post[i].reshape(1, width), slabs.post[i][:, :width],
-                            out=slabs.work(slabs.ratio, width))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(ratio, delta, out=ratio)
-        fallback = np.less_equal(np.abs(delta, out=delta), NEAR_ZERO_DELTA,
-                                 out=slabs.work(slabs.fallback, width))
+    r, K = X.shape[0], slabs.K
+    _, trace = neural.forward(model, X[:, None, :])
+    # mult is d(logit)/d(post-activation of a layer), per reference and row
+    mult, layers, B, terms = slabs.blocks[r]
+    for (W, zb, hb, delta, ratio, fallback, below), zx, hx in zip(
+            layers, reversed(trace.pre[:-1]), reversed(trace.post[:-1])):
+        zx = zx.reshape(1, -1)
+        np.subtract(zx, zb, out=delta)
+        np.subtract(hx.reshape(1, -1), hb, out=ratio)
+        np.divide(ratio, delta, out=ratio)
+        np.less_equal(np.abs(delta, out=delta), NEAR_ZERO_DELTA, out=fallback)
         np.copyto(ratio, zx > 0, where=fallback)
         np.multiply(mult, ratio, out=ratio)
-        mult = slabs.work(slabs.mult, r * W.shape[1])
-        np.matmul(ratio.reshape(K * r, -1), W, out=mult.reshape(K * r, -1))
-    width = r * model.input_size
-    terms = np.subtract(trace_x.inputs.reshape(1, width), slabs.B[:, :width],
-                        out=slabs.work(slabs.delta, width))
+        np.matmul(ratio.reshape(K * r, -1), W, out=below.reshape(K * r, -1))
+        mult = below
+    np.subtract(X.reshape(1, -1), B, out=terms)
     np.multiply(terms, mult, out=terms)
     phi = terms.sum(axis=0).reshape(r, -1) / K
-    return phi, trace_x.pre[-1][:, 0, 0]
+    return phi, trace.pre[-1][:, 0, 0]
 
 
 def fingerprint_batch(
@@ -209,7 +213,9 @@ def fingerprint_batch(
     A row's fingerprint does not depend on the other rows passed with it,
     so callers select rows by slicing X. sample_ids defaults to row indices.
     """
-    X = np.asarray(X, dtype=np.float64)
+    # any other layout is copied to C order: a product can round a row of a
+    # strided stack differently
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be a matrix")
     if model.output_size != 1:
@@ -223,30 +229,18 @@ def fingerprint_batch(
     if len(sample_ids) != n:
         raise ValueError("sample_ids length must match X")
 
-    _, trace_b = neural.forward(model, background.B)
     # numpy sums a lone column pairwise, not in reference order; one-row
     # blocks keep a one-feature model's sums those of a row alone.
     rows = BLOCK_ROWS if model.input_size > 1 else 1
-    slabs = ReferenceSlabs(model, background, trace_b, rows)
+    slabs = ReferenceSlabs(model, background, rows)
     phi = np.empty(X.shape)
     logits = np.empty(n)
-    chunk = rows * FORWARD_BLOCKS
-    for first in range(0, n, chunk):
-        part = slice(first, first + chunk)
-        # a fresh C-ordered copy, whatever the layout of X
-        _, trace = neural.forward(model, X[part, None, :].copy())
-        for start in range(0, len(trace.inputs), rows):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
             block = slice(start, start + rows)
-            block_trace = neural.ForwardTrace(
-                trace.inputs[block], [z[block] for z in trace.pre], [h[block] for h in trace.post]
-            )
-            phi[part][block], logits[part][block] = shap_fingerprint(model, block_trace, slabs)
+            phi[block], logits[block] = shap_fingerprint(model, X[block], slabs)
     return Fingerprints(
-        phi=phi,
-        phi0=float(np.mean(trace_b.pre[-1][:, 0])),  # the mean background logit
-        model_output=logits,
-        sample_ids=sample_ids,
-        origin=origin,
+        phi=phi, phi0=slabs.phi0, model_output=logits, sample_ids=sample_ids, origin=origin
     )
 
 

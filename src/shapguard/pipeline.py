@@ -52,9 +52,6 @@ def option_values(command: str) -> tuple[str, ...]:
     return tuple(value for name, value, _ in STAGES if name == command and value)
 
 
-FINGERPRINT_SOURCES = option_values("fingerprint")
-
-
 class ConfigError(ValueError):
     """The pipeline configuration is invalid."""
 

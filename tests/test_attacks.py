@@ -503,6 +503,24 @@ def test_attack_batch_empty_selection():
         attacks.attack_batch(model, ds, AttackConfig(kind="fgsm"))
 
 
+@pytest.mark.parametrize("kind", attacks.ATTACK_KINDS)
+@pytest.mark.parametrize("value", [-0.5, 1.5, np.nan])
+def test_attack_batch_rejects_a_row_outside_the_box(kind, value):
+    """A cell outside [0, 1] would come back clamped into the box, further
+    than epsilon from its row: the batch names it instead of attacking."""
+    schema, model = data.FeatureSchema.synthetic(3), _linear_sigmoid([1.0, -1.0, 2.0], 0.0)
+    X = np.full((4, 3), 0.5)
+    X[2, 1] = value
+    ds = data.FlowDataset(schema, X.copy(), [1, 0, 1, 1])
+    with pytest.raises(ValueError, match=re.escape(
+            f"row 2, feature 'f1': {value!r} is not a finite value in [0, 1]")):
+        attacks.attack_batch(model, ds, AttackConfig(kind=kind))
+    # within data.BOX_TOL of the box is still in it
+    X[2, 1] = 1.0 + data.BOX_TOL
+    batch = attacks.attack_batch(model, data.FlowDataset(schema, X, ds.y), AttackConfig(kind=kind))
+    assert batch.n == 3
+
+
 def test_adv_batch_roundtrip(tmp_path):
     model, ds = _trained_toy(seed=9, n=30)
     batch = attacks.attack_batch(model, ds, AttackConfig(kind="deepfool"))

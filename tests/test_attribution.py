@@ -189,19 +189,17 @@ def test_batch_row_equals_single_fingerprint():
     X = rng.uniform(0, 1, (4, 6))
     bg = BackgroundSet(B=rng.uniform(0, 1, (10, 6)))
     fps = attribution.fingerprint_batch(model, X, bg)
-    _, trace_b = neural.forward(model, bg.B)
-    slabs = attribution.ReferenceSlabs(model, bg, trace_b, rows=4)
-    for k in range(4):
-        phi, logit = attribution.shap_fingerprint(
-            model, neural.forward(model, X[k : k + 1, None, :])[1], slabs
-        )
-        assert phi.shape == (1, 6) and logit.shape == (1,)
-        assert np.array_equal(fps.phi[k], phi[0])
-        assert fps.model_output[k] == logit[0] == _logit(model, X[k : k + 1])[0]
-    phi, logit = attribution.shap_fingerprint(model, neural.forward(model, X[:, None, :])[1], slabs)
+    slabs = attribution.ReferenceSlabs(model, bg, rows=4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(4):
+            phi, logit = attribution.shap_fingerprint(model, X[k : k + 1], slabs)
+            assert phi.shape == (1, 6) and logit.shape == (1,)
+            assert np.array_equal(fps.phi[k], phi[0])
+            assert fps.model_output[k] == logit[0] == _logit(model, X[k : k + 1])[0]
+        phi, logit = attribution.shap_fingerprint(model, X, slabs)
     assert np.array_equal(fps.phi, phi)
     assert np.array_equal(fps.model_output, logit)
-    assert fps.phi0 == float(np.mean(_logit(model, bg.B)))
+    assert fps.phi0 == slabs.phi0 == float(np.mean(_logit(model, bg.B)))
 
 
 def _per_row_fingerprint(model, x, background, trace_b):
@@ -286,34 +284,41 @@ def test_block_size_and_layout_of_x_change_no_bit(monkeypatch, m, hidden):
     _, trace_b = neural.forward(model, bg.B)
     oracle = [_per_row_fingerprint(model, x, bg, trace_b) for x in X]
     for rows in (1, 3, 7, 64):
-        # one forward pass per block or per two blocks, and one for all of X
-        for forward_blocks in (1, 2, 64):
-            monkeypatch.setattr(attribution, "BLOCK_ROWS", rows)
-            monkeypatch.setattr(attribution, "FORWARD_BLOCKS", forward_blocks)
-            for layout in (X, strided, np.asfortranarray(X)):
-                fps = attribution.fingerprint_batch(model, layout, bg)
-                for k, (phi, logit) in enumerate(oracle):
-                    assert np.array_equal(fps.phi[k], phi), (rows, forward_blocks, k)
-                    assert fps.model_output[k] == logit, (rows, forward_blocks, k)
+        monkeypatch.setattr(attribution, "BLOCK_ROWS", rows)
+        for layout in (X, strided, np.asfortranarray(X)):
+            fps = attribution.fingerprint_batch(model, layout, bg)
+            for k, (phi, logit) in enumerate(oracle):
+                assert np.array_equal(fps.phi[k], phi), (rows, k)
+                assert fps.model_output[k] == logit, (rows, k)
 
 
 def test_batch_calls_the_block_kernel_once_per_block(monkeypatch):
     """fingerprint_batch looks the kernel up in the module namespace once per
-    block, so a wrapper set there (a tracer, say) sees every block."""
-    kernel, blocks = attribution.shap_fingerprint, []
+    block, so a wrapper set there (a tracer, say) sees every block. Each
+    block is one forward pass of at most BLOCK_ROWS rows, after one of the
+    background: no row is forwarded twice."""
+    kernel, forward, blocks, passes = attribution.shap_fingerprint, neural.forward, [], []
 
     def counted(*args, **kwargs):
         blocks.append(args)
         return kernel(*args, **kwargs)
 
+    def counted_forward(model, X, *args, **kwargs):
+        passes.append(len(X))
+        return forward(model, X, *args, **kwargs)
+
     monkeypatch.setattr(attribution, "shap_fingerprint", counted)
+    monkeypatch.setattr(neural, "forward", counted_forward)
     model, rng = _random_relu_net(96)
     bg = BackgroundSet(B=rng.uniform(0, 1, (5, 6)))
     rows = attribution.BLOCK_ROWS
-    for n in (1, rows, rows + 1, rows * attribution.FORWARD_BLOCKS + 3):
+    for n in (1, rows, rows + 1, 67):
         blocks.clear()
+        passes.clear()
         attribution.fingerprint_batch(model, rng.uniform(0, 1, (n, 6)), bg)
         assert len(blocks) == math.ceil(n / rows), n
+        assert len(passes) == 1 + len(blocks) and passes[0] == bg.size, (n, passes)
+        assert max(passes[1:]) <= rows and sum(passes[1:]) == n, (n, passes)
 
 
 def test_batch_empty_selection_raises():

@@ -270,7 +270,7 @@ def test_each_stage_reads_only_the_config_sections_it_records(tmp_path):
         ("train-nids", None, "train-nids"),
         *(("attack", kind, f"attack-{kind}") for kind in pipeline.ATTACK_KINDS),
         *(("fingerprint", source, f"fingerprint-{source}")
-          for source in pipeline.FINGERPRINT_SOURCES),
+          for source in pipeline.option_values("fingerprint")),
         ("train-detector", None, "train-detector"),
         ("evaluate", None, "evaluate"),
         ("detect", out / "data/test.csv", "detect"),
@@ -385,7 +385,8 @@ def test_each_stage_records_the_config_part_it_read(tiny_run):
     for kind in pipeline.ATTACK_KINDS:
         assert stages[f"attack-{kind}"]["config"] == {"attacks": {kind: cfg["attacks"][kind]}}
     assert stages["train-detector"]["config"] == {"detector": cfg["detector"]}
-    for name in ("evaluate", *(f"fingerprint-{s}" for s in pipeline.FINGERPRINT_SOURCES)):
+    sources = pipeline.option_values("fingerprint")
+    for name in ("evaluate", *(f"fingerprint-{source}" for source in sources)):
         assert "config" not in stages[name], name
     for entry in stages.values():
         assert list(entry) in (["seconds", "config", "artifacts", "summary"],
@@ -440,7 +441,7 @@ def test_fingerprint_summary_reports_measured_completeness_gap(tiny_run):
     stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
     names = {"clean": ["clean_train", "clean_val", "clean_test"],
              **{kind: [kind] for kind in pipeline.ATTACK_KINDS}}
-    for source in pipeline.FINGERPRINT_SOURCES:
+    for source in pipeline.option_values("fingerprint"):
         summary = stages[f"fingerprint-{source}"]["summary"]
         gaps, rows = [], {}
         for name in names[source]:
@@ -1391,6 +1392,27 @@ def test_run_all_records_its_stages_in_the_serial_order(tmp_path):
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     assert list(stages) == serial
     _assert_no_child_left()
+
+
+def test_run_all_writes_the_bytes_of_its_stages_run_one_command_at_a_time(tmp_path):
+    """run-all's forks change no byte: each of its artifacts but the
+    manifest (which records stage seconds) equals the one the stages write
+    run one CLI command at a time, in the serial order."""
+    config = _write_config(tmp_path, _tiny_config(tmp_path / "unused"))
+    forked, serial = tmp_path / "forked", tmp_path / "serial"
+    assert cli.main(["run-all", "--config", config, "--out", str(forked)]) == 0
+    for argv in (["ingest"], ["train-nids"], ["attack", "--attack", "all"],
+                 ["fingerprint", "--source", "all"], ["train-detector"], ["evaluate"]):
+        assert cli.main([*argv, "--config", config, "--out", str(serial)]) == 0, argv
+    _assert_no_child_left()
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*")
+                      if p.is_file() and p.name != pipeline.MANIFEST_NAME)
+
+    assert files(forked) == files(serial) != []
+    for name in files(forked):
+        assert (forked / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command, flag", [("attack", "--attack"), ("fingerprint", "--source")])

@@ -10,17 +10,25 @@ SRC = Path(shapguard.__file__).parent
 
 def test_every_public_function_and_class_is_used_by_the_program():
     """No public helper exists only because a test calls it: each public
-    module-level function or class in the package is referenced, as a name
-    or an attribute, somewhere in the package's own code."""
+    module-level function, class or assigned name in the package is read,
+    as a name or an attribute, somewhere in the package's own code."""
     defined, referenced = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [
-            (top.name, f"{path.stem}.{top.name}") for top in tree.body
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
-        ]
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            defined += [(name, f"{path.stem}.{name}") for name in names
+                        if not name.startswith("_")]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            # an assignment's own target is not a read of its name
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
