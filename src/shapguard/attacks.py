@@ -233,12 +233,14 @@ def save_adv_batch(
 
 def load_adv_batch(path: str | Path) -> AdvBatch:
     """Read a file written by :func:`save_adv_batch`, with its header (any
-    feature names after adv_), its adv_ cells in the box."""
+    feature names after adv_), its adv_ cells in the box, and at least one row."""
     _, values, _ = data.read_table(
         path, rules={"sample_index": "whole", "success": "binary", "linf": "finite",
                      "l2": "finite", "*": "box"},
         columns=lambda header: ["sample_index", "success", "linf", "l2",
                                 *(f"adv_{name.removeprefix('adv_')}" for name in header[4:])])
+    if not len(values):
+        raise ValueError(f"{path}: no data rows")
     return AdvBatch(
         X_adv=values[:, 4:].copy(),
         success=values[:, 1].astype(bool),

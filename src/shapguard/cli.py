@@ -9,20 +9,15 @@ printed as ``shapguard: <stage>: ...``; any traceback is a bug.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
-from . import pipeline
+from . import data, pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STAGE = 2
 EXIT_INVARIANT = 3
-
-# The JSON name of each type json.load can return besides an object.
-_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
-               bool: "boolean", type(None): "null"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,21 +52,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    user_cfg = None
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                user_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"shapguard: cannot read config {args.config}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if not isinstance(user_cfg, dict):
-            print(f"shapguard: config error: {args.config} must hold a JSON object, "
-                  f"got {_JSON_TYPES[type(user_cfg)]}", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        user_cfg = data.read_json(args.config) if args.config else None
         cfg = pipeline.resolve_config(user_cfg, seed_override=args.seed, out_override=args.out)
-    except pipeline.ConfigError as exc:
+    except OSError as exc:
+        print(f"shapguard: cannot read config {args.config}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, pipeline.ConfigError) as exc:  # from read_json or resolve_config
         print(f"shapguard: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -383,16 +383,16 @@ def save_scaler(s: ScalerParams, schema: FeatureSchema, path: str | Path) -> Pat
     )
 
 
-def load_scaler(path: str | Path) -> tuple[ScalerParams, FeatureSchema]:
-    payload = read_json(path)
-    try:
-        schema = FeatureSchema(tuple(json_value(payload["schema"], "schema", list)))
-        params = ScalerParams(min=payload["min"], max=payload["max"])
-        if params.m != schema.m:
-            raise ValueError("scaler/schema dimension mismatch")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _scaler_from_dict(payload: dict) -> tuple[ScalerParams, FeatureSchema]:
+    schema = FeatureSchema(tuple(json_value(payload["schema"], "schema", list)))
+    params = ScalerParams(min=payload["min"], max=payload["max"])
+    if params.m != schema.m:
+        raise ValueError("scaler/schema dimension mismatch")
     return params, schema
+
+
+def load_scaler(path: str | Path) -> tuple[ScalerParams, FeatureSchema]:
+    return read_json(path, _scaler_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +557,33 @@ def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
     return path
 
 
-def read_json(path: str | Path) -> dict:
-    """Read a JSON artifact, which is an object; a file that does not parse,
-    or holds another JSON value, is a ValueError naming it."""
+# The JSON name of each type json.load can return besides an object.
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def read_json(path: str | Path, parse: Callable[[dict], object] | None = None):
+    """``parse`` of the JSON object in file ``path``, or the object itself.
+    A file that does not parse or holds another JSON value, and a ValueError,
+    KeyError (a missing field) or TypeError (a malformed one) raised by
+    ``parse``, is a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if type(payload) is not dict:
-        raise ValueError(f"{path}: not a JSON object, got {type(payload).__name__}")
-    return payload
+        raise ValueError(f"{path}: not a JSON object, got {_JSON_TYPES[type(payload)]}")
+    if parse is None:
+        return payload
+    try:
+        return parse(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed field: {exc}") from exc
 
 
 def json_value(value, field: str, kind: type = dict):

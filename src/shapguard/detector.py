@@ -148,27 +148,27 @@ def save_detector(det: DetectorModel, path: str | Path) -> Path:
     return data.write_json(path, payload, indent=None)
 
 
+def _detector_from_dict(payload: dict) -> DetectorModel:
+    tau = payload["tau"]
+    if type(tau) not in (int, float) or not np.isfinite(tau):
+        raise ValueError(f"tau must be a finite number, got {tau!r}")
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    calibration = data.json_value(payload["calibration"], "calibration")
+    CalibrationMethod(calibration["method"], calibration["parameter"])
+    autoencoder = neural.from_dict(data.json_value(payload["autoencoder"], "autoencoder"))
+    spec = autoencoder.spec
+    if spec.output_activation != "linear":
+        raise ValueError(f"the autoencoder's output activation must be 'linear', "
+                         f"got {spec.output_activation!r}")
+    if spec.output_size != spec.input_size:
+        raise ValueError(f"the autoencoder's output size {spec.output_size} must equal "
+                         f"its input size {spec.input_size}")
+    return DetectorModel(autoencoder=autoencoder, tau=tau, calibration=calibration)
+
+
 def load_detector(path: str | Path) -> DetectorModel:
     """The detector :func:`save_detector` wrote: a finite tau >= 0, a
     calibration object with a method calibrate can use, and an autoencoder
     with a linear output as wide as its input. A ValueError names the file."""
-    payload = data.read_json(path)
-    try:
-        tau = payload["tau"]
-        if type(tau) not in (int, float) or not np.isfinite(tau):
-            raise ValueError(f"tau must be a finite number, got {tau!r}")
-        if tau < 0:
-            raise ValueError(f"tau must be >= 0, got {tau!r}")
-        calibration = data.json_value(payload["calibration"], "calibration")
-        CalibrationMethod(calibration["method"], calibration["parameter"])
-        autoencoder = neural.from_dict(data.json_value(payload["autoencoder"], "autoencoder"))
-        spec = autoencoder.spec
-        if spec.output_activation != "linear":
-            raise ValueError(f"the autoencoder's output activation must be 'linear', "
-                             f"got {spec.output_activation!r}")
-        if spec.output_size != spec.input_size:
-            raise ValueError(f"the autoencoder's output size {spec.output_size} must equal "
-                             f"its input size {spec.input_size}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return DetectorModel(autoencoder=autoencoder, tau=tau, calibration=calibration)
+    return data.read_json(path, _detector_from_dict)

@@ -457,8 +457,4 @@ def save(model: MlpModel, path: str | Path) -> Path:
 
 
 def load(path: str | Path) -> MlpModel:
-    payload = data.read_json(path)
-    try:
-        return from_dict(payload)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return data.read_json(path, from_dict)

@@ -269,19 +269,13 @@ class Workspace:
         return self.root / rel
 
     def load(self, rel: str, loader: Callable[[Path], Any]) -> Any:
-        """Read artifact ``rel`` with ``loader``. A missing file, or JSON that
-        lacks a field (KeyError) or holds one of the wrong type (TypeError),
-        is a ValueError naming the file; the stage runner makes it, like any
-        ValueError, a stage failure (exit 2) naming the stage."""
+        """Read artifact ``rel`` with ``loader``. A missing file is a
+        ValueError naming it; the stage runner makes it, like the loader's
+        own ValueErrors, a stage failure (exit 2) naming the stage."""
         target = self.path(rel)
         if not target.exists():
             raise ValueError(f"missing artifact {rel!r}; run the producing stage first")
-        try:
-            return loader(target)
-        except KeyError as exc:
-            raise ValueError(f"{rel}: missing field {exc}") from exc
-        except TypeError as exc:
-            raise ValueError(f"{rel}: malformed field: {exc}") from exc
+        return loader(target)
 
     def finish(
         self, name: str, started: float, paths: list[Path], summary: dict,
@@ -321,10 +315,9 @@ def _schema_from_cfg(csv_cfg: dict) -> data.FeatureSchema:
     raise ConfigError(f"unsupported schema spec {schema!r}")
 
 
-def _read_manifest(path: Path) -> dict:
-    """The manifest at ``path``; a KeyError or TypeError if it has no
-    mapping of stages."""
-    manifest = data.read_json(path)
+def _manifest_from_dict(manifest: dict) -> dict:
+    """The manifest itself; a KeyError or TypeError if it has no mapping of
+    stages."""
     if not isinstance(manifest["stages"], dict):
         raise TypeError("'stages' is not a mapping")
     return manifest
@@ -333,7 +326,7 @@ def _read_manifest(path: Path) -> dict:
 def _manifest(ws: Workspace) -> dict:
     """The run manifest so far; a fresh one before any stage finished."""
     if ws.path(MANIFEST_NAME).exists():
-        return ws.load(MANIFEST_NAME, _read_manifest)
+        return data.read_json(ws.path(MANIFEST_NAME), _manifest_from_dict)
     return {"tool": "shapguard", "version": __version__, "stages": {}}
 
 
@@ -360,6 +353,8 @@ def _load_background(path: Path, names: Sequence[str] = ()) -> attribution.Backg
     fingerprint_batch, which names the model's width too."""
     _, values, _ = data.read_table(path, rules={"*": "box"}, columns=lambda header: (
         [*names[:len(header)], *header[len(names):]]))
+    if not len(values):
+        raise ValueError(f"{path}: no data rows")
     return attribution.BackgroundSet(B=values)
 
 

@@ -263,6 +263,26 @@ def test_files_are_parsed_and_written_by_the_codec_alone():
         ("data.read_table", "np.loadtxt"),
         ("data.write_json", "json.dumps"),
         ("data.read_json", "json.load"),
-        # the user's --config file is input, not an artifact
-        ("cli.main", "json.load"),
     }
+
+
+@pytest.mark.parametrize(
+    "load, payload, message",
+    [(neural.load, {}, "missing field 'spec'"),
+     (neural.load, {"spec": 3}, "field 'spec' must be an object, got int"),
+     (detector.load_detector, {}, "missing field 'tau'"),
+     (detector.load_detector, {"tau": 1.0, "calibration": []},
+      "field 'calibration' must be an object, got list"),
+     (data.load_scaler, {}, "missing field 'schema'"),
+     (data.load_scaler, {"schema": "ab", "min": [0, 0], "max": [1, 1]},
+      "field 'schema' must be a list, got str")],
+    ids=["nids-empty", "nids-spec-int", "detector-empty", "detector-calibration-list",
+         "scaler-empty", "scaler-schema-string"],
+)
+def test_a_json_loader_called_alone_names_the_file_and_the_field(tmp_path, load, payload, message):
+    """The library's own JSON loaders keep the README's promise without a
+    Workspace: every failure is a ValueError naming the file."""
+    path = data.write_json(tmp_path / "artifact.json", payload)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"

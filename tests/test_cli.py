@@ -535,8 +535,18 @@ def test_a_config_file_that_holds_no_object_is_a_config_error(tmp_path, capsys, 
     out = tmp_path / "run"
     assert cli.main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err == (
-        f"shapguard: config error: {cfg_path} must hold a JSON object, got {got}\n"
+        f"shapguard: config error: {cfg_path}: not a JSON object, got {got}\n"
     )
+    assert not out.exists()
+
+
+def test_a_config_file_that_is_not_valid_json_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"seed": ', encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"shapguard: config error: {cfg_path}: not valid JSON: ")
     assert not out.exists()
 
 
@@ -888,11 +898,19 @@ def _renamed_header(rows):
          "models/background.csv: header column 1 is 'renamed_a', expected 'f0'"),
         ("models/background.csv", ["detect", "--input", "data/test.csv"], _renamed_header,
          "models/background.csv: header column 1 is 'renamed_a', expected 'f0'"),
+        ("models/background.csv", ["fingerprint", "--source", "fgsm"], lambda rows: rows[:1],
+         "models/background.csv: no data rows"),
+        ("models/background.csv", ["detect", "--input", "data/test.csv"], lambda rows: rows[:1],
+         "models/background.csv: no data rows"),
+        ("attacks/pgd.csv", ["fingerprint", "--source", "pgd"], lambda rows: rows[:1],
+         "attacks/pgd.csv: no data rows"),
     ],
     ids=["fingerprints/clean_train.csv-argv0", "attacks/pgd.csv-argv1",
          "models/background.csv-argv2", "split-header-only", "split-without-label",
          "fingerprints-header-only", "split-without-malicious-rows",
-         "background-renamed-fingerprint", "background-renamed-detect"],
+         "background-renamed-fingerprint", "background-renamed-detect",
+         "background-header-only-fingerprint", "background-header-only-detect",
+         "attack-header-only"],
 )
 def test_empty_artifact_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, artifact, argv, rewrite, message
@@ -1292,7 +1310,7 @@ def _narrow_output(payload):
         ("detector/detector.json", _set("autoencoder", []), ["detect", "--input", "data/test.csv"],
          "detector/detector.json: field 'autoencoder' must be an object, got list"),
         ("models/nids.json", lambda p: p.write_text("[]"), ["attack", "--attack", "fgsm"],
-         "models/nids.json: not a JSON object, got list"),
+         "models/nids.json: not a JSON object, got array"),
         # numpy would promote the boolean among numbers to 1.0
         ("models/nids.json", _edit(lambda n: n["weights"][0][0].__setitem__(1, True)),
          ["detect", "--input", "data/test.csv"],

@@ -559,6 +559,38 @@ def test_json_artifact_rejects_truncated_file(tmp_path):
         data.read_json(path)
 
 
+@pytest.mark.parametrize(
+    "text, got", [("[1, 2]", "array"), ('"x"', "string"), ("3", "number"), ("2.5", "number"),
+                  ("true", "boolean"), ("null", "null")]
+)
+def test_read_json_names_the_json_type_of_a_file_that_holds_no_object(tmp_path, text, got):
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a JSON object, got {got}$"):
+        data.read_json(path)
+
+
+def _raise(exc):
+    def parse(payload):
+        raise exc
+    return parse
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [(ValueError("field 'a' must be a list, got int"), "field 'a' must be a list, got int"),
+     (KeyError("a"), "missing field 'a'"),
+     (TypeError("'stages' is not a mapping"), "malformed field: 'stages' is not a mapping")],
+    ids=["ValueError", "KeyError", "TypeError"],
+)
+def test_read_json_makes_its_parsers_errors_a_value_error_naming_the_file(tmp_path, exc, message):
+    path = data.write_json(tmp_path / "p.json", {"a": 1})
+    with pytest.raises(ValueError) as info:
+        data.read_json(path, _raise(exc))
+    assert type(info.value) is ValueError and str(info.value) == f"{path}: {message}"
+    assert data.read_json(path, lambda payload: payload["a"] + 1) == 2
+
+
 def test_write_json_pins_the_bytes_of_both_layouts(tmp_path):
     payload = {"rows": [{"id": 0, "score": 0.1, "ok": True}], "tau": 2.5e-07,
                "none": None, "name": "é", "empty": {}}
