@@ -11,7 +11,7 @@ completeness: phi0 + sum_j phi_j = g(x) with phi0 the mean background logit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +232,10 @@ def fingerprint_batch(
     # numpy sums a lone column pairwise, not in reference order; one-row
     # blocks keep a one-feature model's sums those of a row alone.
     rows = BLOCK_ROWS if model.input_size > 1 else 1
+    # the same weights with a linear output: the rescale chain reads only
+    # pre-activations, so the forwards skip the sigmoid
+    model = neural.MlpModel(replace(model.spec, output_activation="linear"),
+                            model.weights, model.biases)
     slabs = ReferenceSlabs(model, background, rows)
     phi = np.empty(X.shape)
     logits = np.empty(n)
@@ -263,15 +267,13 @@ def save_fingerprints(fps: Fingerprints, path: str | Path) -> Path:
 
 
 def load_fingerprints(path: str | Path) -> Fingerprints:
-    """Read a file written by :func:`save_fingerprints`, with its header;
-    its phi0 and origin columns must be constant, and every sample_id a
-    whole number >= 0."""
+    """Read a file written by :func:`save_fingerprints`, with its header
+    and a data row, as :func:`data.read_table` checks; its phi0 and origin
+    columns must be constant, and every sample_id a whole number >= 0."""
     header, values, text = data.read_table(
         path, text=("origin",), rules={"sample_id": "whole"}, columns=lambda header: [
             "sample_id", "phi0", *(f"phi_{j}" for j in range(1, len(header) - 3)),
             "model_output", "origin"])
-    if not len(values):
-        raise ValueError(f"{path}: no fingerprints")
     m = len(header) - 4
     if np.unique(values[:, 1]).size != 1:
         raise ValueError(f"{path}: the phi0 column is not constant")

@@ -216,7 +216,7 @@ def load_csv(
     schema column are dropped with a counted warning.
 
     Raises a ValueError naming the file, as :func:`read_table` does, when a
-    schema column is missing from the header or no usable data row is left.
+    schema column is missing from the header or every data row is dropped.
     """
     header, values, text = read_table(path, text=(label_column,), rules={"*": None})
     positions = {name: i for i, name in enumerate(header)}
@@ -367,11 +367,8 @@ def save_dataset(ds: FlowDataset, path: str | Path) -> Path:
 
 def load_dataset(path: str | Path) -> FlowDataset:
     """Read back a table written by :func:`save_dataset`, its features in the box."""
-    header, values, _ = read_table(path, rules={LABEL_COLUMN: "binary", "*": "box"})
-    if header[-1] != LABEL_COLUMN:
-        raise ValueError(f"{path}: not a saved dataset (missing label column)")
-    if not len(values):
-        raise ValueError(f"{path}: no data rows")
+    header, values, _ = read_table(path, rules={LABEL_COLUMN: "binary", "*": "box"},
+                                   columns=lambda header: [*header[:-1], LABEL_COLUMN])
     return FlowDataset(
         schema=FeatureSchema(tuple(header[:-1])), X=values[:, :-1], y=values[:, -1]
     )
@@ -442,11 +439,12 @@ def read_table(
     the names the table's writer writes, from the header read (they may
     depend on its width or its feature names), at least as many as it has.
 
-    Raises a ValueError naming the file when it is empty, a header cell
-    differs from its ``columns`` name (the first is named), the header names
-    a column twice, a text column is missing, a row's width differs from
-    the header's, a cell is not a number or one breaks its column's rule; a
-    bad row is named by its file line, the first bad cell in row-major order.
+    Raises a ValueError naming the file when it is empty or holds no data
+    row, a header cell differs from its ``columns`` name (the first is
+    named), the header names a column twice, a text column is missing, a
+    row's width differs from the header's, a cell is not a number or one
+    breaks its column's rule; a bad row is named by its file line, the first
+    bad cell in row-major order.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -468,17 +466,16 @@ def read_table(
         cells: dict[str, list[str]] = {name: [] for name in text}
         # list.append returns None, which numpy stores as NaN
         converters = {header.index(name): cells[name].append for name in text}
-        values = np.empty((0, len(header)))
-        # np.loadtxt streams the data lines; it is handed the first one apart
-        # because it warns on input without any.
+        # np.loadtxt streams the data lines; it would only warn on none
         lines = (line for _, line in _data_lines(fh))
         first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
         try:
-            if first is not None:
-                values = np.loadtxt(
-                    itertools.chain([first], lines), dtype=np.float64, delimiter=",",
-                    quotechar='"', comments=None, converters=converters, ndmin=2,
-                )
+            values = np.loadtxt(
+                itertools.chain([first], lines), dtype=np.float64, delimiter=",",
+                quotechar='"', comments=None, converters=converters, ndmin=2,
+            )
             if values.shape[1] != len(header):
                 raise ValueError(f"rows have {values.shape[1]} cells, the header {len(header)}")
         except ValueError as exc:
@@ -557,9 +554,9 @@ def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
     return path
 
 
-# The JSON name of each type json.load can return besides an object.
-_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
-               bool: "boolean", type(None): "null"}
+# The JSON name of each type json.load can return.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
 
 
 def read_json(path: str | Path, parse: Callable[[dict], object] | None = None):
@@ -590,5 +587,5 @@ def json_value(value, field: str, kind: type = dict):
     """value, a ValueError naming field unless it is a JSON object (or list)."""
     if type(value) is not kind:
         what = "an object" if kind is dict else "a list"
-        raise ValueError(f"field {field!r} must be {what}, got {type(value).__name__}")
+        raise ValueError(f"field {field!r} must be {what}, got {_JSON_TYPES[type(value)]}")
     return value

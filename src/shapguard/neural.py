@@ -439,10 +439,10 @@ def from_dict(payload: dict) -> MlpModel:
     )
     layers = len(mlp_spec.layer_sizes) - 1
     for field, what in (("weights", "matrices"), ("biases", "vectors")):
-        value = payload[field]
-        if type(value) is not list or len(value) != layers:
-            got = f"a list of {len(value)}" if type(value) is list else type(value).__name__
-            raise ValueError(f"field {field!r} must be a list of {layers} {what}, got {got}")
+        count = len(data.json_value(payload[field], field, list))
+        if count != layers:
+            raise ValueError(f"field {field!r} must be a list of {layers} {what}, "
+                             f"got a list of {count}")
     return MlpModel(
         spec=mlp_spec,
         weights=[data.float_array(W, f"weights[{i}]") for i, W in enumerate(payload["weights"])],

@@ -353,8 +353,6 @@ def _load_background(path: Path, names: Sequence[str] = ()) -> attribution.Backg
     fingerprint_batch, which names the model's width too."""
     _, values, _ = data.read_table(path, rules={"*": "box"}, columns=lambda header: (
         [*names[:len(header)], *header[len(names):]]))
-    if not len(values):
-        raise ValueError(f"{path}: no data rows")
     return attribution.BackgroundSet(B=values)
 
 
@@ -591,16 +589,8 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
     det = ws.load("detector/detector.json", detector.load_detector)
     _, schema = ws.load("data/scaler.json", data.load_scaler)
     background = ws.load(BACKGROUND, lambda path: _load_background(path, schema.names))
-    header, values, _ = data.read_table(input_path, text=(data.LABEL_COLUMN,),
-                                        rules={"*": "box"})
-    expected = [*schema.names, data.LABEL_COLUMN]
-    if header != expected:
-        raise ValueError(
-            f"{input_path}: columns {header} do not match the trained "
-            f"schema in data/scaler.json plus the label column: {expected}"
-        )
-    if not len(values):
-        raise ValueError(f"{input_path}: no data rows")
+    _, values, _ = data.read_table(input_path, text=(data.LABEL_COLUMN,), rules={"*": "box"},
+                                   columns=lambda header: [*schema.names, data.LABEL_COLUMN])
     X = values[:, :-1]  # in the box, as read_table checks
     fps = attribution.fingerprint_batch(nids, X, background)
     decisions, scores = detector.detect(det, fps.phi)

@@ -269,13 +269,13 @@ def test_files_are_parsed_and_written_by_the_codec_alone():
 @pytest.mark.parametrize(
     "load, payload, message",
     [(neural.load, {}, "missing field 'spec'"),
-     (neural.load, {"spec": 3}, "field 'spec' must be an object, got int"),
+     (neural.load, {"spec": 3}, "field 'spec' must be an object, got number"),
      (detector.load_detector, {}, "missing field 'tau'"),
      (detector.load_detector, {"tau": 1.0, "calibration": []},
-      "field 'calibration' must be an object, got list"),
+      "field 'calibration' must be an object, got array"),
      (data.load_scaler, {}, "missing field 'schema'"),
      (data.load_scaler, {"schema": "ab", "min": [0, 0], "max": [1, 1]},
-      "field 'schema' must be a list, got str")],
+      "field 'schema' must be a list, got string")],
     ids=["nids-empty", "nids-spec-int", "detector-empty", "detector-calibration-list",
          "scaler-empty", "scaler-schema-string"],
 )
@@ -286,3 +286,39 @@ def test_a_json_loader_called_alone_names_the_file_and_the_field(tmp_path, load,
     with pytest.raises(ValueError) as info:
         load(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "load, header",
+    [(data.read_table, "a,b"),
+     (data.load_dataset, "f0,label"),
+     (attacks.load_adv_batch, "sample_index,success,linf,l2,adv_f0"),
+     (attribution.load_fingerprints, "sample_id,phi0,phi_1,model_output,origin"),
+     (lambda path: pipeline._load_background(path, ("f0",)), "f0"),
+     (lambda path: data.load_csv(path, data.FeatureSchema(("f0",))), "f0,label")],
+    ids=["read_table", "load_dataset", "load_adv_batch", "load_fingerprints",
+         "load_background", "load_csv"],
+)
+def test_every_table_loader_rejects_a_header_only_table_in_one_wording(tmp_path, load, header):
+    """read_table decides that a table holding only its header is empty,
+    for every loader alike."""
+    path = tmp_path / "table.csv"
+    path.write_text(header + "\r\n\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: no data rows"
+
+
+def test_table_shape_and_json_type_names_are_decided_in_data_alone():
+    """Only the codec words an empty table, and the modules that read JSON
+    artifacts name a mistyped field by its JSON type, never its Python one."""
+    src = Path(data.__file__).parent
+    worded = [path.name for path in sorted(src.glob("*.py"))
+              if path.name != "data.py" and "no data rows" in path.read_text(encoding="utf-8")]
+    python_names = [
+        f"{name}:{node.lineno}" for name in ("data.py", "neural.py", "detector.py")
+        for node in ast.walk(ast.parse((src / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "__name__"
+        and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "type"
+    ]
+    assert (worded, python_names) == ([], [])

@@ -321,6 +321,34 @@ def test_batch_calls_the_block_kernel_once_per_block(monkeypatch):
         assert max(passes[1:]) <= rows and sum(passes[1:]) == n, (n, passes)
 
 
+def test_batch_forwards_its_model_without_the_output_sigmoid(monkeypatch):
+    """The rescale chain reads pre-activations only: every forward of a
+    batch runs the model's own weight arrays with a linear output, and the
+    fingerprints are bitwise those the sigmoid model's blocks give."""
+    forward, models = neural.forward, []
+
+    def counted_forward(model, X, *args, **kwargs):
+        models.append(model)
+        return forward(model, X, *args, **kwargs)
+
+    model, rng = _random_relu_net(98)
+    X, bg = rng.uniform(0, 1, (9, 6)), BackgroundSet(B=rng.uniform(0, 1, (5, 6)))
+    rows = attribution.BLOCK_ROWS
+    slabs = attribution.ReferenceSlabs(model, bg, rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        blocks = [attribution.shap_fingerprint(model, X[i : i + rows], slabs)
+                  for i in range(0, len(X), rows)]
+    monkeypatch.setattr(neural, "forward", counted_forward)
+    fps = attribution.fingerprint_batch(model, X, bg)
+    assert model.spec.output_activation == "sigmoid"
+    assert {m.spec.output_activation for m in models} == {"linear"}
+    assert all(a is b for m in models for a, b in zip(m.weights + m.biases,
+                                                      model.weights + model.biases))
+    assert fps.phi.tobytes() == np.concatenate([phi for phi, _ in blocks]).tobytes()
+    assert fps.model_output.tobytes() == np.concatenate([g for _, g in blocks]).tobytes()
+    assert fps.phi0 == slabs.phi0
+
+
 def test_batch_empty_selection_raises():
     model, rng = _random_relu_net(63)
     X = rng.uniform(0, 1, (3, 6))

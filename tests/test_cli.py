@@ -679,7 +679,7 @@ def _detect_on_rewritten_test_csv(tiny_run, tmp_path, rewrite):
 def test_detect_rejects_header_only_csv(tiny_run, tmp_path, capsys):
     code = _detect_on_rewritten_test_csv(tiny_run, tmp_path, lambda rows: rows[:1])
     assert code == cli.EXIT_STAGE
-    assert "no data rows" in capsys.readouterr().err
+    assert f"{tmp_path / 'input.csv'}: no data rows" in capsys.readouterr().err
 
 
 def test_detect_rejects_a_missing_feature_column(tiny_run, tmp_path, capsys):
@@ -687,7 +687,8 @@ def test_detect_rejects_a_missing_feature_column(tiny_run, tmp_path, capsys):
         tiny_run, tmp_path, lambda rows: [row[1:] for row in rows]
     )
     assert code == cli.EXIT_STAGE
-    assert "trained schema" in capsys.readouterr().err
+    message = f"{tmp_path / 'input.csv'}: header column 1 is 'f1', expected 'f0'"
+    assert message in capsys.readouterr().err
 
 
 def test_detect_rejects_reordered_feature_columns(tiny_run, tmp_path, capsys):
@@ -695,7 +696,8 @@ def test_detect_rejects_reordered_feature_columns(tiny_run, tmp_path, capsys):
         tiny_run, tmp_path, lambda rows: [[*row[-2::-1], row[-1]] for row in rows]
     )
     assert code == cli.EXIT_STAGE
-    assert "trained schema" in capsys.readouterr().err
+    message = f"{tmp_path / 'input.csv'}: header column 1 is 'f7', expected 'f0'"
+    assert message in capsys.readouterr().err
 
 
 def _set_cell(row, col, value):
@@ -889,9 +891,9 @@ def _renamed_header(rows):
          "models/background.csv: file is empty"),
         ("data/train.csv", ["train-nids"], lambda rows: rows[:1], "data/train.csv: no data rows"),
         ("data/train.csv", ["train-nids"], lambda rows: [row[:-1] for row in rows],
-         "data/train.csv: not a saved dataset (missing label column)"),
+         "data/train.csv: header column 8 is 'f7', expected 'label'"),
         ("fingerprints/clean_train.csv", ["train-detector"], lambda rows: rows[:1],
-         "fingerprints/clean_train.csv: no fingerprints"),
+         "fingerprints/clean_train.csv: no data rows"),
         ("data/val.csv", ["fingerprint"], _benign_only,
          "fingerprint-clean: data/val.csv has no malicious rows to fingerprint"),
         ("models/background.csv", ["fingerprint", "--source", "fgsm"], _renamed_header,
@@ -1239,13 +1241,13 @@ def _narrow_output(payload):
         ("models/nids.json", _set_tanh, ["attack", "--attack", "fgsm"],
          "models/nids.json: unsupported hidden activation 'tanh'"),
         ("models/nids.json", _set("weights", 3), ["attack", "--attack", "fgsm"],
-         "models/nids.json: field 'weights' must be a list of 3 matrices, got int"),
+         "models/nids.json: field 'weights' must be a list, got number"),
         ("models/nids.json", _set("biases", "x"), ["attack", "--attack", "fgsm"],
-         "models/nids.json: field 'biases' must be a list of 3 vectors, got str"),
+         "models/nids.json: field 'biases' must be a list, got string"),
         ("models/nids.json", _edit(_nan_weight), ["attack", "--attack", "fgsm"],
          "models/nids.json: layer 0 has non-finite parameters"),
         ("models/nids.json", _set("spec", 3), ["attack", "--attack", "fgsm"],
-         "models/nids.json: field 'spec' must be an object, got int"),
+         "models/nids.json: field 'spec' must be an object, got number"),
         *(
             ("models/nids.json", _set_spec(layer_sizes=sizes), ["attack", "--attack", "fgsm"],
              f"models/nids.json: field 'layer_sizes' must be a list of integers >= 1, "
@@ -1264,7 +1266,7 @@ def _narrow_output(payload):
          "detector/detector.json: unsupported hidden activation 'tanh'"),
         ("detector/detector.json", _edit(lambda d: d["autoencoder"].update(weights=3)),
          ["detect", "--input", "data/test.csv"],
-         "detector/detector.json: field 'weights' must be a list of 6 matrices, got int"),
+         "detector/detector.json: field 'weights' must be a list, got number"),
         ("detector/detector.json", _drop("tau"), ["detect", "--input", "data/test.csv"],
          "detector/detector.json: missing field 'tau'"),
         ("detector/detector.json", _set_spec(output_activation="sigmoid"),
@@ -1276,7 +1278,7 @@ def _narrow_output(payload):
         ("detector/detector.json", _set("tau", -1.0), ["detect", "--input", "data/test.csv"],
          "detector/detector.json: tau must be >= 0, got -1.0"),
         ("detector/detector.json", _set("calibration", 3), ["detect", "--input", "data/test.csv"],
-         "detector/detector.json: field 'calibration' must be an object, got int"),
+         "detector/detector.json: field 'calibration' must be an object, got number"),
         *(
             ("detector/detector.json", _drop("calibration"), argv,
              "detector/detector.json: missing field 'calibration'")
@@ -1306,9 +1308,9 @@ def _narrow_output(payload):
          "data/scaler.json: feature names must be strings, got 0"),
         # a string as long as the schema would be read one feature per character
         ("data/scaler.json", _edit(lambda s: s.update(schema="abcdefgh"[:len(s["schema"])])),
-         ["evaluate"], "data/scaler.json: field 'schema' must be a list, got str"),
+         ["evaluate"], "data/scaler.json: field 'schema' must be a list, got string"),
         ("detector/detector.json", _set("autoencoder", []), ["detect", "--input", "data/test.csv"],
-         "detector/detector.json: field 'autoencoder' must be an object, got list"),
+         "detector/detector.json: field 'autoencoder' must be an object, got array"),
         ("models/nids.json", lambda p: p.write_text("[]"), ["attack", "--attack", "fgsm"],
          "models/nids.json: not a JSON object, got array"),
         # numpy would promote the boolean among numbers to 1.0
@@ -1320,6 +1322,8 @@ def _narrow_output(payload):
          ["evaluate"], "data/scaler.json: field 'min' must hold only finite numbers, got nan"),
         ("data/scaler.json", _edit(lambda s: s["max"].__setitem__(1, float("inf"))),
          ["evaluate"], "data/scaler.json: field 'max' must hold only finite numbers, got inf"),
+        ("models/nids.json", _edit(lambda n: n["weights"].pop()), ["attack", "--attack", "fgsm"],
+         "models/nids.json: field 'weights' must be a list of 3 matrices, got a list of 2"),
     ],
     ids=["nids-empty-object", "nids-tanh", "nids-weights-int", "nids-biases-str",
          "nids-nan-weight", "nids-spec-int", "nids-layer-size-fraction",
@@ -1331,7 +1335,8 @@ def _narrow_output(payload):
          "nids-string-cell", "nids-boolean-bias", "detector-string-cell",
          "detector-calibration-parameter-string", "scaler-min-string", "scaler-integer-names",
          "scaler-schema-string", "detector-autoencoder-list", "nids-list",
-         "nids-boolean-among-numbers", "scaler-min-nan", "scaler-max-infinity"],
+         "nids-boolean-among-numbers", "scaler-min-nan", "scaler-max-infinity",
+         "nids-weights-short"],
 )
 def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, artifact, damage, argv, message
