@@ -13,6 +13,7 @@ import itertools
 import json
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,9 +96,6 @@ class FeatureSchema:
         object.__setattr__(self, "names", names)
         if len(names) < 1:
             raise ValueError("schema needs at least one feature")
-        for name in names:
-            if type(name) is not str:
-                raise ValueError(f"feature names must be strings, got {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
         if LABEL_COLUMN in names:
@@ -369,6 +367,8 @@ def load_dataset(path: str | Path) -> FlowDataset:
     """Read back a table written by :func:`save_dataset`, its features in the box."""
     header, values, _ = read_table(path, rules={LABEL_COLUMN: "binary", "*": "box"},
                                    columns=lambda header: [*header[:-1], LABEL_COLUMN])
+    if len(header) < 2:
+        raise ValueError(f"{path}: no feature column before {LABEL_COLUMN!r}")
     return FlowDataset(
         schema=FeatureSchema(tuple(header[:-1])), X=values[:, :-1], y=values[:, -1]
     )
@@ -381,7 +381,7 @@ def save_scaler(s: ScalerParams, schema: FeatureSchema, path: str | Path) -> Pat
 
 
 def _scaler_from_dict(payload: dict) -> tuple[ScalerParams, FeatureSchema]:
-    schema = FeatureSchema(tuple(json_value(payload["schema"], "schema", list)))
+    schema = FeatureSchema(tuple(json_value(payload["schema"], "schema", [str])))
     params = ScalerParams(min=payload["min"], max=payload["max"])
     if params.m != schema.m:
         raise ValueError("scaler/schema dimension mismatch")
@@ -437,11 +437,12 @@ def read_table(
     defaults to ``"finite"``. A rule naming no column is unused.
     ``columns``, for a loader that reads its columns by position, gives
     the names the table's writer writes, from the header read (they may
-    depend on its width or its feature names), at least as many as it has.
+    depend on its width or its feature names).
 
     Raises a ValueError naming the file when it is empty or holds no data
-    row, a header cell differs from its ``columns`` name (the first is
-    named), the header names a column twice, a text column is missing, a
+    row, a header cell differs from its ``columns`` name or has none (the
+    first is named; a header longer than ``columns`` is told how many it
+    expected), the header names a column twice, a text column is missing, a
     row's width differs from the header's, a cell is not a number or one
     breaks its column's rule; a bad row is named by its file line, the first
     bad cell in row-major order.
@@ -455,7 +456,8 @@ def read_table(
         for j, (got, want) in enumerate(itertools.zip_longest(header, expected), start=1):
             if got != want:
                 got = "missing" if got is None else repr(got)
-                raise ValueError(f"{path}: header column {j} is {got}, expected {want!r}")
+                want = f"{len(expected)} columns" if j > len(expected) else repr(want)
+                raise ValueError(f"{path}: header column {j} is {got}, expected {want}")
         for j, name in enumerate(header):
             if header.index(name) < j:
                 raise ValueError(f"{path}: the header names column {name!r} twice, "
@@ -554,9 +556,12 @@ def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
     return path
 
 
-# The JSON name of each type json.load can return.
+# The JSON name of each type json.load can return, and the name of each
+# form json_value checks a value against.
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
                float: "number", bool: "boolean", type(None): "null"}
+_FORM_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", None: "null"}
 
 
 def read_json(path: str | Path, parse: Callable[[dict], object] | None = None):
@@ -583,9 +588,24 @@ def read_json(path: str | Path, parse: Callable[[dict], object] | None = None):
         raise ValueError(f"{path}: malformed field: {exc}") from exc
 
 
-def json_value(value, field: str, kind: type = dict):
-    """value, a ValueError naming field unless it is a JSON object (or list)."""
-    if type(value) is not kind:
-        what = "an object" if kind is dict else "a list"
-        raise ValueError(f"field {field!r} must be {what}, got {_JSON_TYPES[type(value)]}")
-    return value
+def json_value(value, field: str, *forms):
+    """value, a ValueError naming field unless it has one of ``forms``, an
+    object if none is given: a type, None for null, or [form] for a list
+    whose every item has that form, a bad one named field[i]. A boolean is
+    no integer, an integer is a number, and a number is finite. The error
+    reads ``field 'x' must be <form>[ or <form>], got <value>``, the value
+    named object or array for a dict or a list, by its repr otherwise."""
+    forms = forms or (dict,)
+    for form in forms:
+        if isinstance(form, list) and type(value) is list:
+            for i, item in enumerate(value):
+                json_value(item, f"{field}[{i}]", *form)
+            return value
+        if form is float:
+            if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+                return value
+        elif value is form or type(value) is form:  # None is null
+            return value
+    names = " or ".join(_FORM_NAMES[list if isinstance(form, list) else form] for form in forms)
+    got = {dict: "object", list: "array"}.get(type(value)) or repr(value)
+    raise ValueError(f"field {field!r} must be {names}, got {got}")

@@ -22,16 +22,14 @@ SIGMA_MULTIPLIERS = (2.0, 3.0)
 
 @dataclass(frozen=True)
 class CalibrationMethod:
-    """percentile: empirical percentile in (0, 100); sigma: mean + k * std."""
+    """percentile: empirical percentile in (0, 100); sigma: mean + k * std.
+    Only the ranges are checked here: the config gate and load_detector
+    check the JSON types, with data.json_value."""
 
     method: str = "percentile"
     parameter: float = 99.0
 
     def __post_init__(self) -> None:
-        if type(self.method) is not str:
-            raise ValueError(f"field 'method' must be a string, got {self.method!r}")
-        if isinstance(self.parameter, bool) or not isinstance(self.parameter, (int, float)):
-            raise ValueError(f"field 'parameter' must be a number, got {self.parameter!r}")
         if self.method not in CALIBRATION_METHODS:
             raise ValueError(f"unknown calibration method {self.method!r}")
         if self.method == "percentile" and not 0 < self.parameter < 100:
@@ -149,13 +147,12 @@ def save_detector(det: DetectorModel, path: str | Path) -> Path:
 
 
 def _detector_from_dict(payload: dict) -> DetectorModel:
-    tau = payload["tau"]
-    if type(tau) not in (int, float) or not np.isfinite(tau):
-        raise ValueError(f"tau must be a finite number, got {tau!r}")
+    tau = data.json_value(payload["tau"], "tau", float)
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     calibration = data.json_value(payload["calibration"], "calibration")
-    CalibrationMethod(calibration["method"], calibration["parameter"])
+    CalibrationMethod(data.json_value(calibration["method"], "method", str),
+                      data.json_value(calibration["parameter"], "parameter", float))
     autoencoder = neural.from_dict(data.json_value(payload["autoencoder"], "autoencoder"))
     spec = autoencoder.spec
     if spec.output_activation != "linear":

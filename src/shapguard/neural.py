@@ -429,11 +429,10 @@ def from_dict(payload: dict) -> MlpModel:
     spec = data.json_value(payload["spec"], "spec")
     if spec["hidden_activation"] != "relu":
         raise ValueError(f"unsupported hidden activation {spec['hidden_activation']!r}")
-    sizes, seed = spec["layer_sizes"], spec["seed"]
-    if type(sizes) is not list or not all(type(s) is int and s >= 1 for s in sizes):
-        raise ValueError(f"field 'layer_sizes' must be a list of integers >= 1, got {sizes!r}")
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"field 'seed' must be an integer >= 0, got {seed!r}")
+    sizes = data.json_value(spec["layer_sizes"], "layer_sizes", [int])
+    seed = data.json_value(spec["seed"], "seed", int)
+    if seed < 0:
+        raise ValueError(f"field 'seed' must be >= 0, got {seed}")
     mlp_spec = MlpSpec(
         layer_sizes=tuple(sizes), output_activation=spec["output_activation"], seed=seed
     )

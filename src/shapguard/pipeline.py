@@ -146,28 +146,13 @@ _FORMS = {
     "data.csv.path": (str, None),
     "data.csv.schema": (str, [str]),
 }
-_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", None: "null"}
-
-
-def _fits(form, value) -> bool:
-    """Whether ``value`` has ``form``: a type, None, or [form] for a list."""
-    if isinstance(form, list):
-        return isinstance(value, list) and all(_fits(form[0], item) for item in value)
-    if form is None:
-        return value is None
-    if form is float:  # an integer is a number too; every number is finite
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max
-    return type(value) is form  # so a boolean is no integer
 
 
 def _leaf(where: str, default, value):
-    """``value`` if it fits the form of ``default``, as a float where that
-    is a float; otherwise a ConfigError."""
+    """``value`` if it has the form of ``default`` (see data.json_value),
+    as a float where that is a float; otherwise a ConfigError."""
     own = [type(default[0])] if isinstance(default, list) else type(default)
-    forms = _FORMS.get(where, (own,))
-    if not any(_fits(form, value) for form in forms):
-        names = (f"list of {_NAMES[f[0]]}s" if isinstance(f, list) else _NAMES[f] for f in forms)
-        raise ConfigError(f"config key {where!r} must be {' or '.join(names)}, got {value!r}")
+    _checked("", data.json_value, value, where, *_FORMS.get(where, (own,)))
     return float(value) if isinstance(default, float) else value
 
 
@@ -178,9 +163,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where!r} must be a mapping")
-            out[key] = _merge(base[key], value, where)
+            out[key] = _merge(base[key], _checked("", data.json_value, value, where), where)
         else:
             out[key] = _leaf(where, base[key], value)
     return out
@@ -188,11 +171,11 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 def _checked(section: str, build: Callable[..., Any], *args, **kwargs) -> Any:
     """``build(*args, **kwargs)``, a ValueError from it raised as a
-    ConfigError naming the config section it checks."""
+    ConfigError naming the config section it checks, if one is given."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+        raise ConfigError(f"{section}: {exc}" if section else exc) from None
 
 
 def resolve_config(
@@ -208,8 +191,7 @@ def resolve_config(
     defaults or cast a value, so a run is reproducible from the config
     parts its stages record in the manifest.
     """
-    if not isinstance(user, (dict, type(None))):
-        raise ConfigError(f"config must be a mapping, got {type(user).__name__}")
+    _checked("", data.json_value, user, "config", dict, None)
     flags = {"seed": seed_override, "out_dir": out_override}
     cfg = _merge(DEFAULT_CONFIG, user or {})
     cfg = _merge(cfg, {key: value for key, value in flags.items() if value is not None})
@@ -315,18 +297,11 @@ def _schema_from_cfg(csv_cfg: dict) -> data.FeatureSchema:
     raise ConfigError(f"unsupported schema spec {schema!r}")
 
 
-def _manifest_from_dict(manifest: dict) -> dict:
-    """The manifest itself; a KeyError or TypeError if it has no mapping of
-    stages."""
-    if not isinstance(manifest["stages"], dict):
-        raise TypeError("'stages' is not a mapping")
-    return manifest
-
-
 def _manifest(ws: Workspace) -> dict:
     """The run manifest so far; a fresh one before any stage finished."""
     if ws.path(MANIFEST_NAME).exists():
-        return data.read_json(ws.path(MANIFEST_NAME), _manifest_from_dict)
+        return data.read_json(ws.path(MANIFEST_NAME), lambda manifest: {
+            **manifest, "stages": data.json_value(manifest["stages"], "stages")})
     return {"tool": "shapguard", "version": __version__, "stages": {}}
 
 
@@ -532,6 +507,16 @@ def cmd_train_detector(ws: Workspace) -> tuple[list[Path], dict, dict]:
     return [det_path, history_path], summary, {"detector": cfg}
 
 
+def _fitting(Z: np.ndarray, det: detector.DetectorModel, schema: data.FeatureSchema,
+             where: str | Path) -> np.ndarray:
+    """Fingerprints ``Z`` of file ``where``; a ValueError naming it unless
+    they, the detector and data/scaler.json agree on the feature count."""
+    if not Z.shape[1] == det.autoencoder.spec.input_size == schema.m:
+        raise ValueError(f"{where}: {Z.shape[1]} fingerprint features, but the detector takes "
+                         f"{det.autoencoder.spec.input_size} and data/scaler.json has {schema.m}")
+    return Z
+
+
 def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
     """Emit the JSON report bundle: per attack the detection report with its
     score distribution, and the feature rank table; the summary records tau,
@@ -540,12 +525,7 @@ def cmd_evaluate(ws: Workspace) -> tuple[list[Path], dict, None]:
     _, schema = ws.load("data/scaler.json", data.load_scaler)
 
     def scored(rel: str) -> tuple[np.ndarray, np.ndarray]:
-        Z = ws.load(rel, attribution.load_fingerprints).phi
-        if not Z.shape[1] == det.autoencoder.spec.input_size == schema.m:
-            raise ValueError(
-                f"{rel}: {Z.shape[1]} fingerprint features, but the detector "
-                f"takes {det.autoencoder.spec.input_size} and data/scaler.json has {schema.m}"
-            )
+        Z = _fitting(ws.load(rel, attribution.load_fingerprints).phi, det, schema, rel)
         return Z, detector.reconstruction_errors(det.autoencoder, Z)
 
     Z_clean, errors_clean = scored("fingerprints/clean_test.csv")
@@ -593,7 +573,7 @@ def cmd_detect(ws: Workspace, input_path: str | Path) -> tuple[list[Path], dict,
                                    columns=lambda header: [*schema.names, data.LABEL_COLUMN])
     X = values[:, :-1]  # in the box, as read_table checks
     fps = attribution.fingerprint_batch(nids, X, background)
-    decisions, scores = detector.detect(det, fps.phi)
+    decisions, scores = detector.detect(det, _fitting(fps.phi, det, schema, input_path))
     flagged = int(np.count_nonzero(decisions == "adversarial"))
     rows = [
         {"sample_id": i, "decision": decision, "score": score}

@@ -269,13 +269,13 @@ def test_files_are_parsed_and_written_by_the_codec_alone():
 @pytest.mark.parametrize(
     "load, payload, message",
     [(neural.load, {}, "missing field 'spec'"),
-     (neural.load, {"spec": 3}, "field 'spec' must be an object, got number"),
+     (neural.load, {"spec": 3}, "field 'spec' must be an object, got 3"),
      (detector.load_detector, {}, "missing field 'tau'"),
      (detector.load_detector, {"tau": 1.0, "calibration": []},
       "field 'calibration' must be an object, got array"),
      (data.load_scaler, {}, "missing field 'schema'"),
      (data.load_scaler, {"schema": "ab", "min": [0, 0], "max": [1, 1]},
-      "field 'schema' must be a list, got string")],
+      "field 'schema' must be a list, got 'ab'")],
     ids=["nids-empty", "nids-spec-int", "detector-empty", "detector-calibration-list",
          "scaler-empty", "scaler-schema-string"],
 )
@@ -310,8 +310,10 @@ def test_every_table_loader_rejects_a_header_only_table_in_one_wording(tmp_path,
 
 
 def test_table_shape_and_json_type_names_are_decided_in_data_alone():
-    """Only the codec words an empty table, and the modules that read JSON
-    artifacts name a mistyped field by its JSON type, never its Python one."""
+    """Only the codec words an empty table, the modules that read JSON
+    artifacts name a mistyped field by its JSON type, never its Python one,
+    and no module but data.py tests a value's type itself (by comparing
+    type(...) with is, is not, in or not in): the others call json_value."""
     src = Path(data.__file__).parent
     worded = [path.name for path in sorted(src.glob("*.py"))
               if path.name != "data.py" and "no data rows" in path.read_text(encoding="utf-8")]
@@ -321,4 +323,12 @@ def test_table_shape_and_json_type_names_are_decided_in_data_alone():
         if isinstance(node, ast.Attribute) and node.attr == "__name__"
         and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "type"
     ]
-    assert (worded, python_names) == ([], [])
+    type_tests = [
+        f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py")) if path.name != "data.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn)) for op in node.ops)
+        and any(isinstance(side, ast.Call) and getattr(side.func, "id", None) == "type"
+                for side in (node.left, *node.comparators))
+    ]
+    assert (worded, python_names, type_tests) == ([], [], [])

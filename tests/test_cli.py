@@ -98,21 +98,25 @@ def test_resolve_config_is_a_fixed_point(user):
     [
         # the JSON type of the default
         ({"classifier": {"train": {"epochs": "x"}}},
-         "config key 'classifier.train.epochs' must be integer, got 'x'"),
+         "field 'classifier.train.epochs' must be an integer, got 'x'"),
         ({"classifier": {"train": {"epochs": 2.9}}},
-         "config key 'classifier.train.epochs' must be integer, got 2.9"),
+         "field 'classifier.train.epochs' must be an integer, got 2.9"),
         ({"attacks": {"pgd": {"random_start": "no"}}},
-         "config key 'attacks.pgd.random_start' must be boolean, got 'no'"),
+         "field 'attacks.pgd.random_start' must be a boolean, got 'no'"),
         ({"classifier": {"hidden_sizes": 8}},
-         "config key 'classifier.hidden_sizes' must be list of integers, got 8"),
+         "field 'classifier.hidden_sizes' must be a list, got 8"),
+        ({"classifier": {"hidden_sizes": [8, "x"]}},
+         "field 'classifier.hidden_sizes[1]' must be an integer, got 'x'"),
+        ({"data": {"csv": {"schema": 3}}},
+         "field 'data.csv.schema' must be a string or a list, got 3"),
         ({"attacks": {"fgsm": {"epsilon": None}}},
-         "config key 'attacks.fgsm.epsilon' must be number, got None"),
+         "field 'attacks.fgsm.epsilon' must be a number, got None"),
         ({"attacks": {"fgsm": {"epsilon": float("nan")}}},
-         "config key 'attacks.fgsm.epsilon' must be number, got nan"),
+         "field 'attacks.fgsm.epsilon' must be a number, got nan"),
         ({"attacks": {"fgsm": {"epsilon": 10**400}}},
-         "config key 'attacks.fgsm.epsilon' must be number, got 1000"),
-        ({"seed": "x"}, "config key 'seed' must be integer, got 'x'"),
-        ({"data": 3}, "config key 'data' must be a mapping"),
+         "field 'attacks.fgsm.epsilon' must be a number, got 1000"),
+        ({"seed": "x"}, "field 'seed' must be an integer, got 'x'"),
+        ({"data": 3}, "field 'data' must be an object, got 3"),
         ({"data": {"source": "parquet"}}, "unknown data source 'parquet'"),
         ({"data": {"csv": {"schema": "cic"}}}, "data.csv: unsupported schema spec 'cic'"),
         # the splits are saved with a label column after the features
@@ -133,6 +137,7 @@ def test_resolve_config_is_a_fixed_point(user):
         ({"attacks": {"filter": "malicious_only"}}, "unknown config key 'attacks.filter'"),
     ],
     ids=["epochs-string", "epochs-fraction", "random-start-string", "hidden-sizes-int",
+         "hidden-sizes-string-item", "csv-schema-int",
          "epsilon-null", "epsilon-nan", "epsilon-beyond-float", "seed-string", "data-not-mapping",
          "data-source-unknown", "csv-schema-unknown", "csv-schema-names-label", "epochs-zero",
          "pgd-alpha-above-epsilon", "background-empty", "seed-negative",
@@ -521,8 +526,9 @@ def test_exit_usage_on_unknown_config_key(tmp_path):
 
 @pytest.mark.parametrize("user", [[], "", 0, [1], "x"], ids=repr)
 def test_resolve_config_rejects_a_config_that_is_not_a_mapping(user):
-    message = f"config must be a mapping, got {type(user).__name__}"
-    with pytest.raises(pipeline.ConfigError, match=message):
+    got = {list: "array"}.get(type(user)) or repr(user)
+    message = f"field 'config' must be an object or null, got {got}"
+    with pytest.raises(pipeline.ConfigError, match=re.escape(message)):
         pipeline.resolve_config(user)
 
 
@@ -892,6 +898,9 @@ def _renamed_header(rows):
         ("data/train.csv", ["train-nids"], lambda rows: rows[:1], "data/train.csv: no data rows"),
         ("data/train.csv", ["train-nids"], lambda rows: [row[:-1] for row in rows],
          "data/train.csv: header column 8 is 'f7', expected 'label'"),
+        ("data/val.csv", ["fingerprint", "--source", "clean"],
+         lambda rows: [row[-1:] for row in rows],
+         "data/val.csv: no feature column before 'label'"),
         ("fingerprints/clean_train.csv", ["train-detector"], lambda rows: rows[:1],
          "fingerprints/clean_train.csv: no data rows"),
         ("data/val.csv", ["fingerprint"], _benign_only,
@@ -906,19 +915,23 @@ def _renamed_header(rows):
          "models/background.csv: no data rows"),
         ("attacks/pgd.csv", ["fingerprint", "--source", "pgd"], lambda rows: rows[:1],
          "attacks/pgd.csv: no data rows"),
+        ("data/test.csv", ["detect", "--input", "data/test.csv"],
+         lambda rows: [[*row, "extra" if i == 0 else "0"] for i, row in enumerate(rows)],
+         "data/test.csv: header column 10 is 'extra', expected 9 columns"),
     ],
     ids=["fingerprints/clean_train.csv-argv0", "attacks/pgd.csv-argv1",
          "models/background.csv-argv2", "split-header-only", "split-without-label",
+         "split-label-only",
          "fingerprints-header-only", "split-without-malicious-rows",
          "background-renamed-fingerprint", "background-renamed-detect",
          "background-header-only-fingerprint", "background-header-only-detect",
-         "attack-header-only"],
+         "attack-header-only", "detect-input-extra-column"],
 )
 def test_empty_artifact_is_a_stage_failure_naming_it(
     tiny_run, tmp_path, capsys, artifact, argv, rewrite, message
 ):
     """An artifact that is empty, or that lacks the rows or the column its
-    stage reads, is a stage failure naming it."""
+    stage reads or holds one more, is a stage failure naming it."""
     out, cfg_path = _copy_of_run(tiny_run, tmp_path)
     _rewrite_csv(out / artifact, rewrite)
     argv = [str(out / a) if a.endswith(".csv") else a for a in argv]
@@ -1089,6 +1102,24 @@ def test_evaluate_rejects_fingerprints_wider_than_the_detector(tiny_run, tmp_pat
     assert f"fingerprints/{source}.csv: 9 fingerprint features, but the detector takes 8" in err
 
 
+def test_detect_and_evaluate_reject_a_detector_of_another_width(tiny_run, tmp_path, capsys):
+    """Both stages that score fingerprints run one width check, naming the
+    fingerprints' file, the detector and data/scaler.json."""
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    Z = np.random.default_rng(0).random((20, 6))
+    ae, _ = detector.train_autoencoder(Z, neural.TrainConfig(epochs=1, loss="mse"), latent=2,
+                                       hidden_sizes=(4,))
+    det = detector.calibrate(detector.DetectorModel(autoencoder=ae), np.linspace(0, 1, 10),
+                             detector.CalibrationMethod())
+    detector.save_detector(det, out / "detector/detector.json")
+    width = "8 fingerprint features, but the detector takes 6 and data/scaler.json has 8"
+    test_csv = out / "data/test.csv"
+    for argv, where in ((["evaluate"], "fingerprints/clean_test.csv"),
+                        (["detect", "--input", str(test_csv)], test_csv)):
+        assert cli.main([*argv, "--config", cfg_path]) == cli.EXIT_STAGE
+        assert f"shapguard: {argv[0]}: {where}: {width}" in capsys.readouterr().err
+
+
 def test_deepfool_stage_counts_degenerate_rows_in_the_manifest_only(tiny_run):
     stages = json.loads((tiny_run / "manifest.json").read_text())["stages"]
     assert stages["attack-deepfool"]["summary"]["degenerate_rows"] == 0
@@ -1241,21 +1272,20 @@ def _narrow_output(payload):
         ("models/nids.json", _set_tanh, ["attack", "--attack", "fgsm"],
          "models/nids.json: unsupported hidden activation 'tanh'"),
         ("models/nids.json", _set("weights", 3), ["attack", "--attack", "fgsm"],
-         "models/nids.json: field 'weights' must be a list, got number"),
+         "models/nids.json: field 'weights' must be a list, got 3"),
         ("models/nids.json", _set("biases", "x"), ["attack", "--attack", "fgsm"],
-         "models/nids.json: field 'biases' must be a list, got string"),
+         "models/nids.json: field 'biases' must be a list, got 'x'"),
         ("models/nids.json", _edit(_nan_weight), ["attack", "--attack", "fgsm"],
          "models/nids.json: layer 0 has non-finite parameters"),
         ("models/nids.json", _set("spec", 3), ["attack", "--attack", "fgsm"],
-         "models/nids.json: field 'spec' must be an object, got number"),
+         "models/nids.json: field 'spec' must be an object, got 3"),
         *(
             ("models/nids.json", _set_spec(layer_sizes=sizes), ["attack", "--attack", "fgsm"],
-             f"models/nids.json: field 'layer_sizes' must be a list of integers >= 1, "
-             f"got {sizes!r}")
+             f"models/nids.json: field 'layer_sizes[3]' must be an integer, got {sizes[3]!r}")
             for sizes in ([8, 64, 32, 1.5], [8, 64, 32, "1"])
         ),
         ("models/nids.json", _set_spec(seed="x"), ["attack", "--attack", "fgsm"],
-         "models/nids.json: field 'seed' must be an integer >= 0, got 'x'"),
+         "models/nids.json: field 'seed' must be an integer, got 'x'"),
         ("data/scaler.json", _edit(lambda s: s.update(max=[lo - 1 for lo in s["min"]])),
          ["evaluate"], "data/scaler.json: scaler max must be >= min per feature"),
         ("data/scaler.json", _edit(lambda s: s.update(min=s["min"][:-1])), ["evaluate"],
@@ -1266,7 +1296,7 @@ def _narrow_output(payload):
          "detector/detector.json: unsupported hidden activation 'tanh'"),
         ("detector/detector.json", _edit(lambda d: d["autoencoder"].update(weights=3)),
          ["detect", "--input", "data/test.csv"],
-         "detector/detector.json: field 'weights' must be a list, got number"),
+         "detector/detector.json: field 'weights' must be a list, got 3"),
         ("detector/detector.json", _drop("tau"), ["detect", "--input", "data/test.csv"],
          "detector/detector.json: missing field 'tau'"),
         ("detector/detector.json", _set_spec(output_activation="sigmoid"),
@@ -1278,7 +1308,7 @@ def _narrow_output(payload):
         ("detector/detector.json", _set("tau", -1.0), ["detect", "--input", "data/test.csv"],
          "detector/detector.json: tau must be >= 0, got -1.0"),
         ("detector/detector.json", _set("calibration", 3), ["detect", "--input", "data/test.csv"],
-         "detector/detector.json: field 'calibration' must be an object, got number"),
+         "detector/detector.json: field 'calibration' must be an object, got 3"),
         *(
             ("detector/detector.json", _drop("calibration"), argv,
              "detector/detector.json: missing field 'calibration'")
@@ -1286,7 +1316,7 @@ def _narrow_output(payload):
         ),
         *(
             ("detector/detector.json", _set("tau", tau), argv,
-             f"detector/detector.json: tau must be a finite number, got {tau!r}")
+             f"detector/detector.json: field 'tau' must be a number, got {tau!r}")
             for tau in (None, "0.5")
             for argv in (["detect", "--input", "data/test.csv"], ["evaluate"])
         ),
@@ -1305,10 +1335,10 @@ def _narrow_output(payload):
          "data/scaler.json: field 'min' must hold only numbers, got strings"),
         ("data/scaler.json", _edit(lambda s: s.update(schema=list(range(len(s["schema"]))))),
          ["detect", "--input", "data/test.csv"],
-         "data/scaler.json: feature names must be strings, got 0"),
+         "data/scaler.json: field 'schema[0]' must be a string, got 0"),
         # a string as long as the schema would be read one feature per character
         ("data/scaler.json", _edit(lambda s: s.update(schema="abcdefgh"[:len(s["schema"])])),
-         ["evaluate"], "data/scaler.json: field 'schema' must be a list, got string"),
+         ["evaluate"], "data/scaler.json: field 'schema' must be a list, got 'abcdefgh'"),
         ("detector/detector.json", _set("autoencoder", []), ["detect", "--input", "data/test.csv"],
          "detector/detector.json: field 'autoencoder' must be an object, got array"),
         ("models/nids.json", lambda p: p.write_text("[]"), ["attack", "--attack", "fgsm"],
@@ -1353,7 +1383,7 @@ def test_json_artifact_lacking_a_field_is_a_stage_failure_naming_it(
     "text, message",
     [('{"tool": "shapguard", "vers', "manifest.json: not valid JSON"),
      ("{}", "manifest.json: missing field 'stages'"),
-     ('{"stages": []}', "manifest.json: malformed field: 'stages' is not a mapping")],
+     ('{"stages": []}', "manifest.json: field 'stages' must be an object, got array")],
     ids=["truncated", "empty-object", "stages-list"],
 )
 def test_damaged_manifest_is_a_stage_failure_naming_it(

@@ -573,6 +573,37 @@ def test_read_json_names_the_json_type_of_a_file_that_holds_no_object(tmp_path, 
         data.read_json(path)
 
 
+@pytest.mark.parametrize(
+    "value, forms",
+    [({}, ()), (3, (float,)), (2.5, (float,)), (False, (bool,)), (None, (int, None)),
+     ("a", (str, [str])), (["a"], (str, [str])), ([], ([int],)), ([[1, 2]], ([[int]],))],
+)
+def test_json_value_returns_a_value_of_one_of_its_forms(value, forms):
+    assert data.json_value(value, "x", *forms) is value
+
+
+@pytest.mark.parametrize(
+    "value, forms, message",
+    [([], (), "field 'x' must be an object, got array"),
+     (True, (int,), "field 'x' must be an integer, got True"),
+     (2.0, (int,), "field 'x' must be an integer, got 2.0"),
+     (float("nan"), (float,), "field 'x' must be a number, got nan"),
+     (-float("inf"), (float,), "field 'x' must be a number, got -inf"),
+     (True, (float,), "field 'x' must be a number, got True"),
+     ([1, "2"], ([int],), "field 'x[1]' must be an integer, got '2'"),
+     ([[1], [2.5]], ([[int]],), "field 'x[1][0]' must be an integer, got 2.5"),
+     ({"a": 1}, (str, [str]), "field 'x' must be a string or a list, got object"),
+     (0, (bool, None), "field 'x' must be a boolean or null, got 0")],
+    ids=["array-for-object", "boolean-for-integer", "float-for-integer", "nan", "minus-inf",
+         "boolean-for-number", "list-item", "nested-item", "object-for-string-or-list",
+         "number-for-boolean-or-null"],
+)
+def test_json_value_names_the_field_its_forms_and_the_value(value, forms, message):
+    with pytest.raises(ValueError) as info:
+        data.json_value(value, "x", *forms)
+    assert str(info.value) == message
+
+
 def _raise(exc):
     def parse(payload):
         raise exc
