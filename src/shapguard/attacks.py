@@ -172,7 +172,7 @@ def attack_batch(model: neural.MlpModel, ds: FlowDataset, cfg: AttackConfig) -> 
 
     Success is strict model-label change f(x') != f(x) at the 0.5 cutoff.
     The result is deterministic under cfg.seed. A malicious row with a cell
-    outside the [0, 1] box (by more than data.BOX_TOL, or NaN) is a
+    outside the [0, 1] box (the "box" rule of data.CELL_RULES) is a
     ValueError naming its row and feature, raised before any attack runs.
     """
     rows = np.flatnonzero(ds.y == 1)
@@ -181,12 +181,7 @@ def attack_batch(model: neural.MlpModel, ds: FlowDataset, cfg: AttackConfig) -> 
 
     X = ds.X[rows]
     y = ds.y[rows]
-    outside, in_box = data.CELL_RULES["box"]
-    bad = outside(X)
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), X.shape[1])
-        raise ValueError(f"row {rows[row]}, feature {ds.schema.names[col]!r}: "
-                         f"{float(X[row, col])!r} is not {in_box}")
+    data.check_cells(X, ["box"], lambda r, c: f"row {rows[r]}, feature {ds.schema.names[c]!r}")
     _, orig_labels = neural.predict(model, X)
 
     degenerate_rows = 0

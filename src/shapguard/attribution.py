@@ -41,12 +41,9 @@ class BackgroundSet:
 
     def __post_init__(self) -> None:
         B = np.array(self.B, dtype=np.float64)
-        if B.ndim != 2 or B.shape[0] < 1:
+        if B.ndim != 2 or B.size == 0:
             raise ValueError("background must be a non-empty 2-d matrix")
-        if not np.isfinite(B).all():
-            raise ValueError("background entries must be finite")
-        if B.min() < -data.BOX_TOL or B.max() > 1.0 + data.BOX_TOL:
-            raise ValueError("background entries must lie in [0, 1]")
+        data.check_cells(B, ["box"], lambda row, col: f"background row {row}, column {col}")
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
 

@@ -8,6 +8,7 @@ downstream rely on that box being fixed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -74,7 +75,7 @@ LABEL_COLUMN = "label"
 # Slack allowed outside the [0, 1] box before a scaled value is rejected.
 BOX_TOL = 1e-12
 
-# The rules of read_table: each maps a float64 matrix to the mask of the
+# The rules of check_cells: each maps a float64 matrix to the mask of the
 # cells it rejects, NaN always among them, and names what such a cell is not.
 CELL_RULES = {
     "finite": (lambda v: ~np.isfinite(v), "a finite value"),
@@ -138,8 +139,7 @@ class FlowDataset:
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError(f"label count {y.shape} does not match row count {X.shape[0]}")
         # checked before the cast, which would truncate 0.7 to 0
-        if y.size and not np.isin(y, (0, 1)).all():
-            raise ValueError("labels must be 0 (benign) or 1 (malicious)")
+        check_cells(y, ["binary"], lambda row, _: f"row {row}, column {LABEL_COLUMN!r}")
         y = np.array(y, dtype=np.int64)
         X.setflags(write=False)
         y.setflags(write=False)
@@ -166,10 +166,8 @@ class ScalerParams:
         lo, hi = float_array(self.min, "min"), float_array(self.max, "max")
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("scaler min/max must be 1-d arrays of equal length")
-        for field, values in (("min", lo), ("max", hi)):
-            bad = values[~np.isfinite(values)]  # json reads NaN and Infinity
-            if bad.size:
-                raise ValueError(f"field {field!r} must hold only finite numbers, got {bad[0]}")
+        for field, values in (("min", lo), ("max", hi)):  # json reads NaN and Infinity
+            check_cells(values, ["finite"], lambda row, _: f"field '{field}[{row}]'")
         if np.any(hi < lo):
             raise ValueError("scaler max must be >= min per feature")
         lo.setflags(write=False)
@@ -222,7 +220,7 @@ def load_csv(
     if missing:
         raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
     columns = [positions[name] for name in schema.names]
-    finite = np.isfinite(values)[:, columns].all(axis=1)
+    finite = ~CELL_RULES["finite"][0](values)[:, columns].any(axis=1)
     dropped = int(np.count_nonzero(~finite))
     if dropped:
         warnings.warn(
@@ -439,16 +437,16 @@ def read_table(
     the names the table's writer writes, from the header read (they may
     depend on its width or its feature names).
 
-    Raises a ValueError naming the file when it is empty or holds no data
-    row, a header cell differs from its ``columns`` name or has none (the
-    first is named; a header longer than ``columns`` is told how many it
-    expected), the header names a column twice, a text column is missing, a
-    row's width differs from the header's, a cell is not a number or one
-    breaks its column's rule; a bad row is named by its file line, the first
-    bad cell in row-major order.
+    Raises a ValueError naming the file when it is not UTF-8 text, is empty
+    or holds no data row, a header cell differs from its ``columns`` name or
+    has none (the first is named; a header longer than ``columns`` is told
+    how many it expected), the header names a column twice, a text column
+    is missing, a row's width differs from the header's, a cell is not a
+    number or one breaks its column's rule (see :func:`check_cells`); a bad
+    row is named by its file line.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = [name.strip() for name in next(csv.reader([fh.readline()]), [])]
         if not header:
             raise ValueError(f"{path}: file is empty")
@@ -493,20 +491,29 @@ def read_table(
                         raise ValueError(f"{path}: row {line_no}, column {header[j]!r}: "
                                          f"cannot parse {cell!r} as a number") from None
             raise ValueError(f"{path}: malformed table: {exc}") from None
-    kinds = np.array([None if j in converters else rules.get(name, rules.get("*", "finite"))
-                      for j, name in enumerate(header)], dtype=object)
-    bad = np.zeros(values.shape, dtype=bool)
-    with np.errstate(invalid="ignore"):  # inf % 1 in a "whole" column
-        for kind in set(kinds) - {None}:
-            # each rule sees the columns from its first to its last: a view
-            cols = np.flatnonzero(kinds == kind)
-            span = slice(cols[0], cols[-1] + 1)
-            bad[:, span] |= CELL_RULES[kind][0](values[:, span]) & (kinds[span] == kind)
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), len(header))
-        raise ValueError(f"{path}: row {file_line(path, row)}, column {header[col]!r}: "
-                         f"{float(values[row, col])!r} is not {CELL_RULES[kinds[col]][1]}")
+    check_cells(values, [None if j in converters else rules.get(name, rules.get("*", "finite"))
+                         for j, name in enumerate(header)],
+                lambda row, col: f"{path}: row {file_line(path, row)}, column {header[col]!r}")
     return header, values, cells
+
+
+def check_cells(values: np.ndarray, rules: Sequence[str | None], where: Callable) -> None:
+    """A ValueError naming the first cell in row-major order that breaks its column's
+    :data:`CELL_RULES` rule (``rules``: one for all columns or one each, None for none; a
+    1-d array is one column), worded ``{where(row, col)}: {value!r} is not ...``."""
+    matrix = values[:, None] if values.ndim == 1 else values
+    kinds = np.broadcast_to(np.array(rules, dtype=object), matrix.shape[1:])
+    bad = np.zeros(matrix.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):  # inf % 1 in a "whole" column
+        for kind in set(rules) - {None}:
+            # each rule sees the columns from its first to its last: a view
+            mask = kinds == kind
+            span = slice(mask.argmax(), len(mask) - mask[::-1].argmax())
+            bad[:, span] |= CELL_RULES[kind][0](matrix[:, span]) & mask[span]
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), matrix.shape[1])
+        raise ValueError(f"{where(row, col)}: {matrix.item(row, col)!r} "
+                         f"is not {CELL_RULES[kinds[col]][1]}")
 
 
 def _data_lines(fh) -> Iterator[tuple[int, str]]:
@@ -517,10 +524,22 @@ def _data_lines(fh) -> Iterator[tuple[int, str]]:
     return ((line_no, line) for line_no, line in enumerate(fh, start=2) if line.strip())
 
 
+@contextlib.contextmanager
+def _open_text(path: str | Path) -> Iterator:
+    """File ``path`` open for reading as UTF-8 text, newlines untranslated;
+    a byte that is not UTF-8 is a ValueError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: cannot decode byte "
+                         f"0x{exc.object[exc.start]:02x}") from None
+
+
 def file_line(path: str | Path, row: int) -> int:
     """The file line holding data row ``row`` (from 0) of a table
     :func:`read_table` read."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return next(itertools.islice(_data_lines(fh), row, None))[0]
 
 
@@ -566,10 +585,10 @@ _FORM_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an inte
 
 def read_json(path: str | Path, parse: Callable[[dict], object] | None = None):
     """``parse`` of the JSON object in file ``path``, or the object itself.
-    A file that does not parse or holds another JSON value, and a ValueError,
-    KeyError (a missing field) or TypeError (a malformed one) raised by
-    ``parse``, is a ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    A file that is not UTF-8 text, does not parse or holds another JSON
+    value, and a ValueError, KeyError (a missing field) or TypeError (a
+    malformed one) raised by ``parse``, is a ValueError naming the file."""
+    with _open_text(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

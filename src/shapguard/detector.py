@@ -97,8 +97,9 @@ def calibrate_threshold(
     e = np.asarray(errors_clean_val, dtype=np.float64)
     if e.size < 10:
         raise ValueError(f"need at least 10 calibration errors, got {e.size}")
-    if not np.isfinite(e).all() or (e < 0).any():
-        raise ValueError("calibration errors must be finite and >= 0")
+    data.check_cells(e, ["finite"], lambda row, _: f"calibration error {row}")
+    if (e < 0).any():
+        raise ValueError("calibration errors must be >= 0")
     if method.method == "percentile":
         return float(np.percentile(e, method.parameter))
     return float(e.mean() + method.parameter * e.std())

@@ -69,8 +69,8 @@ class MlpModel:
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             if W.shape != (sizes[i + 1], sizes[i]) or b.shape != (sizes[i + 1],):
                 raise ValueError(f"layer {i} parameter shape mismatch")
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i} has non-finite parameters")
+            data.check_cells(W, ["finite"], lambda row, col: f"field 'weights[{i}][{row}][{col}]'")
+            data.check_cells(b, ["finite"], lambda row, _: f"field 'biases[{i}][{row}]'")
 
     @property
     def input_size(self) -> int:

@@ -213,6 +213,9 @@ def resolve_config(
     if source == "csv" and not cfg["data"]["csv"]["path"]:
         raise ConfigError("data.csv.path is required for the csv source")
     schema = _checked("data.csv", _schema_from_cfg, cfg["data"]["csv"])
+    label = cfg["data"]["csv"]["label_column"]
+    if label in schema.names:  # load_csv would read that column's cells as labels
+        raise ConfigError(f"data.csv: label_column {label!r} names a feature of the schema")
     m = schema.m if source == "csv" else cfg["data"]["synthetic"]["n_features"]
     _checked("data.split", data.SplitSpec, **cfg["data"]["split"])
     _checked("classifier", neural.MlpSpec, (m, *clf["hidden_sizes"], 1))

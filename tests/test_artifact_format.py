@@ -332,3 +332,75 @@ def test_table_shape_and_json_type_names_are_decided_in_data_alone():
                 for side in (node.left, *node.comparators))
     ]
     assert (worded, python_names, type_tests) == ([], [], [])
+
+
+def _with(shape, index, value, fill=0.5):
+    array = np.full(shape, fill)
+    array[index] = value
+    return array
+
+
+def _model(weight=0.0, bias=0.0):
+    """A (2, 3, 1) net with value at weights[1][0][2] or biases[0][1]."""
+    return neural.MlpModel(neural.MlpSpec((2, 3, 1)),
+                           [np.zeros((3, 2)), _with((1, 3), (0, 2), weight, 0.0)],
+                           [_with(3, 1, bias, 0.0), np.zeros(1)])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "check, value, where, rule",
+    [*((lambda v: attribution.BackgroundSet(B=_with((3, 2), (2, 1), v)), value,
+        "background row 2, column 1", "box") for value in (NAN, INF, 1.5)),
+     *((lambda v: data.ScalerParams(min=_with(3, 1, v, 0.0), max=np.ones(3)), value,
+        "field 'min[1]'", "finite") for value in (NAN, -INF)),
+     *((lambda v: data.ScalerParams(min=np.zeros(3), max=_with(3, 2, v, 1.0)), value,
+        "field 'max[2]'", "finite") for value in (NAN, INF)),
+     *((lambda v: _model(weight=v), value, "field 'weights[1][0][2]'", "finite")
+       for value in (NAN, INF)),
+     *((lambda v: _model(bias=v), value, "field 'biases[0][1]'", "finite")
+       for value in (NAN, -INF)),
+     *((lambda v: data.FlowDataset(SCHEMA, np.zeros((3, 2)), [0.0, 1.0, v]), value,
+        "row 2, column 'label'", "binary") for value in (0.7, NAN)),
+     (lambda v: detector.calibrate_threshold(_with(12, 5, v, 1.0),
+                                             detector.CalibrationMethod("percentile", 99.0)),
+      NAN, "calibration error 5", "finite")],
+    ids=["background-nan", "background-inf", "background-outside-box", "scaler-min-nan",
+         "scaler-min-minus-inf", "scaler-max-nan", "scaler-max-inf", "model-weight-nan",
+         "model-weight-inf", "model-bias-nan", "model-bias-minus-inf", "label-0.7",
+         "label-nan", "calibration-error-nan"],
+)
+def test_every_matrix_taken_in_names_its_first_bad_cell_in_one_shape(check, value, where, rule):
+    """The background, the scaler, the stored models, the labels and the
+    calibration errors are checked by data.CELL_RULES, worded as read_table
+    words a bad table cell."""
+    with pytest.raises(ValueError) as info:
+        check(value)
+    assert str(info.value) == f"{where}: {value!r} is not {data.CELL_RULES[rule][1]}"
+
+
+def test_cells_are_tested_by_data_cell_rules_alone():
+    """No module tests finiteness or the [0, 1] box itself: np.isfinite is
+    called and data.BOX_TOL read only inside data.CELL_RULES; every other
+    check goes through data.check_cells. A scalar's math.isfinite is no
+    matrix check."""
+    src = Path(data.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rules = {id(node) for top in tree.body if isinstance(top, ast.Assign)
+                 and any(getattr(target, "id", None) == "CELL_RULES" for target in top.targets)
+                 for node in ast.walk(top.value)}
+        lines = sorted({
+            node.lineno for node in ast.walk(tree) if id(node) not in rules and (
+                (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                 and getattr(node.value, "id", None) == "np")
+                or (isinstance(node, ast.Attribute) and node.attr == "BOX_TOL")
+                or (isinstance(node, ast.Name) and node.id == "BOX_TOL"
+                    and isinstance(node.ctx, ast.Load)))
+        })
+        if lines:
+            found.append(f"{path.name}:{','.join(map(str, lines))}")
+    assert not found, f"cell checks outside data.CELL_RULES: {found}"

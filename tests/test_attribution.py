@@ -364,7 +364,8 @@ def test_batch_empty_selection_raises():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_background_rejects_non_finite_entries(bad):
-    with pytest.raises(ValueError, match="background entries must be finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"background row 0, column 1: {bad!r} is not a finite value in [0, 1]")):
         BackgroundSet(B=[[0.1, bad], [0.2, 0.3]])
 
 

@@ -122,6 +122,9 @@ def test_resolve_config_is_a_fixed_point(user):
         # the splits are saved with a label column after the features
         ({"data": {"csv": {"schema": ["a", "label"]}}},
          "data.csv: no feature may be named 'label', the label column's name"),
+        # load_csv would read that column's cells as labels, so no row would be left
+        ({"data": {"csv": {"schema": ["a", "kind"], "label_column": "kind"}}},
+         "data.csv: label_column 'kind' names a feature of the schema"),
         # the range the setting object checks
         ({"classifier": {"train": {"epochs": 0}}}, "classifier.train: epochs must be >= 1"),
         ({"attacks": {"pgd": {"alpha": 0.5}}}, "attacks.pgd: pgd needs 0 < alpha <= epsilon"),
@@ -139,7 +142,8 @@ def test_resolve_config_is_a_fixed_point(user):
     ids=["epochs-string", "epochs-fraction", "random-start-string", "hidden-sizes-int",
          "hidden-sizes-string-item", "csv-schema-int",
          "epsilon-null", "epsilon-nan", "epsilon-beyond-float", "seed-string", "data-not-mapping",
-         "data-source-unknown", "csv-schema-unknown", "csv-schema-names-label", "epochs-zero",
+         "data-source-unknown", "csv-schema-unknown", "csv-schema-names-label",
+         "csv-label-column-is-a-feature", "epochs-zero",
          "pgd-alpha-above-epsilon", "background-empty", "seed-negative",
          "background-seed-negative", "latent-not-below-m",
          "split-sums-to-0.9", "attacks-filter-all", "attacks-filter-malicious-only"],
@@ -554,6 +558,19 @@ def test_a_config_file_that_is_not_valid_json_is_a_config_error(tmp_path, capsys
     assert capsys.readouterr().err.startswith(
         f"shapguard: config error: {cfg_path}: not valid JSON: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target, code", [(None, cli.EXIT_USAGE), ("data/train.csv", cli.EXIT_STAGE)],
+    ids=["config", "split"],
+)
+def test_a_file_that_is_not_utf8_is_named(tiny_run, tmp_path, capsys, target, code):
+    """A --config file is a config error, an artifact a stage failure."""
+    out, cfg_path = _copy_of_run(tiny_run, tmp_path)
+    path = Path(cfg_path) if target is None else out / target
+    path.write_bytes(path.read_bytes().replace(b",", b",\xff", 1))
+    assert cli.main(["train-nids", "--config", cfg_path]) == code
+    assert f"{path}: not UTF-8 text: cannot decode byte 0xff" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["the-file", "below-the-file"])
@@ -1276,7 +1293,7 @@ def _narrow_output(payload):
         ("models/nids.json", _set("biases", "x"), ["attack", "--attack", "fgsm"],
          "models/nids.json: field 'biases' must be a list, got 'x'"),
         ("models/nids.json", _edit(_nan_weight), ["attack", "--attack", "fgsm"],
-         "models/nids.json: layer 0 has non-finite parameters"),
+         "models/nids.json: field 'weights[0][0][0]': nan is not a finite value"),
         ("models/nids.json", _set("spec", 3), ["attack", "--attack", "fgsm"],
          "models/nids.json: field 'spec' must be an object, got 3"),
         *(
@@ -1349,9 +1366,9 @@ def _narrow_output(payload):
          "models/nids.json: field 'weights[0]' must hold only numbers, got booleans"),
         # json reads NaN and Infinity, and a NaN bound passes max >= min
         ("data/scaler.json", _edit(lambda s: s["min"].__setitem__(0, float("nan"))),
-         ["evaluate"], "data/scaler.json: field 'min' must hold only finite numbers, got nan"),
+         ["evaluate"], "data/scaler.json: field 'min[0]': nan is not a finite value"),
         ("data/scaler.json", _edit(lambda s: s["max"].__setitem__(1, float("inf"))),
-         ["evaluate"], "data/scaler.json: field 'max' must hold only finite numbers, got inf"),
+         ["evaluate"], "data/scaler.json: field 'max[1]': inf is not a finite value"),
         ("models/nids.json", _edit(lambda n: n["weights"].pop()), ["attack", "--attack", "fgsm"],
          "models/nids.json: field 'weights' must be a list of 3 matrices, got a list of 2"),
     ],

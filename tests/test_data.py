@@ -563,6 +563,22 @@ def test_json_artifact_rejects_truncated_file(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "name, content, read",
+    [("t.csv", b"a,\xffb\n1,2\n", data.read_table),
+     # past the first block the text layer decodes, so np.loadtxt meets it
+     ("t.csv", b"a,b\n" + b"1,2\n" * 3000 + b"3,\xff\n", data.read_table),
+     ("p.json", b'{"a": "\xff"}', data.read_json)],
+    ids=["read_table-header-line", "read_table-data-line", "read_json"],
+)
+def test_a_file_that_is_not_utf8_is_a_value_error_naming_it(tmp_path, name, content, read):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: not UTF-8 text: cannot decode byte 0xff"
+
+
+@pytest.mark.parametrize(
     "text, got", [("[1, 2]", "array"), ('"x"', "string"), ("3", "number"), ("2.5", "number"),
                   ("true", "boolean"), ("null", "null")]
 )
@@ -673,5 +689,5 @@ def test_dataset_keeps_a_c_ordered_float64_matrix_and_copies_any_other_layout():
 
 @pytest.mark.parametrize("y", [[0.7, 1.0], [1.9, 0.0], [-0.5, 1.0], [2, 0]])
 def test_dataset_rejects_a_label_that_is_not_0_or_1_before_casting_it(y):
-    with pytest.raises(ValueError, match="labels must be 0"):
+    with pytest.raises(ValueError, match=r"^row 0, column 'label': .* is not 0 or 1$"):
         FlowDataset(FeatureSchema(("a",)), np.zeros((2, 1)), y)
